@@ -29,6 +29,7 @@ from .matchings import (
     is_non_wasteful,
     is_pairwise_efficient,
     is_pareto_efficient,
+    matching_verdict,
     pareto_dominates,
     reduce_to_single_cycle,
     trade_cycles,

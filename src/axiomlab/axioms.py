@@ -1,12 +1,18 @@
 """Exhaustive desk-scale checkers for every rule axiom.
 
-Each checker quantifies the axiom's definition over the instance's complete
-profile domain (and over every deviation, coalition, or matching the
-definition mentions) and reports the first violation in a fixed lexicographic
-scan order: profiles stream lexicographically, agents ascend, misreports
-ascend lexicographically, coalitions ascend by size then membership.  The
-witness is therefore deterministic: identical inputs yield identical
-reports, and a fail witness replayed standalone reproduces the violation.
+Each axiom has one definition, shared by the scan and by the witness replay:
+a deviation generator, which lists in scan order everything the axiom
+quantifies over at one profile (misreports, coalitions, transformed profiles,
+support matchings), and a violation body, which walks those deviations and
+returns the witness of the first violation, or None.
+
+The scan calls the body once per profile of the instance's complete profile
+domain and reports the first violation in a fixed lexicographic scan order:
+profiles stream lexicographically, agents ascend, misreports ascend
+lexicographically, coalitions ascend by size then membership.  The witness is
+therefore deterministic: identical inputs yield identical reports.
+``replay_witness`` calls the same body on the one deviation a witness records,
+evaluating the rule on demand, and accepts only if it finds that very witness.
 
 Profile scans can be partitioned across worker processes; chunks are
 contiguous outer-profile ranges, so merging keeps the scan-earliest witness
@@ -19,16 +25,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations, product
+from functools import cached_property
+from itertools import chain, combinations, product
+from typing import Callable
 
-from .errors import AxiomNotApplicable, PreconditionViolated
-from .matchings import (
-    blocking_pair,
-    find_improvement_cycle,
-    is_non_wasteful,
-    is_pareto_efficient,
-    waste_witness,
-)
+from .errors import AxiomNotApplicable
+from .matchings import matching_verdict
 from .model import Instance, Matching, enumerate_matchings
 from .preferences import (
     Profile,
@@ -67,6 +69,13 @@ DETERMINISTIC_ONLY = frozenset(
     }
 )
 
+#: The ex-post axioms and the ``matching_verdict`` kind each support matching must meet.
+EX_POST_KINDS = {
+    Axiom.EX_POST_PARETO: "pareto",
+    Axiom.EX_POST_PAIRWISE: "pairwise",
+    Axiom.EX_POST_NON_WASTEFUL: "non-wasteful",
+}
+
 
 @dataclass
 class CheckOptions:
@@ -74,7 +83,6 @@ class CheckOptions:
 
     max_coalition: int | None = None
     workers: int = 1
-    max_profiles: int | None = None
 
 
 @dataclass
@@ -108,278 +116,315 @@ class CheckReport:
         }
 
 
-def _deterministic_outcomes(inst, rule, max_profiles):
-    return {p: evaluate(inst, rule, p) for p in enumerate_profiles(inst, max_profiles)}
+@dataclass
+class _Context:
+    """What a definition needs besides the profile: the instance and the axiom's parameters."""
+
+    inst: Instance
+    endowment: Matching | None = None
+    max_coalition: int | None = None
+    _reports: dict = field(default_factory=dict)
+
+    @cached_property
+    def preferences(self) -> list:
+        return all_preferences(self.inst)
+
+    @cached_property
+    def universe(self) -> list[Matching]:
+        return enumerate_matchings(self.inst)
+
+    def reports(self, size: int) -> tuple:
+        """Every joint report of ``size`` agents, lexicographically."""
+        if size not in self._reports:
+            self._reports[size] = tuple(product(self.preferences, repeat=size))
+        return self._reports[size]
 
 
-def _lottery_outcomes(inst, rule, max_profiles):
-    return {p: evaluate_lottery(inst, rule, p) for p in enumerate_profiles(inst, max_profiles)}
+# Violation bodies.  Each takes ``(ctx, profile, outcomes, deviations)``, where
+# ``outcomes`` maps profiles to the rule's outcome there, and returns the
+# witness of the first deviation that violates the axiom, or None.
 
 
-def _scan_strategy_proof(inst, rule, start, stop, opts, endowment):
-    outcomes = _deterministic_outcomes(inst, rule, opts.max_profiles)
-    prefs = all_preferences(inst)
-    for idx, profile in enumerate(
-        enumerate_profiles(inst, opts.max_profiles, start, stop), start
-    ):
-        mine = outcomes[profile]
-        for agent in range(inst.n):
-            truth = profile[agent]
-            for misreport in prefs:
-                if misreport == truth:
-                    continue
-                deviated = profile[:agent] + (misreport,) + profile[agent + 1 :]
-                got = outcomes[deviated][agent]
-                if prefers(truth, got, mine[agent]):
-                    return idx, {
-                        "kind": "manipulation",
-                        "profile": profile,
-                        "agent": agent,
-                        "misreport": misreport,
-                        "truthful_allotment": mine[agent],
-                        "manipulated_allotment": got,
-                    }
-    return None
-
-
-def _scan_pairwise_strategy_proof(inst, rule, start, stop, opts, endowment):
-    outcomes = _deterministic_outcomes(inst, rule, opts.max_profiles)
-    prefs = all_preferences(inst)
-    for idx, profile in enumerate(
-        enumerate_profiles(inst, opts.max_profiles, start, stop), start
-    ):
-        mine = outcomes[profile]
-        for i, j in combinations(range(inst.n), 2):
-            for ri, rj in product(prefs, prefs):
-                if ri == profile[i] and rj == profile[j]:
-                    continue
-                deviated = list(profile)
-                deviated[i], deviated[j] = ri, rj
-                got = outcomes[tuple(deviated)]
-                for strict, weak in ((i, j), (j, i)):
-                    if prefers(profile[strict], got[strict], mine[strict]) and weakly_prefers(
-                        profile[weak], got[weak], mine[weak]
-                    ):
-                        return idx, {
-                            "kind": "pair_manipulation",
-                            "profile": profile,
-                            "agents": [i, j],
-                            "misreports": [ri, rj],
-                            "strict_agent": strict,
-                        }
-    return None
-
-
-def _scan_group_strategy_proof(inst, rule, start, stop, opts, endowment):
-    outcomes = _deterministic_outcomes(inst, rule, opts.max_profiles)
-    prefs = all_preferences(inst)
-    cap = opts.max_coalition if opts.max_coalition is not None else inst.n
-    cap = min(cap, inst.n)
-    for idx, profile in enumerate(
-        enumerate_profiles(inst, opts.max_profiles, start, stop), start
-    ):
-        mine = outcomes[profile]
-        for size in range(1, cap + 1):
-            for coalition in combinations(range(inst.n), size):
-                truthful = tuple(profile[a] for a in coalition)
-                for reports in product(prefs, repeat=size):
-                    if reports == truthful:
-                        continue
-                    deviated = list(profile)
-                    for a, r in zip(coalition, reports):
-                        deviated[a] = r
-                    got = outcomes[tuple(deviated)]
-                    if all(
-                        weakly_prefers(profile[a], got[a], mine[a]) for a in coalition
-                    ) and any(prefers(profile[a], got[a], mine[a]) for a in coalition):
-                        return idx, {
-                            "kind": "group_manipulation",
-                            "profile": profile,
-                            "agents": list(coalition),
-                            "misreports": list(reports),
-                        }
-    return None
-
-
-def _scan_non_bossy(inst, rule, start, stop, opts, endowment):
-    outcomes = _deterministic_outcomes(inst, rule, opts.max_profiles)
-    prefs = all_preferences(inst)
-    for idx, profile in enumerate(
-        enumerate_profiles(inst, opts.max_profiles, start, stop), start
-    ):
-        mine = outcomes[profile]
-        for agent in range(inst.n):
-            for misreport in prefs:
-                if misreport == profile[agent]:
-                    continue
-                deviated = profile[:agent] + (misreport,) + profile[agent + 1 :]
-                got = outcomes[deviated]
-                if got[agent] == mine[agent] and got != mine:
-                    return idx, {
-                        "kind": "bossiness",
-                        "profile": profile,
-                        "agent": agent,
-                        "misreport": misreport,
-                        "outcome": mine,
-                        "flipped_outcome": got,
-                    }
-    return None
-
-
-def _scan_maskin_monotonic(inst, rule, start, stop, opts, endowment):
-    outcomes = _deterministic_outcomes(inst, rule, opts.max_profiles)
-    domain = list(outcomes)
-    for idx, profile in enumerate(
-        enumerate_profiles(inst, opts.max_profiles, start, stop), start
-    ):
-        chosen = outcomes[profile]
-        for transformed in domain:
-            if is_monotonic_transformation(profile, transformed, chosen):
-                if outcomes[transformed] != chosen:
-                    return idx, {
-                        "kind": "monotonicity",
-                        "profile": profile,
-                        "transformed": transformed,
-                        "matching": chosen,
-                        "new_outcome": outcomes[transformed],
-                    }
-    return None
-
-
-def _scan_prob_monotonic(inst, rule, start, stop, opts, endowment):
-    lotteries = _lottery_outcomes(inst, rule, opts.max_profiles)
-    domain = list(lotteries)
-    for idx, profile in enumerate(
-        enumerate_profiles(inst, opts.max_profiles, start, stop), start
-    ):
-        lottery = lotteries[profile]
-        support = lottery.support()
-        for transformed in domain:
-            other = lotteries[transformed]
-            for matching in support:
-                if is_monotonic_transformation(profile, transformed, matching):
-                    if other.weight(matching) < lottery.weight(matching):
-                        return idx, {
-                            "kind": "prob_monotonicity",
-                            "profile": profile,
-                            "transformed": transformed,
-                            "matching": matching,
-                            "weight_before": str(lottery.weight(matching)),
-                            "weight_after": str(other.weight(matching)),
-                        }
-    return None
-
-
-def _swap_allotments(matching: Matching, i: int, j: int) -> Matching:
-    swapped = list(matching)
-    swapped[i], swapped[j] = swapped[j], swapped[i]
-    return tuple(swapped)
-
-
-def _scan_equal_treatment(inst, rule, start, stop, opts, endowment):
-    lotteries = _lottery_outcomes(inst, rule, opts.max_profiles)
-    for idx, profile in enumerate(
-        enumerate_profiles(inst, opts.max_profiles, start, stop), start
-    ):
-        twins = [
-            (i, j)
-            for i, j in combinations(range(inst.n), 2)
-            if profile[i] == profile[j]
-        ]
-        if not twins:
+def _manipulation(ctx, profile, outcomes, deviations):
+    mine = outcomes[profile]
+    for agent, misreport in deviations:
+        truth = profile[agent]
+        if misreport == truth:
             continue
-        lottery = lotteries[profile]
-        for i, j in twins:
-            for matching in lottery.support():
-                swapped = _swap_allotments(matching, i, j)
-                if lottery.weight(swapped) != lottery.weight(matching):
-                    return idx, {
-                        "kind": "equal_treatment",
-                        "profile": profile,
-                        "agents": [i, j],
-                        "matching": matching,
-                        "swapped": swapped,
-                        "weight": str(lottery.weight(matching)),
-                        "swapped_weight": str(lottery.weight(swapped)),
-                    }
+        deviated = profile[:agent] + (misreport,) + profile[agent + 1 :]
+        got = outcomes[deviated][agent]
+        if prefers(truth, got, mine[agent]):
+            return {
+                "kind": "manipulation",
+                "profile": profile,
+                "agent": agent,
+                "misreport": misreport,
+                "truthful_allotment": mine[agent],
+                "manipulated_allotment": got,
+            }
     return None
 
 
-def _support_witness(inst, profile, matching, kind):
-    """Structured witness for a support matching failing an ex-post axiom."""
-    if kind == "waste":
-        agent, obj = waste_witness(inst, matching, profile)
-        return {"kind": "waste", "agents": [agent], "objects": [obj]}
-    if kind == "swap":
-        i, j = blocking_pair(matching, profile)
-        return {"kind": "swap", "agents": [i, j], "objects": [matching[i], matching[j]]}
-    if not is_non_wasteful(inst, matching, profile):
-        agent, obj = waste_witness(inst, matching, profile)
-        return {"kind": "waste", "agents": [agent], "objects": [obj]}
-    cycle = find_improvement_cycle(inst, matching, profile)
-    return {"kind": "cycle", "agents": list(cycle.agents), "objects": list(cycle.objects)}
+def _pair_manipulation(ctx, profile, outcomes, deviations):
+    mine = outcomes[profile]
+    for (i, j), (ri, rj) in deviations:
+        deviated = list(profile)
+        deviated[i], deviated[j] = ri, rj
+        deviated = tuple(deviated)
+        if deviated == profile:
+            continue
+        got = outcomes[deviated]
+        for strict, weak in ((i, j), (j, i)):
+            if prefers(profile[strict], got[strict], mine[strict]) and weakly_prefers(
+                profile[weak], got[weak], mine[weak]
+            ):
+                return {
+                    "kind": "pair_manipulation",
+                    "profile": profile,
+                    "agents": [i, j],
+                    "misreports": [ri, rj],
+                    "strict_agent": strict,
+                }
+    return None
 
 
-def _scan_ex_post(predicate_kind):
-    def scan(inst, rule, start, stop, opts, endowment):
-        lotteries = _lottery_outcomes(inst, rule, opts.max_profiles)
-        universe = enumerate_matchings(inst)
-        for idx, profile in enumerate(
-            enumerate_profiles(inst, opts.max_profiles, start, stop), start
+def _group_manipulation(ctx, profile, outcomes, deviations):
+    mine = outcomes[profile]
+    for coalition, reports in deviations:
+        deviated = list(profile)
+        for a, r in zip(coalition, reports):
+            deviated[a] = r
+        deviated = tuple(deviated)
+        if deviated == profile:
+            continue
+        got = outcomes[deviated]
+        if all(weakly_prefers(profile[a], got[a], mine[a]) for a in coalition) and any(
+            prefers(profile[a], got[a], mine[a]) for a in coalition
         ):
-            for matching in lotteries[profile].support():
-                if predicate_kind == "pareto":
-                    ok = is_pareto_efficient(inst, matching, profile, universe)
-                elif predicate_kind == "swap":
-                    ok = blocking_pair(matching, profile) is None
-                else:
-                    ok = is_non_wasteful(inst, matching, profile)
-                if not ok:
-                    witness = _support_witness(inst, profile, matching, predicate_kind)
-                    witness["profile"] = profile
-                    witness["matching"] = matching
-                    return idx, witness
+            return {
+                "kind": "group_manipulation",
+                "profile": profile,
+                "agents": list(coalition),
+                "misreports": list(reports),
+            }
+    return None
+
+
+def _bossiness(ctx, profile, outcomes, deviations):
+    mine = outcomes[profile]
+    for agent, misreport in deviations:
+        if misreport == profile[agent]:
+            continue
+        got = outcomes[profile[:agent] + (misreport,) + profile[agent + 1 :]]
+        if got[agent] == mine[agent] and got != mine:
+            return {
+                "kind": "bossiness",
+                "profile": profile,
+                "agent": agent,
+                "misreport": misreport,
+                "outcome": mine,
+                "flipped_outcome": got,
+            }
+    return None
+
+
+def _non_monotonicity(ctx, profile, outcomes, deviations):
+    chosen = outcomes[profile]
+    for transformed in deviations:
+        if is_monotonic_transformation(profile, transformed, chosen):
+            if outcomes[transformed] != chosen:
+                return {
+                    "kind": "monotonicity",
+                    "profile": profile,
+                    "transformed": transformed,
+                    "matching": chosen,
+                    "new_outcome": outcomes[transformed],
+                }
+    return None
+
+
+def _prob_non_monotonicity(ctx, profile, lotteries, deviations):
+    lottery = lotteries[profile]
+    for transformed, matching in deviations:
+        if is_monotonic_transformation(profile, transformed, matching):
+            before = lottery.weight(matching)
+            after = lotteries[transformed].weight(matching)
+            if after < before:
+                return {
+                    "kind": "prob_monotonicity",
+                    "profile": profile,
+                    "transformed": transformed,
+                    "matching": matching,
+                    "weight_before": str(before),
+                    "weight_after": str(after),
+                }
+    return None
+
+
+def _unequal_treatment(ctx, profile, lotteries, deviations):
+    lottery = lotteries[profile]
+    for (i, j), matching in deviations:
+        if profile[i] != profile[j]:
+            continue
+        swapped = list(matching)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        swapped = tuple(swapped)
+        if lottery.weight(swapped) != lottery.weight(matching):
+            return {
+                "kind": "equal_treatment",
+                "profile": profile,
+                "agents": [i, j],
+                "matching": matching,
+                "swapped": swapped,
+                "weight": str(lottery.weight(matching)),
+                "swapped_weight": str(lottery.weight(swapped)),
+            }
+    return None
+
+
+def _ex_post_failure(kind: str) -> Callable:
+    def violation(ctx, profile, lotteries, deviations):
+        lottery = lotteries[profile]
+        for matching in deviations:
+            if not lottery.weight(matching):
+                continue
+            witness = matching_verdict(ctx.inst, matching, profile, kind, ctx.universe)
+            if witness is not None:
+                return {**witness, "profile": profile, "matching": matching}
         return None
 
-    return scan
+    return violation
 
 
-def _scan_individual_rationality(inst, rule, start, stop, opts, endowment):
-    lotteries = _lottery_outcomes(inst, rule, opts.max_profiles)
-    for idx, profile in enumerate(
-        enumerate_profiles(inst, opts.max_profiles, start, stop), start
-    ):
-        for matching in lotteries[profile].support():
-            for agent in range(inst.n):
-                if not weakly_prefers(profile[agent], matching[agent], endowment[agent]):
-                    return idx, {
-                        "kind": "individual_rationality",
-                        "profile": profile,
-                        "matching": matching,
-                        "agents": [agent],
-                        "objects": [matching[agent], endowment[agent]],
-                    }
+def _irrationality(ctx, profile, lotteries, deviations):
+    lottery = lotteries[profile]
+    for matching, (agent, endowed) in deviations:
+        if lottery.weight(matching) and not weakly_prefers(
+            profile[agent], matching[agent], endowed
+        ):
+            return {
+                "kind": "individual_rationality",
+                "profile": profile,
+                "matching": matching,
+                "agents": [agent],
+                "objects": [matching[agent], endowed],
+            }
     return None
 
 
-_SCANNERS = {
-    Axiom.STRATEGY_PROOF: _scan_strategy_proof,
-    Axiom.PAIRWISE_STRATEGY_PROOF: _scan_pairwise_strategy_proof,
-    Axiom.GROUP_STRATEGY_PROOF: _scan_group_strategy_proof,
-    Axiom.NON_BOSSY: _scan_non_bossy,
-    Axiom.MASKIN_MONOTONIC: _scan_maskin_monotonic,
-    Axiom.PROB_MONOTONIC: _scan_prob_monotonic,
-    Axiom.EQUAL_TREATMENT: _scan_equal_treatment,
-    Axiom.EX_POST_PARETO: _scan_ex_post("pareto"),
-    Axiom.EX_POST_PAIRWISE: _scan_ex_post("swap"),
-    Axiom.EX_POST_NON_WASTEFUL: _scan_ex_post("waste"),
-    Axiom.INDIVIDUAL_RATIONALITY: _scan_individual_rationality,
+@dataclass(frozen=True)
+class _Definition:
+    """One axiom: its deviations at a profile, in scan order, and its violation body.
+
+    ``recorded`` reads back from a witness the deviation it records, in the
+    shape the generator yields.
+    """
+
+    lotteries: bool
+    deviations: Callable  # (ctx, profile, outcomes) -> iterable of deviations
+    violation: Callable  # (ctx, profile, outcomes, deviations) -> witness or None
+    recorded: Callable  # witness -> deviation
+
+
+# Deviation generators take ``(ctx, profile, outcomes)``; ``recorded`` readers
+# take a witness.  Both produce deviations of the shape the body unpacks.
+
+
+def _agent_misreports(ctx, profile, outcomes):
+    return product(range(ctx.inst.n), ctx.preferences)
+
+
+def _coalition_reports(ctx: _Context, sizes) -> chain:
+    n = ctx.inst.n
+    return chain.from_iterable(
+        product(combinations(range(n), size), ctx.reports(size)) for size in sizes
+    )
+
+
+def _coalitions_up_to_cap(ctx, profile, outcomes):
+    n = ctx.inst.n
+    cap = n if ctx.max_coalition is None else min(ctx.max_coalition, n)
+    return _coalition_reports(ctx, range(1, cap + 1))
+
+
+def _agent_misreport(witness):
+    return witness["agent"], witness["misreport"]
+
+
+def _coalition_misreports(witness):
+    return witness["agents"], witness["misreports"]
+
+
+def _support(ctx, profile, lotteries):
+    return lotteries[profile].support()
+
+
+_DEFINITIONS = {
+    Axiom.STRATEGY_PROOF: _Definition(False, _agent_misreports, _manipulation, _agent_misreport),
+    Axiom.PAIRWISE_STRATEGY_PROOF: _Definition(
+        False,
+        lambda ctx, profile, outcomes: _coalition_reports(ctx, (2,)),
+        _pair_manipulation,
+        _coalition_misreports,
+    ),
+    Axiom.GROUP_STRATEGY_PROOF: _Definition(
+        False,
+        _coalitions_up_to_cap,
+        _group_manipulation,
+        _coalition_misreports,
+    ),
+    Axiom.NON_BOSSY: _Definition(False, _agent_misreports, _bossiness, _agent_misreport),
+    Axiom.MASKIN_MONOTONIC: _Definition(
+        False,
+        lambda ctx, profile, outcomes: outcomes,
+        _non_monotonicity,
+        lambda w: w["transformed"],
+    ),
+    Axiom.PROB_MONOTONIC: _Definition(
+        True,
+        lambda ctx, profile, lotteries: product(lotteries, lotteries[profile].support()),
+        _prob_non_monotonicity,
+        lambda w: (w["transformed"], w["matching"]),
+    ),
+    Axiom.EQUAL_TREATMENT: _Definition(
+        True,
+        lambda ctx, profile, lotteries: product(
+            combinations(range(ctx.inst.n), 2), lotteries[profile].support()
+        ),
+        _unequal_treatment,
+        lambda w: (w["agents"], w["matching"]),
+    ),
+    **{
+        axiom: _Definition(True, _support, _ex_post_failure(kind), lambda w: w["matching"])
+        for axiom, kind in EX_POST_KINDS.items()
+    },
+    Axiom.INDIVIDUAL_RATIONALITY: _Definition(
+        True,
+        lambda ctx, profile, lotteries: product(
+            lotteries[profile].support(), enumerate(ctx.endowment)
+        ),
+        _irrationality,
+        lambda w: (w["matching"], (w["agents"][0], w["objects"][1])),
+    ),
 }
 
 
+def _scan(inst, rule, axiom, endowment, opts, start=0, stop=None):
+    """First violation among profiles ``start:stop`` as ``(index, witness)``, or None."""
+    definition = _DEFINITIONS[axiom]
+    ctx = _Context(inst, endowment, opts.max_coalition)
+    evaluate_one = evaluate_lottery if definition.lotteries else evaluate
+    outcomes = {p: evaluate_one(inst, rule, p) for p in enumerate_profiles(inst)}
+    deviations, violation = definition.deviations, definition.violation
+    for idx, profile in enumerate(enumerate_profiles(inst, start, stop), start):
+        witness = violation(ctx, profile, outcomes, deviations(ctx, profile, outcomes))
+        if witness is not None:
+            return idx, witness
+    return None
+
+
 def _scan_chunk(args):
-    inst, rule, axiom, endowment, start, stop, opts = args
-    return _SCANNERS[Axiom(axiom)](inst, rule, start, stop, opts, endowment)
+    return _scan(*args)
 
 
 def check_axiom(
@@ -412,14 +457,14 @@ def check_axiom(
     if opts.workers > 1 and total >= 4 * opts.workers:
         chunk = (total + opts.workers - 1) // opts.workers
         jobs = [
-            (inst, rule, axiom.value, endowment, lo, min(lo + chunk, total), opts)
+            (inst, rule, axiom, endowment, opts, lo, min(lo + chunk, total))
             for lo in range(0, total, chunk)
         ]
         with ProcessPoolExecutor(max_workers=opts.workers) as pool:
             hits = [h for h in pool.map(_scan_chunk, jobs) if h is not None]
         hit = min(hits, key=lambda h: h[0]) if hits else None
     else:
-        hit = _SCANNERS[axiom](inst, rule, 0, None, opts, endowment)
+        hit = _scan(inst, rule, axiom, endowment, opts)
     elapsed = time.perf_counter() - started
     if hit is None:
         return CheckReport(axiom.value, "pass", None, total, elapsed, rule_label(rule))
@@ -436,86 +481,42 @@ def check_individual_rationality(
     return check_axiom(inst, rule, Axiom.INDIVIDUAL_RATIONALITY, opts, endowment)
 
 
+class _OnDemand(dict):
+    """Outcome table that evaluates the rule at a profile the first time it is read."""
+
+    def __init__(self, outcome_at: Callable[[Profile], object]):
+        super().__init__()
+        self._outcome_at = outcome_at
+
+    def __missing__(self, profile):
+        self[profile] = outcome = self._outcome_at(profile)
+        return outcome
+
+
+def _frozen(value):
+    """JSON-shaped value with every list turned into a tuple, recursively."""
+    if isinstance(value, dict):
+        return {key: _frozen(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(item) for item in value)
+    return value
+
+
 def replay_witness(
     inst: Instance, rule: RuleDescriptor, axiom: Axiom, witness: dict
 ) -> bool:
     """Re-verify a fail witness from scratch against the rule.
 
-    Returns True iff the recorded violation still occurs; used to guarantee
-    witness soundness independently of the scan that produced it.
+    Runs the axiom's violation body on the one deviation the witness records,
+    evaluating the rule only where the body looks, and returns True iff the
+    body reports exactly this witness.  Soundness therefore does not rest on
+    the scan that produced it.
     """
-    axiom = Axiom(axiom)
-    profile = tuple(tuple(p) for p in witness["profile"])
-    if axiom is Axiom.STRATEGY_PROOF:
-        mine = evaluate(inst, rule, profile)
-        agent = witness["agent"]
-        deviated = profile[:agent] + (tuple(witness["misreport"]),) + profile[agent + 1 :]
-        return prefers(
-            profile[agent], evaluate(inst, rule, deviated)[agent], mine[agent]
-        )
-    if axiom is Axiom.PAIRWISE_STRATEGY_PROOF:
-        mine = evaluate(inst, rule, profile)
-        i, j = witness["agents"]
-        deviated = list(profile)
-        deviated[i], deviated[j] = map(tuple, witness["misreports"])
-        got = evaluate(inst, rule, tuple(deviated))
-        strict = witness["strict_agent"]
-        weak = j if strict == i else i
-        return prefers(profile[strict], got[strict], mine[strict]) and weakly_prefers(
-            profile[weak], got[weak], mine[weak]
-        )
-    if axiom is Axiom.GROUP_STRATEGY_PROOF:
-        mine = evaluate(inst, rule, profile)
-        deviated = list(profile)
-        for a, r in zip(witness["agents"], witness["misreports"]):
-            deviated[a] = tuple(r)
-        got = evaluate(inst, rule, tuple(deviated))
-        agents = witness["agents"]
-        return all(weakly_prefers(profile[a], got[a], mine[a]) for a in agents) and any(
-            prefers(profile[a], got[a], mine[a]) for a in agents
-        )
-    if axiom is Axiom.NON_BOSSY:
-        mine = evaluate(inst, rule, profile)
-        agent = witness["agent"]
-        deviated = profile[:agent] + (tuple(witness["misreport"]),) + profile[agent + 1 :]
-        got = evaluate(inst, rule, deviated)
-        return got[agent] == mine[agent] and got != mine
-    if axiom is Axiom.MASKIN_MONOTONIC:
-        transformed = tuple(tuple(p) for p in witness["transformed"])
-        chosen = evaluate(inst, rule, profile)
-        return is_monotonic_transformation(profile, transformed, chosen) and evaluate(
-            inst, rule, transformed
-        ) != chosen
-    if axiom is Axiom.PROB_MONOTONIC:
-        transformed = tuple(tuple(p) for p in witness["transformed"])
-        matching = tuple(witness["matching"])
-        before = evaluate_lottery(inst, rule, profile)
-        after = evaluate_lottery(inst, rule, transformed)
-        return is_monotonic_transformation(profile, transformed, matching) and after.weight(
-            matching
-        ) < before.weight(matching)
-    if axiom is Axiom.EQUAL_TREATMENT:
-        lottery = evaluate_lottery(inst, rule, profile)
-        matching = tuple(witness["matching"])
-        swapped = tuple(witness["swapped"])
-        i, j = witness["agents"]
-        return profile[i] == profile[j] and lottery.weight(matching) != lottery.weight(swapped)
-    if axiom in (Axiom.EX_POST_PARETO, Axiom.EX_POST_PAIRWISE, Axiom.EX_POST_NON_WASTEFUL):
-        matching = tuple(witness["matching"])
-        lottery = evaluate_lottery(inst, rule, profile)
-        if lottery.weight(matching) == 0:
-            return False
-        if axiom is Axiom.EX_POST_PARETO:
-            return not is_pareto_efficient(inst, matching, profile)
-        if axiom is Axiom.EX_POST_PAIRWISE:
-            return blocking_pair(matching, profile) is not None
-        return not is_non_wasteful(inst, matching, profile)
-    if axiom is Axiom.INDIVIDUAL_RATIONALITY:
-        matching = tuple(witness["matching"])
-        lottery = evaluate_lottery(inst, rule, profile)
-        agent = witness["agents"][0]
-        allotment, endowed = witness["objects"]
-        return lottery.weight(matching) > 0 and not weakly_prefers(
-            profile[agent], allotment, endowed
-        )
-    raise PreconditionViolated(f"no replay defined for {axiom}")
+    definition = _DEFINITIONS[Axiom(axiom)]
+    witness = _frozen(witness)
+    evaluate_one = evaluate_lottery if definition.lotteries else evaluate
+    outcomes = _OnDemand(lambda profile: evaluate_one(inst, rule, profile))
+    found = definition.violation(
+        _Context(inst), witness["profile"], outcomes, [definition.recorded(witness)]
+    )
+    return found is not None and _frozen(found) == witness

@@ -3,8 +3,8 @@
 Every command prints one JSON document to stdout: the deterministic payload
 under ``"result"`` and wall-clock timing under ``"timing"``.  The timing
 section is the only non-reproducible part, so golden-file comparisons should
-drop it.  Exit codes: 0 pass, 1 fail with witness (or an exhausted search),
-2 usage, format, or overflow errors.
+drop it.  Exit codes: 0 pass, 1 fail with witness (or a found
+counterexample), 2 usage, format, overflow, or any other error.
 """
 
 from __future__ import annotations
@@ -15,18 +15,12 @@ import os
 import random
 import sys
 import time
+import traceback
 
 from . import jsonio
 from .axioms import Axiom, CheckOptions, check_axiom
 from .errors import AxiomLabError, BoundsError, PreconditionViolated
-from .matchings import (
-    blocking_pair,
-    find_dominating,
-    find_improvement_cycle,
-    is_non_wasteful,
-    is_pareto_efficient,
-    waste_witness,
-)
+from .matchings import MATCHING_KINDS, find_dominating, matching_verdict
 from .model import GENERAL, NULL_BOTTOM, Instance
 from .preferences import all_preferences
 from .rules import (
@@ -58,8 +52,6 @@ AXIOM_NAMES = {
     "ex-post-non-wasteful": Axiom.EX_POST_NON_WASTEFUL,
     "individual-rationality": Axiom.INDIVIDUAL_RATIONALITY,
 }
-
-MATCHING_AXIOMS = ("pareto", "pairwise", "non-wasteful")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--profile", required=True)
     p.add_argument("--matching", required=True)
-    p.add_argument("--axiom", choices=MATCHING_AXIOMS, required=True)
+    p.add_argument("--axiom", choices=MATCHING_KINDS, required=True)
 
     p = add("check-rule", help="check one rule against one axiom, exhaustively")
     p.add_argument("--instance")
@@ -185,28 +177,6 @@ def gen_instance(seed: int, n: int, k: int, capacity_style: str, domain: str = G
     return inst, profile
 
 
-def _matching_verdict(inst, profile, matching, axiom):
-    """Matching-level predicate plus a structured witness for failures."""
-    if axiom == "non-wasteful":
-        hit = waste_witness(inst, matching, profile)
-        if hit is None:
-            return True, None
-        return False, {"kind": "waste", "agents": [hit[0]], "objects": [hit[1]]}
-    if axiom == "pairwise":
-        pair = blocking_pair(matching, profile)
-        if pair is None:
-            return True, None
-        i, j = pair
-        return False, {"kind": "swap", "agents": [i, j], "objects": [matching[i], matching[j]]}
-    if is_pareto_efficient(inst, matching, profile):
-        return True, None
-    if not is_non_wasteful(inst, matching, profile):
-        agent, obj = waste_witness(inst, matching, profile)
-        return False, {"kind": "waste", "agents": [agent], "objects": [obj]}
-    cycle = find_improvement_cycle(inst, matching, profile)
-    return False, {"kind": "cycle", "agents": list(cycle.agents), "objects": list(cycle.objects)}
-
-
 def _named_profiles(report: dict, names) -> dict:
     """Convert the profile/matching payloads of a replay report to names."""
     out = dict(report)
@@ -273,14 +243,14 @@ def _cmd_check_matching(args):
     inst, names = jsonio.load_instance(args.instance)
     profile = jsonio.load_profile(args.profile, inst, names)
     matching = jsonio.load_matching(args.matching, inst, names)
-    ok, witness = _matching_verdict(inst, profile, matching, args.axiom)
+    witness = matching_verdict(inst, matching, profile, args.axiom)
     result = {
         "axiom": args.axiom,
         "matching": jsonio.matching_to_list(matching, names),
-        "verdict": "pass" if ok else "fail",
+        "verdict": "pass" if witness is None else "fail",
         "witness": jsonio.witness_with_names(witness, names),
     }
-    return (0 if ok else 1), result
+    return (0 if witness is None else 1), result
 
 
 def _cmd_check_rule(args):
@@ -372,7 +342,12 @@ _HANDLERS = {
 
 
 def run(argv=None) -> int:
-    """Parse arguments, execute one command, print its JSON report."""
+    """Parse arguments, execute one command, print its JSON report.
+
+    Every error, an unexpected one included, becomes a JSON error report and
+    exit code 2, so exit code 1 always means a fail with a witness.
+    Unexpected errors also print their traceback to stderr.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -383,23 +358,25 @@ def run(argv=None) -> int:
         outcome = _HANDLERS[args.command](args)
         code, result = outcome[0], outcome[1]
         extra_timing = outcome[2] if len(outcome) > 2 else {}
-    except AxiomLabError as exc:
+        report = {
+            "command": args.command,
+            "result": result,
+            "timing": {"wall_time_s": round(time.perf_counter() - started, 6), **extra_timing},
+        }
+        text = json.dumps(report, indent=2)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+    except Exception as exc:
+        if not isinstance(exc, AxiomLabError):
+            traceback.print_exc()
         report = {
             "command": args.command,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         print(json.dumps(report, indent=2))
         return 2
-    report = {
-        "command": args.command,
-        "result": result,
-        "timing": {"wall_time_s": round(time.perf_counter() - started, 6), **extra_timing},
-    }
-    text = json.dumps(report, indent=2)
     print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
     return code
 
 

@@ -2,18 +2,21 @@
 
 Object names exist only in this layer; everything past it works on dense
 integer ids.  Rational weights serialize as lowest-terms ``"p/q"`` strings,
-never as floats, so reports are byte-stable and exact end to end.
+never as floats, so reports are byte-stable and exact end to end.  Input is
+validated here, where it enters the engine: unreadable files, schema
+violations, infeasible matchings and incomplete or duplicated rule tables
+all raise ``FormatError``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from typing import Any
 
 from .errors import FormatError
-from .matchings import ImprovementCycle
-from .model import GENERAL, NULL_BOTTOM, Instance, Matching
+from .model import GENERAL, NULL_BOTTOM, Instance, Matching, is_feasible
 from .preferences import Preference, Profile, enumerate_profiles
 from .rules import (
     Lottery,
@@ -44,11 +47,29 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def load_json_file(path: str) -> Any:
-    with open(path, encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+
+
+def _schema(what: str):
+    """Report the KeyError, TypeError or ValueError of a malformed ``what`` as a FormatError."""
+
+    def decorate(parse):
+        @functools.wraps(parse)
+        def wrapper(*args, **kwargs):
+            try:
+                return parse(*args, **kwargs)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+        return wrapper
+
+    return decorate
 
 
 def dump_json_file(path: str, payload: Any) -> None:
@@ -69,6 +90,7 @@ def instance_to_dict(inst: Instance, names: ObjectNames | None = None) -> dict:
     }
 
 
+@_schema("instance")
 def instance_from_dict(data: dict) -> tuple[Instance, ObjectNames]:
     """Parse an instance object; returns the instance and its object names."""
     if not isinstance(data, dict) or "objects" not in data or "n" not in data:
@@ -135,7 +157,10 @@ def matching_from_dict(data: Any, inst: Instance, names: ObjectNames) -> Matchin
         data = data["matching"]
     if not isinstance(data, list) or len(data) != inst.n:
         raise FormatError(f"matching JSON must assign all {inst.n} agents")
-    return tuple(_object_id(str(o), names) for o in data)
+    matching = tuple(_object_id(str(o), names) for o in data)
+    if not is_feasible(inst, matching):
+        raise FormatError(f"matching {data} exceeds the capacity of an object")
+    return matching
 
 
 def load_matching(path: str, inst: Instance, names: ObjectNames) -> Matching:
@@ -153,20 +178,13 @@ def lottery_to_list(lottery: Lottery, names: ObjectNames) -> list[dict]:
     ]
 
 
+@_schema("lottery")
 def lottery_from_list(data: list, inst: Instance, names: ObjectNames) -> Lottery:
     weights = {}
     for entry in data:
         matching = matching_from_dict(entry["matching"], inst, names)
         weights[matching] = weights.get(matching, Fraction(0)) + parse_fraction(entry["weight"])
     return Lottery(weights)
-
-
-def cycle_to_dict(cycle: ImprovementCycle, names: ObjectNames) -> dict:
-    return {
-        "kind": "cycle",
-        "agents": list(cycle.agents),
-        "objects": [names[o] for o in cycle.objects],
-    }
 
 
 _PROFILE_KEYS = {"profile", "transformed"}
@@ -176,7 +194,6 @@ _MATCHING_KEYS = {
     "outcome",
     "flipped_outcome",
     "dominating",
-    "truthful_allotment_vector",
 }
 _PREFERENCE_KEYS = {"misreport"}
 _PREFERENCE_LIST_KEYS = {"misreports"}
@@ -232,13 +249,16 @@ def rule_to_dict(
     }
 
 
+@_schema("rule table")
 def rule_from_dict(data: dict) -> tuple[Instance, ObjectNames, RuleDescriptor]:
-    """Load a tabulated rule and validate the table is total over its domain."""
+    """Load a tabulated rule; the table must be total over its domain, without duplicates."""
     inst, names = instance_from_dict(data["instance"])
     kind = data.get("kind")
     table: dict = {}
     for record in data["entries"]:
         profile = profile_from_dict(record["profile"], inst, names)
+        if profile in table:
+            raise FormatError(f"duplicate table entry for profile {record['profile']}")
         if kind == "deterministic":
             table[profile] = matching_from_dict(record["matching"], inst, names)
         elif kind == "lottery":

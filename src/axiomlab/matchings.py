@@ -2,8 +2,12 @@
 
 ``is_pareto_efficient`` is the ground-truth oracle of the whole engine: it
 scans the full matching set for a dominating matching.  Cycle detection is a
-cross-check, never a substitute.  All tie-breaking is fixed (lowest agent
-ids first) so every witness is reproducible byte for byte.
+cross-check, never a substitute.  ``matching_verdict`` is the one routine
+that judges a matching against an efficiency notion (Pareto efficiency,
+pairwise efficiency, non-wastefulness) and builds the failure witness; the
+ex-post axioms, the ``check-matching`` command and the counterexample search
+all go through it.  All tie-breaking is fixed (lowest agent ids first) so
+every witness is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -118,6 +122,43 @@ def waste_witness(
 def is_non_wasteful(inst: Instance, matching: Matching, profile: Profile) -> bool:
     """True iff no agent prefers an object with remaining capacity to her own."""
     return waste_witness(inst, matching, profile) is None
+
+
+#: The efficiency notions ``matching_verdict`` judges.
+MATCHING_KINDS = ("pareto", "pairwise", "non-wasteful")
+
+
+def matching_verdict(
+    inst: Instance,
+    matching: Matching,
+    profile: Profile,
+    kind: str,
+    universe: list[Matching] | None = None,
+) -> dict | None:
+    """None if ``matching`` meets the efficiency notion ``kind``, else a witness.
+
+    Witnesses are ``{"kind", "agents", "objects"}`` dicts: a ``swap`` for the
+    lowest blocking pair, a ``waste`` for the lowest agent preferring an
+    unfilled object, or, for a non-wasteful Pareto-dominated matching, the
+    shortest improvement ``cycle``.  ``universe`` is the matching set the
+    Pareto test scans; pass it when judging many matchings of one instance.
+    """
+    if kind not in MATCHING_KINDS:
+        raise PreconditionViolated(f"unknown efficiency notion {kind!r}")
+    if kind == "pairwise":
+        pair = blocking_pair(matching, profile)
+        if pair is None:
+            return None
+        return {"kind": "swap", "agents": list(pair), "objects": [matching[a] for a in pair]}
+    if kind == "pareto" and is_pareto_efficient(inst, matching, profile, universe):
+        return None
+    waste = waste_witness(inst, matching, profile)
+    if waste is not None:
+        return {"kind": "waste", "agents": [waste[0]], "objects": [waste[1]]}
+    if kind == "non-wasteful":
+        return None
+    cycle = find_improvement_cycle(inst, matching, profile)
+    return {"kind": "cycle", "agents": list(cycle.agents), "objects": list(cycle.objects)}
 
 
 def find_improvement_cycle(

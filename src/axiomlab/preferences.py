@@ -97,10 +97,7 @@ def count_profiles(inst: Instance) -> int:
 
 
 def enumerate_profiles(
-    inst: Instance,
-    max_count: int | None = None,
-    start: int = 0,
-    stop: int | None = None,
+    inst: Instance, start: int = 0, stop: int | None = None
 ) -> Iterator[Profile]:
     """Stream all profiles in lexicographic order; never materialized.
 
@@ -108,7 +105,7 @@ def enumerate_profiles(
     parallel workers split the profile space without coordination.
     """
     total = count_profiles(inst)
-    bound = enumeration_bound(max_count)
+    bound = enumeration_bound()
     if total > bound:
         raise SizeOverflow(f"{total} profiles exceed the bound of {bound}")
     stream = product(all_preferences(inst), repeat=inst.n)

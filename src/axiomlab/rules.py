@@ -151,16 +151,14 @@ def serial_dictatorship(inst: Instance, order: tuple[int, ...], profile: Profile
     return tuple(result)
 
 
-def random_serial_dictatorship(
-    inst: Instance, profile: Profile, max_orders: int | None = None
-) -> Lottery:
+def random_serial_dictatorship(inst: Instance, profile: Profile) -> Lottery:
     """Exact RSD lottery: weight of a matching = (orders reaching it) / n!.
 
     Enumerates all n! orders; there is no sampling mode, because the engine
     verifies exact claims and desk-scale n keeps n! small.
     """
     total = math.factorial(inst.n)
-    bound = enumeration_bound(max_orders)
+    bound = enumeration_bound()
     if total > bound:
         raise SizeOverflow(f"{total} agent orders exceed the bound of {bound}")
     counts: dict[Matching, int] = {}
@@ -241,14 +239,6 @@ def evaluate_lottery(inst: Instance, rule: RuleDescriptor, profile: Profile) -> 
     return Lottery.point(outcome)
 
 
-def tabulate(inst: Instance, rule: RuleDescriptor) -> RuleDescriptor:
-    """Freeze any rule into a tabulated rule over the full profile domain."""
-    table = {p: evaluate(inst, rule, p) for p in enumerate_profiles(inst)}
-    if is_lottery_rule(rule):
-        return TabulatedLotteryRule(table)
-    return TabulatedDeterministicRule(table)
-
-
 def bossy_flip_rule(inst: Instance) -> TabulatedDeterministicRule:
     """A strategy-proof but bossy showcase rule on 3 agents, 3 unit objects.
 
@@ -282,13 +272,3 @@ def random_tabulated_rule(inst: Instance, seed: int) -> TabulatedDeterministicRu
         for profile in enumerate_profiles(inst)
     }
     return TabulatedDeterministicRule(table)
-
-
-def rsd_support_is_sound(inst: Instance, profile: Profile) -> bool:
-    """Every RSD support matching is reachable by some serial dictatorship."""
-    lottery = random_serial_dictatorship(inst, profile)
-    outcomes = {
-        serial_dictatorship(inst, order, profile)
-        for order in permutations(range(inst.n))
-    }
-    return set(lottery.support()) == outcomes

@@ -25,13 +25,14 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .axioms import Axiom, CheckOptions, CheckReport, check_axiom
+from .axioms import EX_POST_KINDS, Axiom, CheckOptions, CheckReport, check_axiom
 from .errors import AxiomNotApplicable, PreconditionViolated
 from .matchings import (
     blocking_pair,
     find_dominating,
     is_non_wasteful,
     is_pareto_efficient,
+    matching_verdict,
     pareto_dominates,
     reduce_to_single_cycle,
 )
@@ -186,7 +187,7 @@ def verify_theorem1(
     pareto_everywhere = True
     discrepancy = None
     profiles_checked = 0
-    for profile in enumerate_profiles(inst, opts.max_profiles):
+    for profile in enumerate_profiles(inst):
         profiles_checked += 1
         for matching in evaluate_lottery(inst, rule, profile).support():
             pw = blocking_pair(matching, profile) is None
@@ -467,21 +468,6 @@ class SearchResult:
         return self.status == "found"
 
 
-_EX_POST_PREDICATES = {
-    Axiom.EX_POST_PARETO: "pareto",
-    Axiom.EX_POST_PAIRWISE: "pairwise",
-    Axiom.EX_POST_NON_WASTEFUL: "non_wasteful",
-}
-
-
-def _matching_satisfies(inst, matching, profile, predicate, universe) -> bool:
-    if predicate == "pareto":
-        return is_pareto_efficient(inst, matching, profile, universe)
-    if predicate == "pairwise":
-        return blocking_pair(matching, profile) is None
-    return is_non_wasteful(inst, matching, profile)
-
-
 def search_counterexample(
     inst: Instance,
     required: list[Axiom],
@@ -504,11 +490,11 @@ def search_counterexample(
     violated = Axiom(violated)
     opts = opts or CheckOptions()
     rng = random.Random(seed)
-    profiles = list(enumerate_profiles(inst, opts.max_profiles))
+    profiles = list(enumerate_profiles(inst))
     universe = enumerate_matchings(inst)
 
-    keep_predicates = [_EX_POST_PREDICATES[a] for a in required if a in _EX_POST_PREDICATES]
-    break_predicate = _EX_POST_PREDICATES.get(violated)
+    keep_kinds = [EX_POST_KINDS[a] for a in required if a in EX_POST_KINDS]
+    break_kind = EX_POST_KINDS.get(violated)
 
     allowed: dict[Profile, list[Matching]] = {}
     breakers: dict[Profile, list[Matching]] = {}
@@ -516,14 +502,12 @@ def search_counterexample(
         pool = [
             m
             for m in universe
-            if all(_matching_satisfies(inst, m, profile, p, universe) for p in keep_predicates)
+            if all(matching_verdict(inst, m, profile, k, universe) is None for k in keep_kinds)
         ]
         allowed[profile] = pool
-        if break_predicate is not None:
+        if break_kind is not None:
             breakers[profile] = [
-                m
-                for m in pool
-                if not _matching_satisfies(inst, m, profile, break_predicate, universe)
+                m for m in pool if matching_verdict(inst, m, profile, break_kind, universe)
             ]
 
     def greedy_choice(profile):

@@ -1,5 +1,6 @@
 """Axiom checkers: verdicts, witnesses, determinism, and implications."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,15 @@ from axiomlab import (
     bossy_flip_rule,
     check_axiom,
     check_individual_rationality,
+    enumerate_matchings,
     enumerate_profiles,
+    evaluate,
+    is_monotonic_transformation,
     serial_dictatorship,
 )
-from axiomlab.axioms import Axiom, CheckOptions, replay_witness
+from axiomlab.axioms import EX_POST_KINDS, Axiom, CheckOptions, replay_witness
+from axiomlab.matchings import matching_verdict
+from axiomlab.preferences import weakly_prefers
 from axiomlab.rules import random_tabulated_rule
 
 SD = SerialDictatorshipRule((0, 1, 2))
@@ -186,3 +192,70 @@ def test_prob_monotonic_fail_witness_replays(unit3):
     report = check_axiom(unit3, rule, Axiom.PROB_MONOTONIC)
     assert not report.passed
     assert replay_witness(unit3, rule, Axiom.PROB_MONOTONIC, report.witness)
+
+
+def _doctored(inst, rule, axiom, witness):
+    """The witness with its deviation replaced by one that is no violation.
+
+    Each replacement fails exactly one condition of the axiom's definition:
+    a truthful report, a transformation that is not monotonic, a pair of
+    agents with different preferences, or a matching the rule does not pick.
+    """
+    w = dict(witness)
+    profile = w["profile"]
+    if axiom in (Axiom.STRATEGY_PROOF, Axiom.NON_BOSSY):
+        w["misreport"] = profile[w["agent"]]
+    elif axiom in (Axiom.PAIRWISE_STRATEGY_PROOF, Axiom.GROUP_STRATEGY_PROOF):
+        w["misreports"] = [profile[a] for a in w["agents"]]
+    elif axiom in (Axiom.MASKIN_MONOTONIC, Axiom.PROB_MONOTONIC):
+        chosen = w["matching"]  # the rule is deterministic
+        w["transformed"] = next(
+            t
+            for t in enumerate_profiles(inst)
+            if evaluate(inst, rule, t) != chosen
+            and not is_monotonic_transformation(profile, t, chosen)
+        )
+        if axiom is Axiom.MASKIN_MONOTONIC:
+            w["new_outcome"] = evaluate(inst, rule, w["transformed"])
+        else:
+            w["weight_after"] = "0"
+    elif axiom is Axiom.EQUAL_TREATMENT:
+        i, j = w["agents"]
+        w["profile"] = next(p for p in enumerate_profiles(inst) if p[i] != p[j])
+        w["matching"] = evaluate(inst, rule, w["profile"])
+        swapped = list(w["matching"])
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        w["swapped"] = tuple(swapped)
+    elif axiom is Axiom.INDIVIDUAL_RATIONALITY:
+        (agent,), (_, endowed) = w["agents"], w["objects"]
+        w["matching"] = next(
+            m
+            for m in enumerate_matchings(inst)
+            if m != w["matching"] and not weakly_prefers(profile[agent], m[agent], endowed)
+        )
+        w["objects"] = [w["matching"][agent], endowed]
+    else:
+        kind = EX_POST_KINDS[axiom]
+        m, verdict = next(
+            (m, verdict)
+            for m in enumerate_matchings(inst)
+            if m != w["matching"]
+            and (verdict := matching_verdict(inst, m, profile, kind)) is not None
+        )
+        w = {**verdict, "profile": profile, "matching": m}
+    assert w != witness
+    return w
+
+
+@pytest.mark.parametrize("axiom", list(Axiom), ids=lambda a: a.value)
+def test_every_fail_witness_replays_and_a_doctored_one_does_not(axiom):
+    """Replay confirms the recorded violation, also in its JSON form, and nothing else."""
+    slack = axiom is Axiom.EX_POST_NON_WASTEFUL  # unit capacities are never wasted
+    inst = Instance(3, (2, 1, 1)) if slack else Instance(3, (1, 1, 1))
+    rule = random_tabulated_rule(inst, 11)
+    report = check_axiom(inst, rule, axiom, endowment=(1, 2, 0))
+    assert not report.passed
+    assert replay_witness(inst, rule, axiom, report.witness)
+    assert replay_witness(inst, rule, axiom, json.loads(json.dumps(report.witness)))
+    assert not replay_witness(inst, rule, axiom, _doctored(inst, rule, axiom, report.witness))
+    assert not replay_witness(inst, rule, axiom, {**report.witness, "kind": "other"})

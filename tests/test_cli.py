@@ -162,16 +162,25 @@ def test_check_rule_exit_codes(capsys, files):
     assert code == 1 and payload["result"]["witness"] is not None
 
 
-def test_check_rule_workers_agree(capsys, files):
-    inst = files("i.json", INSTANCE_3CYCLE)
-    results = []
-    for workers in ("1", "2"):
-        _, payload = invoke(
-            capsys, "check-rule", "--instance", inst, "--rule", "sd",
-            "--axiom", "equal-treatment", "--workers", workers,
-        )
-        results.append(payload["result"])
-    assert results[0] == results[1]
+def test_check_rule_workers_agree(capsys, files, tmp_path):
+    """Every axiom gives the same report on one and on two workers."""
+    from axiomlab import Instance
+    from axiomlab.cli import AXIOM_NAMES
+    from axiomlab.jsonio import rule_to_dict
+    from axiomlab.rules import random_tabulated_rule
+
+    inst = Instance(3, (1, 1, 1))
+    rule = files("rule.json", rule_to_dict(inst, random_tabulated_rule(inst, 11)))
+    endow = files("e.json", ["o2", "o3", "o1"])
+    for axiom in sorted(AXIOM_NAMES):
+        results = []
+        for workers in ("1", "2"):
+            code, payload = invoke(
+                capsys, "check-rule", "--rule", rule, "--axiom", axiom,
+                "--endowment", endow, "--workers", workers,
+            )
+            results.append((code, payload["result"]))
+        assert results[0] == results[1], axiom
 
 
 def test_verify_commands(capsys, files):
@@ -310,3 +319,70 @@ def test_console_entry_point(tmp_path):
     assert out.returncode == 0
     payload = json.loads(out.stdout)
     assert payload["result"]["instance"]["n"] == 2
+
+
+def _error(capsys, *argv):
+    code, payload = invoke(capsys, *argv)
+    assert code == 2 and "result" not in payload
+    return payload["error"]
+
+
+def test_infeasible_matching_is_a_format_error(capsys, files):
+    inst = files("i.json", INSTANCE_3CYCLE)
+    prof = files("p.json", PROFILE_3CYCLE)
+    mat = files("m.json", ["a", "a", "a"])
+    error = _error(
+        capsys, "check-matching", "--instance", inst, "--profile", prof,
+        "--matching", mat, "--axiom", "pairwise",
+    )
+    assert error["type"] == "FormatError"
+
+
+def test_duplicate_rule_table_entry_is_a_format_error(capsys, files):
+    from axiomlab import Instance
+    from axiomlab.jsonio import rule_to_dict
+    from axiomlab.rules import random_tabulated_rule
+
+    inst = Instance(3, (1, 1, 1))
+    table = rule_to_dict(inst, random_tabulated_rule(inst, 11))
+    duplicate = dict(table["entries"][0], matching=table["entries"][1]["matching"])
+    table["entries"].append(duplicate)
+    rule = files("rule.json", table)
+    error = _error(capsys, "check-rule", "--rule", rule, "--axiom", "strategy-proof")
+    assert error["type"] == "FormatError" and "duplicate" in error["message"]
+
+
+def test_missing_input_file_is_a_format_error(capsys, tmp_path):
+    missing = str(tmp_path / "absent.json")
+    error = _error(capsys, "rsd", "--instance", missing, "--profile", missing)
+    assert error["type"] == "FormatError"
+
+
+def test_object_without_capacity_is_a_format_error(capsys, files):
+    objects = [{"name": "a"}, {"name": "b", "capacity": 1}]
+    inst = files("i.json", dict(INSTANCE_3CYCLE, n=2, objects=objects))
+    error = _error(capsys, "rsd", "--instance", inst, "--profile", inst)
+    assert error["type"] == "FormatError" and "capacity" in error["message"]
+
+
+def test_malformed_lottery_table_is_a_format_error(capsys, files):
+    entries = [
+        {"profile": [["x", "y"], p], "lottery": [{"matching": ["x", "y"], "weight": "1/2"}]}
+        for p in (["x", "y"], ["y", "x"])
+    ]
+    instance = {"n": 2, "objects": [{"name": "x", "capacity": 1}, {"name": "y", "capacity": 1}]}
+    rule = files("rule.json", {"kind": "lottery", "instance": instance, "entries": entries})
+    error = _error(capsys, "check-rule", "--rule", rule, "--axiom", "equal-treatment")
+    assert error["type"] == "FormatError" and "lottery" in error["message"]
+
+
+def test_unexpected_error_exits_2_not_1(capsys, monkeypatch):
+    """Exit code 1 means a fail with a witness, so even an internal error exits 2."""
+    import axiomlab.cli as cli
+
+    def broken(args):
+        raise RuntimeError("internal")
+
+    monkeypatch.setitem(cli._HANDLERS, "gen-instance", broken)
+    error = _error(capsys, "gen-instance", "--n", "2", "--k", "2")
+    assert error == {"type": "RuntimeError", "message": "internal"}
