@@ -14,9 +14,29 @@ therefore deterministic: identical inputs yield identical reports.
 ``replay_witness`` calls the same body on the one deviation a witness records,
 evaluating the rule on demand, and accepts only if it finds that very witness.
 
+The two monotonicity axioms are scanned over single-agent steps only.  A
+monotonic transformation at x can be made one agent at a time, each agent
+moving from R_i to R'_i, and every intermediate profile is again a monotonic
+transformation at x of its predecessor (and stays in the null-bottom domain,
+since each preference in it is some R_i or R'_i).  Under Maskin monotonicity
+the outcome stays x along the path; under probabilistic monotonicity the
+weight of x never falls, so x stays in the support at every step.  Hence both
+axioms hold iff they hold for single-agent deviations, read from
+``preferences.monotonic_steps``: Maskin monotonicity walks agents ascending,
+then each agent's alternatives lexicographically; probabilistic monotonicity
+walks support matchings, then agents, then alternatives.  The bodies still
+test ``is_monotonic_transformation``, so witnesses transforming several agents
+replay too.
+
 Profile scans can be partitioned across worker processes; chunks are
 contiguous outer-profile ranges, so merging keeps the scan-earliest witness
-and results are independent of the worker count.
+and results are independent of the worker count.  Equal treatment, the three
+ex-post axioms and individual rationality read the outcome at the scanned
+profile only, so each chunk evaluates the rule on its own profiles; every
+other axiom reads outcomes at deviated profiles and evaluates the rule on the
+whole domain in every chunk.  Either way each table is built in full before
+the scan starts, so a tabulated rule missing a profile the chunk needs raises
+TableMiss even when the scan would stop early.
 """
 
 from __future__ import annotations
@@ -29,7 +49,7 @@ from functools import cached_property
 from itertools import chain, combinations, product
 from typing import Callable
 
-from .errors import AxiomNotApplicable
+from .errors import AxiomNotApplicable, BoundsError
 from .matchings import matching_verdict
 from .model import Instance, Matching, enumerate_matchings
 from .preferences import (
@@ -38,6 +58,7 @@ from .preferences import (
     count_profiles,
     enumerate_profiles,
     is_monotonic_transformation,
+    monotonic_steps,
     prefers,
     weakly_prefers,
 )
@@ -316,6 +337,8 @@ def _irrationality(ctx, profile, lotteries, deviations):
 class _Definition:
     """One axiom: its deviations at a profile, in scan order, and its violation body.
 
+    ``local`` says the body reads the outcome at the scanned profile only, so
+    a scan of some profiles needs the rule evaluated at those profiles only.
     ``recorded`` reads back from a witness the deviation it records, in the
     shape the generator yields.
     """
@@ -324,6 +347,7 @@ class _Definition:
     deviations: Callable  # (ctx, profile, outcomes) -> iterable of deviations
     violation: Callable  # (ctx, profile, outcomes, deviations) -> witness or None
     recorded: Callable  # witness -> deviation
+    local: bool = False
 
 
 # Deviation generators take ``(ctx, profile, outcomes)``; ``recorded`` readers
@@ -359,6 +383,15 @@ def _support(ctx, profile, lotteries):
     return lotteries[profile].support()
 
 
+def _monotonic_steps(ctx, profile, matching):
+    """Single-agent monotonic transformations of ``profile`` at ``matching``:
+    agents ascend, then each agent's alternatives ascend lexicographically."""
+    steps = monotonic_steps(ctx.inst)
+    for agent, pref in enumerate(profile):
+        for alternative in steps[pref, matching[agent]]:
+            yield profile[:agent] + (alternative,) + profile[agent + 1 :]
+
+
 _DEFINITIONS = {
     Axiom.STRATEGY_PROOF: _Definition(False, _agent_misreports, _manipulation, _agent_misreport),
     Axiom.PAIRWISE_STRATEGY_PROOF: _Definition(
@@ -376,13 +409,17 @@ _DEFINITIONS = {
     Axiom.NON_BOSSY: _Definition(False, _agent_misreports, _bossiness, _agent_misreport),
     Axiom.MASKIN_MONOTONIC: _Definition(
         False,
-        lambda ctx, profile, outcomes: outcomes,
+        lambda ctx, profile, outcomes: _monotonic_steps(ctx, profile, outcomes[profile]),
         _non_monotonicity,
         lambda w: w["transformed"],
     ),
     Axiom.PROB_MONOTONIC: _Definition(
         True,
-        lambda ctx, profile, lotteries: product(lotteries, lotteries[profile].support()),
+        lambda ctx, profile, lotteries: (
+            (transformed, matching)
+            for matching in lotteries[profile].support()
+            for transformed in _monotonic_steps(ctx, profile, matching)
+        ),
         _prob_non_monotonicity,
         lambda w: (w["transformed"], w["matching"]),
     ),
@@ -393,9 +430,12 @@ _DEFINITIONS = {
         ),
         _unequal_treatment,
         lambda w: (w["agents"], w["matching"]),
+        local=True,
     ),
     **{
-        axiom: _Definition(True, _support, _ex_post_failure(kind), lambda w: w["matching"])
+        axiom: _Definition(
+            True, _support, _ex_post_failure(kind), lambda w: w["matching"], local=True
+        )
         for axiom, kind in EX_POST_KINDS.items()
     },
     Axiom.INDIVIDUAL_RATIONALITY: _Definition(
@@ -405,6 +445,7 @@ _DEFINITIONS = {
         ),
         _irrationality,
         lambda w: (w["matching"], (w["agents"][0], w["objects"][1])),
+        local=True,
     ),
 }
 
@@ -414,7 +455,8 @@ def _scan(inst, rule, axiom, endowment, opts, start=0, stop=None):
     definition = _DEFINITIONS[axiom]
     ctx = _Context(inst, endowment, opts.max_coalition)
     evaluate_one = evaluate_lottery if definition.lotteries else evaluate
-    outcomes = {p: evaluate_one(inst, rule, p) for p in enumerate_profiles(inst)}
+    tabulated = (start, stop) if definition.local else (0, None)
+    outcomes = {p: evaluate_one(inst, rule, p) for p in enumerate_profiles(inst, *tabulated)}
     deviations, violation = definition.deviations, definition.violation
     for idx, profile in enumerate(enumerate_profiles(inst, start, stop), start):
         witness = violation(ctx, profile, outcomes, deviations(ctx, profile, outcomes))
@@ -444,6 +486,8 @@ def check_axiom(
     """
     axiom = Axiom(axiom)
     opts = opts or CheckOptions()
+    if opts.max_coalition is not None and opts.max_coalition < 1:
+        raise BoundsError(f"a coalition cap of {opts.max_coalition} checks no coalition")
     if axiom in DETERMINISTIC_ONLY and is_lottery_rule(rule):
         raise AxiomNotApplicable(f"{axiom.value} is defined for deterministic rules only")
     if axiom is Axiom.INDIVIDUAL_RATIONALITY:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice, permutations, product
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .errors import DomainViolation, PreconditionViolated, SizeOverflow
 from .model import (
@@ -124,6 +125,24 @@ def _pref_is_monotonic_at(pref: Preference, transformed: Preference, obj: int) -
         if new_ranks[other] < cutoff:
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def monotonic_steps(inst: Instance) -> Mapping[tuple[Preference, int], tuple[Preference, ...]]:
+    """Maps ``(pref, obj)`` to every other admissible preference whose lower
+    contour at ``obj`` contains that of ``pref``, in lexicographic order.
+
+    These are the single-agent monotonic transformations at ``obj``.  The
+    read-only table is built once per instance and shared by every caller.
+    """
+    prefs = all_preferences(inst)
+    return MappingProxyType({
+        (pref, obj): tuple(
+            other for other in prefs if other != pref and _pref_is_monotonic_at(pref, other, obj)
+        )
+        for pref in prefs
+        for obj in inst.objects
+    })
 
 
 def is_monotonic_transformation(profile: Profile, transformed: Profile, matching: Matching) -> bool:

@@ -103,8 +103,10 @@ def _theorem1_criterion(inst, label):
 
 
 def test_c2_theorem1_tight_capacities():
-    """C2: probabilistic monotonicity over all 216x216 filtered profile pairs
-    plus the pairwise/Pareto equivalence, capacity sum equal to n."""
+    """C2: probabilistic monotonicity over every single-agent monotonic
+    transformation of all 216 profiles (equivalent to all monotonic
+    transformations) plus the pairwise/Pareto equivalence, capacity sum
+    equal to n."""
     _theorem1_criterion(UNIT3, "Thm1b")
     report("C2", "equivalence harness, tight capacities (Thm1b)")
 

@@ -7,6 +7,7 @@ import pytest
 
 from axiomlab import (
     AxiomNotApplicable,
+    BoundsError,
     Instance,
     Lottery,
     RandomSerialDictatorshipRule,
@@ -162,6 +163,15 @@ def test_max_coalition_one_equals_strategy_proofness(unit3):
     assert capped.passed  # singleton coalitions cannot manipulate a SP rule
     full = check_axiom(unit3, bossy, Axiom.GROUP_STRATEGY_PROOF)
     assert not full.passed
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_coalition_cap_below_one_is_rejected(unit3, cap):
+    """A cap below 1 would check no coalition and pass every rule."""
+    rule = random_tabulated_rule(unit3, 11)
+    assert not check_axiom(unit3, rule, Axiom.GROUP_STRATEGY_PROOF).passed
+    with pytest.raises(BoundsError):
+        check_axiom(unit3, rule, Axiom.GROUP_STRATEGY_PROOF, CheckOptions(max_coalition=cap))
 
 
 def test_ex_post_axioms_on_degenerate_rules(unit3):

@@ -376,6 +376,15 @@ def test_malformed_lottery_table_is_a_format_error(capsys, files):
     assert error["type"] == "FormatError" and "lottery" in error["message"]
 
 
+def test_coalition_cap_below_one_is_a_bounds_error(capsys, files):
+    inst = files("i.json", INSTANCE_3CYCLE)
+    error = _error(
+        capsys, "check-rule", "--instance", inst, "--rule", "sd",
+        "--axiom", "group-strategy-proof", "--max-coalition", "0", "--workers", "1",
+    )
+    assert error["type"] == "BoundsError" and "coalition" in error["message"]
+
+
 def test_unexpected_error_exits_2_not_1(capsys, monkeypatch):
     """Exit code 1 means a fail with a witness, so even an internal error exits 2."""
     import axiomlab.cli as cli

@@ -18,7 +18,12 @@ from axiomlab import (
     push_to_top,
 )
 from axiomlab.model import NULL_BOTTOM
-from axiomlab.preferences import all_preferences, in_domain, push_object_to_top
+from axiomlab.preferences import (
+    all_preferences,
+    in_domain,
+    monotonic_steps,
+    push_object_to_top,
+)
 
 
 def test_profile_counts(unit3):
@@ -54,6 +59,21 @@ def test_monotonic_transformation_examples():
     assert is_monotonic_transformation(((0, 1, 2),), ((1, 0, 2),), mu)
     # x>y>z -> z>x>y shrinks the contour at x
     assert not is_monotonic_transformation(((0, 1, 2),), ((2, 0, 1),), (0,))
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [Instance(3, (1, 1, 1)), Instance(2, (1, 1, 1, 1), null_object=0, domain=NULL_BOTTOM)],
+    ids=["general", "null-bottom"],
+)
+def test_monotonic_steps_are_every_other_monotonic_preference(inst):
+    prefs = all_preferences(inst)
+    steps = monotonic_steps(inst)
+    assert set(steps) == {(pref, obj) for pref in prefs for obj in inst.objects}
+    for (pref, obj), alternatives in steps.items():
+        assert list(alternatives) == [
+            q for q in prefs if q != pref and lower_contour(pref, obj) <= lower_contour(q, obj)
+        ]
 
 
 def test_push_to_top_examples(unit3):
