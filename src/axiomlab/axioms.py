@@ -488,6 +488,8 @@ def check_axiom(
     opts = opts or CheckOptions()
     if opts.max_coalition is not None and opts.max_coalition < 1:
         raise BoundsError(f"a coalition cap of {opts.max_coalition} checks no coalition")
+    if opts.workers < 1:
+        raise BoundsError(f"a worker count of {opts.workers} is below 1")
     if axiom in DETERMINISTIC_ONLY and is_lottery_rule(rule):
         raise AxiomNotApplicable(f"{axiom.value} is defined for deterministic rules only")
     if axiom is Axiom.INDIVIDUAL_RATIONALITY:

@@ -271,17 +271,11 @@ def _cmd_check_rule(args):
     return (0 if report.passed else 1), payload, timing
 
 
-def _cmd_verify_thm1(args):
+def _cmd_verify(args):
     inst, names = _instance_for(args)
     inst, names, rule = _load_rule(args, inst, names)
-    verdict = verify_theorem1(inst, rule, CheckOptions(workers=args.workers))
-    return (0 if verdict.passed else 1), _verdict_payload(verdict, names), dict(verdict.timings)
-
-
-def _cmd_verify_prop1(args):
-    inst, names = _instance_for(args)
-    inst, names, rule = _load_rule(args, inst, names)
-    verdict = verify_proposition1(inst, rule, CheckOptions(workers=args.workers))
+    harness = verify_theorem1 if args.command == "verify-thm1" else verify_proposition1
+    verdict = harness(inst, rule, CheckOptions(workers=args.workers))
     return (0 if verdict.passed else 1), _verdict_payload(verdict, names), dict(verdict.timings)
 
 
@@ -333,8 +327,8 @@ _HANDLERS = {
     "ttc": _cmd_rule_eval,
     "check-matching": _cmd_check_matching,
     "check-rule": _cmd_check_rule,
-    "verify-thm1": _cmd_verify_thm1,
-    "verify-prop1": _cmd_verify_prop1,
+    "verify-thm1": _cmd_verify,
+    "verify-prop1": _cmd_verify,
     "replay-proof": _cmd_replay,
     "replay-appendix": _cmd_replay,
     "search-cex": _cmd_search_cex,

@@ -193,7 +193,6 @@ _MATCHING_KEYS = {
     "swapped",
     "outcome",
     "flipped_outcome",
-    "dominating",
 }
 _PREFERENCE_KEYS = {"misreport"}
 _PREFERENCE_LIST_KEYS = {"misreports"}

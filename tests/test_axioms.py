@@ -174,6 +174,16 @@ def test_coalition_cap_below_one_is_rejected(unit3, cap):
         check_axiom(unit3, rule, Axiom.GROUP_STRATEGY_PROOF, CheckOptions(max_coalition=cap))
 
 
+@pytest.mark.parametrize("workers", [0, -5])
+def test_worker_count_below_one_is_rejected(unit3, workers):
+    """A worker count below 1 used to run silently in one process."""
+    with pytest.raises(BoundsError):
+        check_axiom(
+            unit3, SerialDictatorshipRule((0, 1, 2)), Axiom.STRATEGY_PROOF,
+            CheckOptions(workers=workers),
+        )
+
+
 def test_ex_post_axioms_on_degenerate_rules(unit3):
     always_first = TabulatedDeterministicRule(
         {p: (0, 1, 2) for p in enumerate_profiles(unit3)}

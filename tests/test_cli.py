@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, exit codes, reproducibility."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -383,6 +384,32 @@ def test_coalition_cap_below_one_is_a_bounds_error(capsys, files):
         "--axiom", "group-strategy-proof", "--max-coalition", "0", "--workers", "1",
     )
     assert error["type"] == "BoundsError" and "coalition" in error["message"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_worker_count_below_one_is_a_bounds_error(capsys, files, workers):
+    inst = files("i.json", INSTANCE_3CYCLE)
+    error = _error(
+        capsys, "check-rule", "--instance", inst, "--rule", "sd",
+        "--axiom", "strategy-proof", "--workers", workers,
+    )
+    assert error["type"] == "BoundsError" and "worker" in error["message"]
+
+
+def test_verify_thm1_passes_a_constant_rule(capsys, files):
+    """Neither ex-post property holds for a constant rule, so the two agree."""
+    profiles = [
+        [list(p) for p in profile]
+        for profile in itertools.product(itertools.permutations("abc"), repeat=3)
+    ]
+    entries = [{"profile": p, "matching": ["a", "b", "c"]} for p in profiles]
+    rule = files(
+        "const.json", {"kind": "deterministic", "instance": INSTANCE_3CYCLE, "entries": entries}
+    )
+    code, payload = invoke(capsys, "verify-thm1", "--rule", rule, "--workers", "1")
+    assert code == 0
+    assert payload["result"]["conclusion_verified"] is True
+    assert payload["result"]["witness"] is None
 
 
 def test_unexpected_error_exits_2_not_1(capsys, monkeypatch):

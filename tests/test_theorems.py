@@ -9,6 +9,7 @@ from axiomlab import (
     PreconditionViolated,
     RandomSerialDictatorshipRule,
     SerialDictatorshipRule,
+    TabulatedDeterministicRule,
     TabulatedLotteryRule,
     TopTradingCyclesRule,
     bossy_flip_rule,
@@ -24,7 +25,7 @@ from axiomlab import (
 )
 from axiomlab.axioms import Axiom, check_axiom
 from axiomlab.jsonio import rule_from_dict, rule_to_dict
-from axiomlab.model import NULL_BOTTOM
+from axiomlab.model import NULL_BOTTOM, enumerate_matchings
 from axiomlab.preferences import common_rank_rearrange, push_to_top
 
 
@@ -70,6 +71,60 @@ def test_verify_theorem1_gates_on_failed_hypotheses(unit3):
     assert verdict.conclusion_verified is None
     assert verdict.details["status"] == "hypotheses not met"
     assert verdict.witness is not None
+
+
+def test_verify_theorem1_does_not_refute_constant_rules(unit3):
+    """A constant rule is monotonic and neither pairwise nor Pareto efficient.
+
+    Both ex-post checks fail, so the rule agrees with the equivalence claim;
+    a constant rule that leaves an agent on the null object while a real
+    object has room is wasteful and fails the hypotheses instead.
+    """
+    nb = Instance(3, (1, 1, 1, 1), null_object=0, domain=NULL_BOTTOM)
+    agreeing = 0
+    for inst in (unit3, nb):
+        profiles = list(enumerate_profiles(inst))
+        for matching in enumerate_matchings(inst):
+            rule = TabulatedDeterministicRule({p: matching for p in profiles})
+            verdict = verify_theorem1(inst, rule)
+            if verdict.conclusion_verified is None:
+                assert inst is nb and inst.null_object in matching
+                continue
+            assert verdict.conclusion_verified is True
+            assert verdict.details["ex_post_pairwise"] is False
+            assert verdict.details["ex_post_pareto"] is False
+            assert verdict.witness is None
+            agreeing += 1
+    assert agreeing == 6 + 6
+
+
+def _count_calls(monkeypatch, name):
+    import axiomlab.rules as rules
+
+    calls = []
+    original = getattr(rules, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rules, name, counted)
+    return calls
+
+
+def test_harnesses_evaluate_the_rule_once(monkeypatch, unit3, slack3):
+    sd_runs = _count_calls(monkeypatch, "serial_dictatorship")
+    prop1 = verify_proposition1(unit3, SerialDictatorshipRule((0, 1, 2)))
+    assert len(sd_runs) == 216
+    assert prop1.rule == "sd(0,1,2)"
+    assert {h["rule"] for h in prop1.hypotheses_verified} == {"sd(0,1,2)"}
+
+    rsd_runs = _count_calls(monkeypatch, "random_serial_dictatorship")
+    thm1 = verify_theorem1(slack3, RandomSerialDictatorshipRule())
+    assert len(rsd_runs) == 216
+    assert thm1.conclusion_verified is True
+    assert thm1.rule == "rsd"
+    assert {h["rule"] for h in thm1.hypotheses_verified} == {"rsd"}
 
 
 def test_replay_theorem1_on_cycle_toy(unit3, cycle_profile):
