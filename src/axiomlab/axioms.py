@@ -51,7 +51,7 @@ from typing import Callable
 
 from .errors import AxiomNotApplicable, BoundsError
 from .matchings import matching_verdict
-from .model import Instance, Matching, enumerate_matchings
+from .model import Instance, Matching
 from .preferences import (
     Profile,
     all_preferences,
@@ -149,10 +149,6 @@ class _Context:
     @cached_property
     def preferences(self) -> list:
         return all_preferences(self.inst)
-
-    @cached_property
-    def universe(self) -> list[Matching]:
-        return enumerate_matchings(self.inst)
 
     def reports(self, size: int) -> tuple:
         """Every joint report of ``size`` agents, lexicographically."""
@@ -309,7 +305,7 @@ def _ex_post_failure(kind: str) -> Callable:
         for matching in deviations:
             if not lottery.weight(matching):
                 continue
-            witness = matching_verdict(ctx.inst, matching, profile, kind, ctx.universe)
+            witness = matching_verdict(ctx.inst, matching, profile, kind)
             if witness is not None:
                 return {**witness, "profile": profile, "matching": matching}
         return None
@@ -343,7 +339,6 @@ class _Definition:
     shape the generator yields.
     """
 
-    lotteries: bool
     deviations: Callable  # (ctx, profile, outcomes) -> iterable of deviations
     violation: Callable  # (ctx, profile, outcomes, deviations) -> witness or None
     recorded: Callable  # witness -> deviation
@@ -393,28 +388,24 @@ def _monotonic_steps(ctx, profile, matching):
 
 
 _DEFINITIONS = {
-    Axiom.STRATEGY_PROOF: _Definition(False, _agent_misreports, _manipulation, _agent_misreport),
+    Axiom.STRATEGY_PROOF: _Definition(_agent_misreports, _manipulation, _agent_misreport),
     Axiom.PAIRWISE_STRATEGY_PROOF: _Definition(
-        False,
         lambda ctx, profile, outcomes: _coalition_reports(ctx, (2,)),
         _pair_manipulation,
         _coalition_misreports,
     ),
     Axiom.GROUP_STRATEGY_PROOF: _Definition(
-        False,
         _coalitions_up_to_cap,
         _group_manipulation,
         _coalition_misreports,
     ),
-    Axiom.NON_BOSSY: _Definition(False, _agent_misreports, _bossiness, _agent_misreport),
+    Axiom.NON_BOSSY: _Definition(_agent_misreports, _bossiness, _agent_misreport),
     Axiom.MASKIN_MONOTONIC: _Definition(
-        False,
         lambda ctx, profile, outcomes: _monotonic_steps(ctx, profile, outcomes[profile]),
         _non_monotonicity,
         lambda w: w["transformed"],
     ),
     Axiom.PROB_MONOTONIC: _Definition(
-        True,
         lambda ctx, profile, lotteries: (
             (transformed, matching)
             for matching in lotteries[profile].support()
@@ -424,7 +415,6 @@ _DEFINITIONS = {
         lambda w: (w["transformed"], w["matching"]),
     ),
     Axiom.EQUAL_TREATMENT: _Definition(
-        True,
         lambda ctx, profile, lotteries: product(
             combinations(range(ctx.inst.n), 2), lotteries[profile].support()
         ),
@@ -433,13 +423,10 @@ _DEFINITIONS = {
         local=True,
     ),
     **{
-        axiom: _Definition(
-            True, _support, _ex_post_failure(kind), lambda w: w["matching"], local=True
-        )
+        axiom: _Definition(_support, _ex_post_failure(kind), lambda w: w["matching"], local=True)
         for axiom, kind in EX_POST_KINDS.items()
     },
     Axiom.INDIVIDUAL_RATIONALITY: _Definition(
-        True,
         lambda ctx, profile, lotteries: product(
             lotteries[profile].support(), enumerate(ctx.endowment)
         ),
@@ -454,7 +441,7 @@ def _scan(inst, rule, axiom, endowment, opts, start=0, stop=None):
     """First violation among profiles ``start:stop`` as ``(index, witness)``, or None."""
     definition = _DEFINITIONS[axiom]
     ctx = _Context(inst, endowment, opts.max_coalition)
-    evaluate_one = evaluate_lottery if definition.lotteries else evaluate
+    evaluate_one = evaluate if axiom in DETERMINISTIC_ONLY else evaluate_lottery
     tabulated = (start, stop) if definition.local else (0, None)
     outcomes = {p: evaluate_one(inst, rule, p) for p in enumerate_profiles(inst, *tabulated)}
     deviations, violation = definition.deviations, definition.violation
@@ -558,9 +545,10 @@ def replay_witness(
     body reports exactly this witness.  Soundness therefore does not rest on
     the scan that produced it.
     """
-    definition = _DEFINITIONS[Axiom(axiom)]
+    axiom = Axiom(axiom)
+    definition = _DEFINITIONS[axiom]
     witness = _frozen(witness)
-    evaluate_one = evaluate_lottery if definition.lotteries else evaluate
+    evaluate_one = evaluate if axiom in DETERMINISTIC_ONLY else evaluate_lottery
     outcomes = _OnDemand(lambda profile: evaluate_one(inst, rule, profile))
     found = definition.violation(
         _Context(inst), witness["profile"], outcomes, [definition.recorded(witness)]

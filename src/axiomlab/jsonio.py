@@ -47,13 +47,17 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def load_json_file(path: str) -> Any:
+    """Parse a JSON file; a CLI report (``--out``) is read as its ``"result"``."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    if isinstance(data, dict) and "command" in data and "result" in data:
+        return data["result"]
+    return data
 
 
 def _schema(what: str):
@@ -193,6 +197,7 @@ _MATCHING_KEYS = {
     "swapped",
     "outcome",
     "flipped_outcome",
+    "new_outcome",
 }
 _PREFERENCE_KEYS = {"misreport"}
 _PREFERENCE_LIST_KEYS = {"misreports"}

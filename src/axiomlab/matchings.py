@@ -1,13 +1,14 @@
 """Efficiency predicates on matchings and improvement-cycle machinery.
 
-``is_pareto_efficient`` is the ground-truth oracle of the whole engine: it
-scans the full matching set for a dominating matching.  Cycle detection is a
-cross-check, never a substitute.  ``matching_verdict`` is the one routine
-that judges a matching against an efficiency notion (Pareto efficiency,
-pairwise efficiency, non-wastefulness) and builds the failure witness; the
-ex-post axioms, the ``check-matching`` command and the counterexample search
-all go through it.  All tie-breaking is fixed (lowest agent ids first) so
-every witness is reproducible byte for byte.
+``matching_verdict`` is the one routine that judges a matching against an
+efficiency notion (Pareto efficiency, pairwise efficiency, non-wastefulness)
+and builds the failure witness; the ex-post axioms, the ``check-matching``
+command and the counterexample search all go through it.  It decides Pareto
+efficiency by the characterization of Abdulkadiroğlu and Sönmez (1998): a
+matching is Pareto efficient iff it is non-wasteful and has no improvement
+cycle.  ``is_pareto_efficient``, a scan of every feasible matching, is the
+oracle the tests hold that decision to.  All tie-breaking is fixed (lowest
+agent ids first) so every witness is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def is_pareto_efficient(
     profile: Profile,
     universe: list[Matching] | None = None,
 ) -> bool:
-    """Brute-force ground truth: no feasible matching dominates this one."""
+    """Brute-force test oracle: no feasible matching dominates this one."""
     return find_dominating(inst, matching, profile, universe) is None
 
 
@@ -129,19 +130,21 @@ MATCHING_KINDS = ("pareto", "pairwise", "non-wasteful")
 
 
 def matching_verdict(
-    inst: Instance,
-    matching: Matching,
-    profile: Profile,
-    kind: str,
-    universe: list[Matching] | None = None,
+    inst: Instance, matching: Matching, profile: Profile, kind: str
 ) -> dict | None:
     """None if ``matching`` meets the efficiency notion ``kind``, else a witness.
 
     Witnesses are ``{"kind", "agents", "objects"}`` dicts: a ``swap`` for the
     lowest blocking pair, a ``waste`` for the lowest agent preferring an
     unfilled object, or, for a non-wasteful Pareto-dominated matching, the
-    shortest improvement ``cycle``.  ``universe`` is the matching set the
-    Pareto test scans; pass it when judging many matchings of one instance.
+    shortest improvement ``cycle``.
+
+    >>> inst = Instance(3, (1, 1, 1))
+    >>> profile = ((1, 0, 2), (2, 1, 0), (0, 2, 1))
+    >>> matching_verdict(inst, (0, 1, 2), profile, "pareto")
+    {'kind': 'cycle', 'agents': [0, 1, 2], 'objects': [0, 1, 2]}
+    >>> matching_verdict(inst, (1, 2, 0), profile, "pareto") is None
+    True
     """
     if kind not in MATCHING_KINDS:
         raise PreconditionViolated(f"unknown efficiency notion {kind!r}")
@@ -150,14 +153,14 @@ def matching_verdict(
         if pair is None:
             return None
         return {"kind": "swap", "agents": list(pair), "objects": [matching[a] for a in pair]}
-    if kind == "pareto" and is_pareto_efficient(inst, matching, profile, universe):
-        return None
     waste = waste_witness(inst, matching, profile)
     if waste is not None:
         return {"kind": "waste", "agents": [waste[0]], "objects": [waste[1]]}
     if kind == "non-wasteful":
         return None
     cycle = find_improvement_cycle(inst, matching, profile)
+    if cycle is None:
+        return None
     return {"kind": "cycle", "agents": list(cycle.agents), "objects": list(cycle.objects)}
 
 

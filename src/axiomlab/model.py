@@ -31,10 +31,8 @@ MAX_ENUMERATION_ENV = "AXIOMLAB_MAX_PROFILES"
 Matching = tuple[int, ...]
 
 
-def enumeration_bound(explicit: int | None = None) -> int:
-    """Resolve the enumeration cap: explicit argument, else env var, else default."""
-    if explicit is not None:
-        return explicit
+def enumeration_bound() -> int:
+    """Resolve the enumeration cap: env var, else default."""
     raw = os.environ.get(MAX_ENUMERATION_ENV)
     if raw is not None:
         try:
@@ -155,14 +153,14 @@ def count_matchings(inst: Instance) -> int:
     return ways[inst.n]
 
 
-def enumerate_matchings(inst: Instance, max_count: int | None = None) -> list[Matching]:
+def enumerate_matchings(inst: Instance) -> list[Matching]:
     """All feasible matchings in lexicographic order of the assignment tuple.
 
     Raises SizeOverflow before materializing anything if the count exceeds
     the enumeration bound.
     """
     total = count_matchings(inst)
-    bound = enumeration_bound(max_count)
+    bound = enumeration_bound()
     if total > bound:
         raise SizeOverflow(f"{total} matchings exceed the bound of {bound}")
     out: list[Matching] = []

@@ -491,12 +491,12 @@ def search_counterexample(
         pool = [
             m
             for m in universe
-            if all(matching_verdict(inst, m, profile, k, universe) is None for k in keep_kinds)
+            if all(matching_verdict(inst, m, profile, k) is None for k in keep_kinds)
         ]
         allowed[profile] = pool
         if break_kind is not None:
             breakers[profile] = [
-                m for m in pool if matching_verdict(inst, m, profile, break_kind, universe)
+                m for m in pool if matching_verdict(inst, m, profile, break_kind)
             ]
 
     def greedy_choice(profile):

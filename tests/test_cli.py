@@ -82,6 +82,19 @@ def test_gen_instance_capacity_styles(capsys):
     assert sum(caps) > 4
 
 
+def test_gen_instance_output_file_loads_as_instance_and_profile(capsys, tmp_path):
+    combined = str(tmp_path / "combined.json")
+    code, generated = invoke(
+        capsys, "gen-instance", "--n", "3", "--k", "3", "--seed", "7", "--out", combined
+    )
+    assert code == 0
+    code, payload = invoke(capsys, "rsd", "--instance", combined, "--profile", combined)
+    assert code == 0
+    matchings = [entry["matching"] for entry in payload["result"]["lottery"]]
+    names = [obj["name"] for obj in generated["result"]["instance"]["objects"]]
+    assert matchings and all(set(m) <= set(names) for m in matchings)
+
+
 def test_rsd_command_exact_weights(capsys, files):
     inst = files("i.json", INSTANCE_3CYCLE)
     prof = files("p.json", [["a", "b", "c"], ["a", "b", "c"], ["b", "a", "c"]])
@@ -182,6 +195,25 @@ def test_check_rule_workers_agree(capsys, files, tmp_path):
             )
             results.append((code, payload["result"]))
         assert results[0] == results[1], axiom
+
+
+def test_maskin_witness_names_the_new_outcome(capsys, files):
+    """``new_outcome`` is the rule's matching at ``transformed``, printed by name."""
+    from axiomlab import Instance
+    from axiomlab.jsonio import rule_to_dict
+    from axiomlab.rules import random_tabulated_rule
+
+    inst = Instance(3, (1, 1, 1))
+    table = rule_to_dict(inst, random_tabulated_rule(inst, 11))
+    rule = files("rule.json", table)
+    outcome_at = {json.dumps(e["profile"]): e["matching"] for e in table["entries"]}
+    code, payload = invoke(
+        capsys, "check-rule", "--rule", rule, "--axiom", "maskin-monotonic", "--workers", "1"
+    )
+    witness = payload["result"]["witness"]
+    assert code == 1 and witness["kind"] == "monotonicity"
+    assert witness["matching"] == outcome_at[json.dumps(witness["profile"])]
+    assert witness["new_outcome"] == outcome_at[json.dumps(witness["transformed"])]
 
 
 def test_verify_commands(capsys, files):

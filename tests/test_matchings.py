@@ -3,6 +3,7 @@
 import pytest
 
 from axiomlab import (
+    NULL_BOTTOM,
     Instance,
     PreconditionViolated,
     apply_cycle,
@@ -13,10 +14,13 @@ from axiomlab import (
     is_non_wasteful,
     is_pairwise_efficient,
     is_pareto_efficient,
+    matching_verdict,
     pareto_dominates,
     reduce_to_single_cycle,
     trade_cycles,
 )
+from axiomlab.model import object_usage
+from axiomlab.preferences import prefers
 
 
 def test_pareto_dominates_cycle_example(unit3, cycle_profile):
@@ -100,6 +104,39 @@ def test_cycle_existence_equals_pareto_inefficiency(inst):
             assert (cycle is None) == efficient
             if cycle is not None:
                 improved = apply_cycle(matching, cycle.agents)
+                assert pareto_dominates(improved, matching, profile)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        Instance(3, (1, 1, 1)),
+        Instance(3, (2, 1, 1)),
+        Instance(3, (1, 1, 1, 1), null_object=0, domain=NULL_BOTTOM),
+        Instance(4, (2, 1, 1)),
+    ],
+    ids=["n3-unit", "n3-slack", "n3-null-bottom", "n4-tight"],
+)
+def test_pareto_verdict_agrees_with_brute_force_oracle(inst):
+    """``matching_verdict`` decides Pareto efficiency from waste and improvement
+    cycles; the scan of every feasible matching must agree on every
+    (profile, matching), wasteful ones included, and each witness must hold."""
+    matchings = enumerate_matchings(inst)
+    for profile in enumerate_profiles(inst):
+        for matching in matchings:
+            verdict = matching_verdict(inst, matching, profile, "pareto")
+            assert (verdict is None) == is_pareto_efficient(inst, matching, profile, matchings)
+            if verdict is None:
+                continue
+            agents, objects = verdict["agents"], verdict["objects"]
+            if verdict["kind"] == "waste":
+                (agent,), (obj,) = agents, objects
+                assert object_usage(inst, matching)[obj] < inst.capacities[obj]
+                assert prefers(profile[agent], obj, matching[agent])
+            else:
+                assert verdict["kind"] == "cycle"
+                assert objects == [matching[a] for a in agents]
+                improved = apply_cycle(matching, tuple(agents))
                 assert pareto_dominates(improved, matching, profile)
 
 

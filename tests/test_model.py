@@ -17,7 +17,7 @@ from axiomlab import (
     enumerate_matchings,
     is_feasible,
 )
-from axiomlab.model import NULL_BOTTOM, object_usage
+from axiomlab.model import MAX_ENUMERATION_ENV, NULL_BOTTOM, object_usage
 
 
 def brute_force_matchings(inst):
@@ -82,10 +82,11 @@ def test_enumeration_is_strictly_lexicographic():
     assert all(a < b for a, b in zip(matchings, matchings[1:]))
 
 
-def test_size_overflow():
+def test_size_overflow(monkeypatch):
+    monkeypatch.setenv(MAX_ENUMERATION_ENV, "1000")
     inst = Instance(8, (3, 2, 1, 1, 1))
     with pytest.raises(SizeOverflow):
-        enumerate_matchings(inst, max_count=1000)
+        enumerate_matchings(inst)
 
 
 def test_null_object_counts_like_any_object():
