@@ -12,7 +12,7 @@ profiles stream lexicographically, agents ascend, misreports ascend
 lexicographically, coalitions ascend by size then membership.  The witness is
 therefore deterministic: identical inputs yield identical reports.
 ``replay_witness`` calls the same body on the one deviation a witness records,
-evaluating the rule on demand, and accepts only if it finds that very witness.
+reading outcomes as the scan does, and accepts only if it finds that witness.
 
 The two monotonicity axioms are scanned over single-agent steps only.  A
 monotonic transformation at x can be made one agent at a time, each agent
@@ -28,15 +28,14 @@ walks support matchings, then agents, then alternatives.  The bodies still
 test ``is_monotonic_transformation``, so witnesses transforming several agents
 replay too.
 
-Profile scans can be partitioned across worker processes; chunks are
-contiguous outer-profile ranges, so merging keeps the scan-earliest witness
-and results are independent of the worker count.  Equal treatment, the three
-ex-post axioms and individual rationality read the outcome at the scanned
-profile only, so each chunk evaluates the rule on its own profiles; every
-other axiom reads outcomes at deviated profiles and evaluates the rule on the
-whole domain in every chunk.  Either way each table is built in full before
-the scan starts, so a tabulated rule missing a profile the chunk needs raises
-TableMiss even when the scan would stop early.
+The scan and the replay read outcomes through ``_outcomes``.  A table of the
+axiom's kind (lottery or deterministic) is read in place, and any other rule
+is evaluated at a profile the first time a body reads it; a table with a gap
+raises TableMiss, even when the scan would stop early.  Profile scans can be
+partitioned across worker processes; chunks are contiguous outer-profile
+ranges, so merging keeps the scan-earliest witness and results are
+independent of the worker count.  Each worker evaluates the rule only where
+its chunk reads.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from functools import cached_property
 from itertools import chain, combinations, product
 from typing import Callable
 
-from .errors import AxiomNotApplicable, BoundsError
+from .errors import AxiomNotApplicable, BoundsError, TableMiss
 from .matchings import matching_verdict
 from .model import Instance, Matching
 from .preferences import (
@@ -62,7 +61,15 @@ from .preferences import (
     prefers,
     weakly_prefers,
 )
-from .rules import RuleDescriptor, evaluate, evaluate_lottery, is_lottery_rule, rule_label
+from .rules import (
+    RuleDescriptor,
+    TabulatedDeterministicRule,
+    TabulatedLotteryRule,
+    evaluate,
+    evaluate_lottery,
+    is_lottery_rule,
+    rule_label,
+)
 
 
 class Axiom(str, Enum):
@@ -333,8 +340,6 @@ def _irrationality(ctx, profile, lotteries, deviations):
 class _Definition:
     """One axiom: its deviations at a profile, in scan order, and its violation body.
 
-    ``local`` says the body reads the outcome at the scanned profile only, so
-    a scan of some profiles needs the rule evaluated at those profiles only.
     ``recorded`` reads back from a witness the deviation it records, in the
     shape the generator yields.
     """
@@ -342,7 +347,6 @@ class _Definition:
     deviations: Callable  # (ctx, profile, outcomes) -> iterable of deviations
     violation: Callable  # (ctx, profile, outcomes, deviations) -> witness or None
     recorded: Callable  # witness -> deviation
-    local: bool = False
 
 
 # Deviation generators take ``(ctx, profile, outcomes)``; ``recorded`` readers
@@ -420,10 +424,9 @@ _DEFINITIONS = {
         ),
         _unequal_treatment,
         lambda w: (w["agents"], w["matching"]),
-        local=True,
     ),
     **{
-        axiom: _Definition(_support, _ex_post_failure(kind), lambda w: w["matching"], local=True)
+        axiom: _Definition(_support, _ex_post_failure(kind), lambda w: w["matching"])
         for axiom, kind in EX_POST_KINDS.items()
     },
     Axiom.INDIVIDUAL_RATIONALITY: _Definition(
@@ -432,28 +435,46 @@ _DEFINITIONS = {
         ),
         _irrationality,
         lambda w: (w["matching"], (w["agents"][0], w["objects"][1])),
-        local=True,
     ),
 }
+
+
+class _OnDemand(dict):
+    """Outcome table that evaluates the rule at a profile the first time it is read."""
+
+    def __init__(self, outcome_at: Callable[[Profile], object]):
+        super().__init__()
+        self._outcome_at = outcome_at
+
+    def __missing__(self, profile):
+        self[profile] = outcome = self._outcome_at(profile)
+        return outcome
+
+
+def _outcomes(inst: Instance, rule: RuleDescriptor, axiom: Axiom):
+    """The rule's outcomes keyed by profile; TableMiss names a table's first gap."""
+    lottery = axiom not in DETERMINISTIC_ONLY
+    if isinstance(rule, (TabulatedDeterministicRule, TabulatedLotteryRule)):
+        for profile in enumerate_profiles(inst):
+            if profile not in rule.table:
+                raise TableMiss(f"no table entry for profile {profile}")
+        if is_lottery_rule(rule) == lottery:
+            return rule.table
+    evaluate_one = evaluate_lottery if lottery else evaluate
+    return _OnDemand(lambda profile: evaluate_one(inst, rule, profile))
 
 
 def _scan(inst, rule, axiom, endowment, opts, start=0, stop=None):
     """First violation among profiles ``start:stop`` as ``(index, witness)``, or None."""
     definition = _DEFINITIONS[axiom]
     ctx = _Context(inst, endowment, opts.max_coalition)
-    evaluate_one = evaluate if axiom in DETERMINISTIC_ONLY else evaluate_lottery
-    tabulated = (start, stop) if definition.local else (0, None)
-    outcomes = {p: evaluate_one(inst, rule, p) for p in enumerate_profiles(inst, *tabulated)}
+    outcomes = _outcomes(inst, rule, axiom)
     deviations, violation = definition.deviations, definition.violation
     for idx, profile in enumerate(enumerate_profiles(inst, start, stop), start):
         witness = violation(ctx, profile, outcomes, deviations(ctx, profile, outcomes))
         if witness is not None:
             return idx, witness
     return None
-
-
-def _scan_chunk(args):
-    return _scan(*args)
 
 
 def check_axiom(
@@ -489,12 +510,12 @@ def check_axiom(
     total = count_profiles(inst)
     if opts.workers > 1 and total >= 4 * opts.workers:
         chunk = (total + opts.workers - 1) // opts.workers
-        jobs = [
-            (inst, rule, axiom, endowment, opts, lo, min(lo + chunk, total))
-            for lo in range(0, total, chunk)
-        ]
         with ProcessPoolExecutor(max_workers=opts.workers) as pool:
-            hits = [h for h in pool.map(_scan_chunk, jobs) if h is not None]
+            scans = [
+                pool.submit(_scan, inst, rule, axiom, endowment, opts, lo, min(lo + chunk, total))
+                for lo in range(0, total, chunk)
+            ]
+            hits = [h for h in (scan.result() for scan in scans) if h is not None]
         hit = min(hits, key=lambda h: h[0]) if hits else None
     else:
         hit = _scan(inst, rule, axiom, endowment, opts)
@@ -514,18 +535,6 @@ def check_individual_rationality(
     return check_axiom(inst, rule, Axiom.INDIVIDUAL_RATIONALITY, opts, endowment)
 
 
-class _OnDemand(dict):
-    """Outcome table that evaluates the rule at a profile the first time it is read."""
-
-    def __init__(self, outcome_at: Callable[[Profile], object]):
-        super().__init__()
-        self._outcome_at = outcome_at
-
-    def __missing__(self, profile):
-        self[profile] = outcome = self._outcome_at(profile)
-        return outcome
-
-
 def _frozen(value):
     """JSON-shaped value with every list turned into a tuple, recursively."""
     if isinstance(value, dict):
@@ -541,15 +550,14 @@ def replay_witness(
     """Re-verify a fail witness from scratch against the rule.
 
     Runs the axiom's violation body on the one deviation the witness records,
-    evaluating the rule only where the body looks, and returns True iff the
-    body reports exactly this witness.  Soundness therefore does not rest on
-    the scan that produced it.
+    with the rule's outcomes read as the scan reads them, and returns True iff
+    the body reports exactly this witness.  Soundness therefore does not rest
+    on the scan that produced it.
     """
     axiom = Axiom(axiom)
     definition = _DEFINITIONS[axiom]
     witness = _frozen(witness)
-    evaluate_one = evaluate if axiom in DETERMINISTIC_ONLY else evaluate_lottery
-    outcomes = _OnDemand(lambda profile: evaluate_one(inst, rule, profile))
+    outcomes = _outcomes(inst, rule, axiom)
     found = definition.violation(
         _Context(inst), witness["profile"], outcomes, [definition.recorded(witness)]
     )

@@ -19,7 +19,7 @@ import traceback
 
 from . import jsonio
 from .axioms import Axiom, CheckOptions, check_axiom
-from .errors import AxiomLabError, BoundsError, PreconditionViolated
+from .errors import AxiomLabError, BoundsError, FormatError, PreconditionViolated
 from .matchings import MATCHING_KINDS, find_dominating, matching_verdict
 from .model import GENERAL, NULL_BOTTOM, Instance
 from .preferences import all_preferences
@@ -27,9 +27,7 @@ from .rules import (
     RandomSerialDictatorshipRule,
     SerialDictatorshipRule,
     TopTradingCyclesRule,
-    random_serial_dictatorship,
-    serial_dictatorship,
-    top_trading_cycles,
+    evaluate,
 )
 from .theorems import (
     replay_theorem1_proof,
@@ -76,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("rsd", "sd", "ttc"):
         p = add(name, help=f"evaluate the {name} rule on one profile")
+        p.set_defaults(rule=name)
         p.add_argument("--instance", required=True)
         p.add_argument("--profile", required=True)
         if name == "sd":
@@ -124,8 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_rule(args, inst, names):
-    """Resolve --rule into a descriptor; table files carry their own instance."""
+def _load_rule(args):
+    """Resolve --instance and --rule (or the rsd/sd/ttc command) into (instance, names, rule)."""
+    inst, names = jsonio.load_instance(args.instance) if args.instance else (None, None)
     selector = args.rule
     if selector in ("rsd", "sd", "ttc") and inst is None:
         raise PreconditionViolated(f"--rule {selector} needs --instance")
@@ -134,7 +134,10 @@ def _load_rule(args, inst, names):
     if selector == "sd":
         order = tuple(range(inst.n))
         if getattr(args, "order", None):
-            order = tuple(int(x) for x in args.order.split(","))
+            try:
+                order = tuple(int(x) for x in args.order.split(","))
+            except ValueError:
+                raise FormatError(f"--order needs comma-separated agent ids, got {args.order!r}")
         return inst, names, SerialDictatorshipRule(order)
     if selector == "ttc":
         endowment = tuple(range(inst.n))
@@ -145,12 +148,6 @@ def _load_rule(args, inst, names):
     if inst is not None and (inst, names) != (file_inst, file_names):
         raise PreconditionViolated("--instance disagrees with the rule file's instance")
     return file_inst, file_names, rule
-
-
-def _instance_for(args):
-    if getattr(args, "instance", None):
-        return jsonio.load_instance(args.instance)
-    return None, None
 
 
 def gen_instance(seed: int, n: int, k: int, capacity_style: str, domain: str = GENERAL):
@@ -218,23 +215,14 @@ def _cmd_gen_instance(args):
 
 
 def _cmd_rule_eval(args):
-    inst, names = jsonio.load_instance(args.instance)
-    profile = jsonio.load_profile(args.profile, inst, names)
+    inst, names, rule = _load_rule(args)
+    outcome = evaluate(inst, rule, jsonio.load_profile(args.profile, inst, names))
     if args.command == "rsd":
-        lottery = random_serial_dictatorship(inst, profile)
-        return 0, {"lottery": jsonio.lottery_to_list(lottery, names)}
+        return 0, {"lottery": jsonio.lottery_to_list(outcome, names)}
     if args.command == "sd":
-        order = tuple(int(x) for x in args.order.split(",")) if args.order else tuple(range(inst.n))
-        outcome = serial_dictatorship(inst, order, profile)
-        return 0, {"order": list(order), "matching": jsonio.matching_to_list(outcome, names)}
-    endowment = (
-        jsonio.load_matching(args.endowment, inst, names)
-        if args.endowment
-        else tuple(range(inst.n))
-    )
-    outcome = top_trading_cycles(inst, endowment, profile)
+        return 0, {"order": list(rule.order), "matching": jsonio.matching_to_list(outcome, names)}
     return 0, {
-        "endowment": jsonio.matching_to_list(endowment, names),
+        "endowment": jsonio.matching_to_list(rule.endowment, names),
         "matching": jsonio.matching_to_list(outcome, names),
     }
 
@@ -254,8 +242,7 @@ def _cmd_check_matching(args):
 
 
 def _cmd_check_rule(args):
-    inst, names = _instance_for(args)
-    inst, names, rule = _load_rule(args, inst, names)
+    inst, names, rule = _load_rule(args)
     axiom = AXIOM_NAMES[args.axiom]
     endowment = None
     if axiom is Axiom.INDIVIDUAL_RATIONALITY:
@@ -272,8 +259,7 @@ def _cmd_check_rule(args):
 
 
 def _cmd_verify(args):
-    inst, names = _instance_for(args)
-    inst, names, rule = _load_rule(args, inst, names)
+    inst, names, rule = _load_rule(args)
     harness = verify_theorem1 if args.command == "verify-thm1" else verify_proposition1
     verdict = harness(inst, rule, CheckOptions(workers=args.workers))
     return (0 if verdict.passed else 1), _verdict_payload(verdict, names), dict(verdict.timings)

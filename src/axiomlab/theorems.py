@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import partial
 
 from .axioms import EX_POST_KINDS, Axiom, CheckOptions, check_axiom
-from .errors import AxiomNotApplicable, PreconditionViolated
+from .errors import AxiomNotApplicable, BoundsError, PreconditionViolated
 from .matchings import (
     blocking_pair,
     is_non_wasteful,
@@ -473,8 +473,10 @@ def search_counterexample(
     axiom; one greedy candidate is tried first, then seeded random ones.
     Every candidate is screened by the full checkers, so a returned rule has
     already been independently re-verified.  ``budget`` bounds the number of
-    candidates tried.
+    candidates tried; a budget below 1 is a BoundsError.
     """
+    if budget < 1:
+        raise BoundsError(f"a budget of {budget} tries no candidate")
     required = [Axiom(a) for a in required]
     violated = Axiom(violated)
     opts = opts or CheckOptions()

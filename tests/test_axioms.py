@@ -12,6 +12,7 @@ from axiomlab import (
     Lottery,
     RandomSerialDictatorshipRule,
     SerialDictatorshipRule,
+    TableMiss,
     TabulatedDeterministicRule,
     TabulatedLotteryRule,
     TopTradingCyclesRule,
@@ -24,7 +25,13 @@ from axiomlab import (
     is_monotonic_transformation,
     serial_dictatorship,
 )
-from axiomlab.axioms import EX_POST_KINDS, Axiom, CheckOptions, replay_witness
+from axiomlab.axioms import (
+    DETERMINISTIC_ONLY,
+    EX_POST_KINDS,
+    Axiom,
+    CheckOptions,
+    replay_witness,
+)
 from axiomlab.matchings import matching_verdict
 from axiomlab.preferences import weakly_prefers
 from axiomlab.rules import random_tabulated_rule
@@ -279,3 +286,56 @@ def test_every_fail_witness_replays_and_a_doctored_one_does_not(axiom):
     assert replay_witness(inst, rule, axiom, json.loads(json.dumps(report.witness)))
     assert not replay_witness(inst, rule, axiom, _doctored(inst, rule, axiom, report.witness))
     assert not replay_witness(inst, rule, axiom, {**report.witness, "kind": "other"})
+
+
+def _count_evaluations(monkeypatch):
+    """Record every ``evaluate``/``evaluate_lottery`` call the checkers make."""
+    import axiomlab.axioms as axioms
+
+    calls = []
+    for name in ("evaluate", "evaluate_lottery"):
+
+        def counted(*args, original=getattr(axioms, name)):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(axioms, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("axiom", list(Axiom), ids=lambda a: a.value)
+def test_a_table_of_the_axioms_kind_is_read_in_place(monkeypatch, unit3, axiom):
+    """Neither the scan nor the replay evaluates a table of the axiom's kind again."""
+    base = SD if axiom in DETERMINISTIC_ONLY else RSD
+    outcomes = {p: evaluate(unit3, base, p) for p in enumerate_profiles(unit3)}
+    table = TabulatedDeterministicRule if axiom in DETERMINISTIC_ONLY else TabulatedLotteryRule
+    rule = table(outcomes)
+    expected = check_axiom(unit3, base, axiom, endowment=(1, 2, 0)).to_dict()
+    calls = _count_evaluations(monkeypatch)
+    report = check_axiom(unit3, rule, axiom, endowment=(1, 2, 0))
+    assert {**report.to_dict(), "rule": expected["rule"]} == expected
+    if not report.passed:
+        assert replay_witness(unit3, rule, axiom, report.witness)
+    assert calls == []
+
+
+def test_a_rule_is_evaluated_only_where_the_scan_reads(monkeypatch, unit3):
+    calls = _count_evaluations(monkeypatch)
+    report = check_axiom(unit3, SD, Axiom.EQUAL_TREATMENT)
+    assert not report.passed and report.profiles_checked == 1
+    assert calls == [(unit3, SD, ((0, 1, 2), (0, 1, 2), (0, 1, 2)))]
+
+
+@pytest.mark.parametrize("axiom", [Axiom.STRATEGY_PROOF, Axiom.EX_POST_PARETO])
+def test_replaying_on_a_table_with_a_gap_raises(unit3, axiom):
+    """The replay reads a table only after checking it is total, like the scan."""
+    rule = random_tabulated_rule(unit3, 11)
+    witness = check_axiom(unit3, rule, axiom).witness
+    table = dict(rule.table)
+    del table[max(table)]
+    assert max(table) != witness["profile"]
+    gapped = TabulatedDeterministicRule(table)
+    if axiom is Axiom.EX_POST_PARETO:
+        gapped = TabulatedLotteryRule({p: Lottery.point(m) for p, m in table.items()})
+    with pytest.raises(TableMiss):
+        replay_witness(unit3, gapped, axiom, witness)

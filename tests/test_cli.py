@@ -428,6 +428,34 @@ def test_worker_count_below_one_is_a_bounds_error(capsys, files, workers):
     assert error["type"] == "BoundsError" and "worker" in error["message"]
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_search_budget_below_one_is_a_bounds_error(capsys, files, budget):
+    inst = files("i.json", INSTANCE_3CYCLE)
+    error = _error(
+        capsys, "search-cex", "--instance", inst, "--violate", "ex-post-pareto",
+        "--budget", budget,
+    )
+    assert error["type"] == "BoundsError" and "budget" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["sd", "check-rule", "verify-prop1"])
+def test_malformed_order_is_a_format_error(capsys, files, command):
+    """The order is parsed in one place, and a malformed one is a schema error, not a crash."""
+    inst = files("i.json", INSTANCE_3CYCLE)
+    if command == "sd":
+        argv = ["sd", "--instance", inst, "--profile", files("p.json", PROFILE_3CYCLE)]
+    else:
+        argv = [command, "--instance", inst, "--rule", "sd", "--workers", "1"]
+        if command == "check-rule":
+            argv += ["--axiom", "strategy-proof"]
+    code = run(argv + ["--order", "a,b"])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "FormatError" and "--order" in error["message"]
+    assert captured.err == ""
+
+
 def test_verify_thm1_passes_a_constant_rule(capsys, files):
     """Neither ex-post property holds for a constant rule, so the two agree."""
     profiles = [

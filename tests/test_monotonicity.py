@@ -3,7 +3,7 @@ and the worker split of rule evaluation against the one-worker scan."""
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, product
 
 import pytest
 from hypothesis import given, settings
@@ -236,13 +236,22 @@ def test_perturbation_reports_do_not_depend_on_the_worker_count(args):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("base", ["sd", "random"])
-@pytest.mark.parametrize("axiom", [Axiom.EX_POST_PARETO, Axiom.MASKIN_MONOTONIC])
+@pytest.mark.parametrize(
+    "axiom, base",
+    [
+        *product((Axiom.EX_POST_PARETO, Axiom.MASKIN_MONOTONIC), ("sd", "random")),
+        *product((Axiom.EX_POST_PARETO, Axiom.PROB_MONOTONIC), ("rsd", "random-lottery")),
+    ],
+)
 def test_a_table_missing_its_last_profile_raises(axiom, base, workers):
-    """Each worker's table covers the profiles it needs, so a gap is never skipped,
-    even when a scan stops at an early violation."""
-    rule = SD if base == "sd" else random_tabulated_rule(UNIT3, 11)
+    """Every scan checks that a table is total before reading it, so a gap is never
+    skipped, even when the scan stops at an early violation."""
+    rule = {"sd": SD, "rsd": RSD}.get(base) or random_tabulated_rule(UNIT3, 11)
     table = dict(table_of(UNIT3, rule))
     table.popitem()
+    if base in ("sd", "random"):
+        rule = TabulatedDeterministicRule(table)
+    else:
+        rule = TabulatedLotteryRule({p: evaluate_lottery(UNIT3, rule, p) for p in table})
     with pytest.raises(TableMiss):
-        check_axiom(UNIT3, TabulatedDeterministicRule(table), axiom, CheckOptions(workers=workers))
+        check_axiom(UNIT3, rule, axiom, CheckOptions(workers=workers))

@@ -4,6 +4,7 @@ import pytest
 
 from axiomlab import (
     AxiomNotApplicable,
+    BoundsError,
     Instance,
     Lottery,
     PreconditionViolated,
@@ -362,8 +363,7 @@ def test_search_respects_theorem1(unit3):
 
 
 def test_search_budget_zero(unit3):
-    result = search_counterexample(
-        unit3, required=[], violated=Axiom.EX_POST_PARETO, budget=0
-    )
-    assert result.status == "budget_exhausted"
-    assert result.candidates_tried == 0
+    """A budget below 1 tries no candidate, so it is rejected instead of reported as exhausted."""
+    for budget in (0, -3):
+        with pytest.raises(BoundsError, match="budget"):
+            search_counterexample(unit3, required=[], violated=Axiom.EX_POST_PARETO, budget=budget)
