@@ -28,6 +28,20 @@ walks support matchings, then agents, then alternatives.  The bodies still
 test ``is_monotonic_transformation``, so witnesses transforming several agents
 replay too.
 
+The four incentive axioms (strategy-proofness, non-bossiness, pairwise and
+group strategy-proofness) are scanned over menus.  A block is a coalition C
+together with the reports of every agent outside C; its menu is, for each
+distinct outcome the rule reaches in the block, the lexicographically first
+joint report of C reaching it, listed in scan order.  The four bodies read a
+deviated profile only through its outcome, so every report reaching an outcome
+violates iff the first one does.  The first violating report of the full scan
+is therefore the first report of its outcome, a menu entry, and no menu entry
+before it violates; a report reaching the truthful outcome never violates.
+Hence scanning coalitions by size then membership, then each coalition's menu,
+finds the same first witness as scanning every joint report.  Menus are built
+on first use and cached on the scan's context, so each pool worker keeps its
+own.
+
 The scan and the replay read outcomes through ``_outcomes``.  A table of the
 axiom's kind (lottery or deterministic) is read in place, and any other rule
 is evaluated at a profile the first time a body reads it; a table with a gap
@@ -45,7 +59,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from typing import Callable
 
 from .errors import AxiomNotApplicable, BoundsError, TableMiss
@@ -152,6 +166,7 @@ class _Context:
     endowment: Matching | None = None
     max_coalition: int | None = None
     _reports: dict = field(default_factory=dict)
+    _menus: dict = field(default_factory=dict)
 
     @cached_property
     def preferences(self) -> list:
@@ -162,6 +177,22 @@ class _Context:
         if size not in self._reports:
             self._reports[size] = tuple(product(self.preferences, repeat=size))
         return self._reports[size]
+
+    def menu(self, profile: Profile, coalition: tuple, outcomes) -> tuple:
+        """The first joint report of ``coalition`` reaching each outcome, in scan order.
+
+        Everyone outside the coalition reports as at ``profile``.  The menu is
+        built on first use and cached for every profile of the same block.
+        """
+        block = coalition, tuple(r for a, r in enumerate(profile) if a not in coalition)
+        if block not in self._menus:
+            deviated, firsts = list(profile), {}
+            for reports in self.reports(len(coalition)):
+                for a, r in zip(coalition, reports):
+                    deviated[a] = r
+                firsts.setdefault(outcomes[tuple(deviated)], reports)
+            self._menus[block] = tuple(firsts.values())
+        return self._menus[block]
 
 
 # Violation bodies.  Each takes ``(ctx, profile, outcomes, deviations)``, where
@@ -354,20 +385,26 @@ class _Definition:
 
 
 def _agent_misreports(ctx, profile, outcomes):
-    return product(range(ctx.inst.n), ctx.preferences)
+    return (
+        (agent, reports[0])
+        for agent in range(ctx.inst.n)
+        for reports in ctx.menu(profile, (agent,), outcomes)
+    )
 
 
-def _coalition_reports(ctx: _Context, sizes) -> chain:
-    n = ctx.inst.n
-    return chain.from_iterable(
-        product(combinations(range(n), size), ctx.reports(size)) for size in sizes
+def _coalition_menus(ctx, profile, outcomes, sizes):
+    return (
+        (coalition, reports)
+        for size in sizes
+        for coalition in combinations(range(ctx.inst.n), size)
+        for reports in ctx.menu(profile, coalition, outcomes)
     )
 
 
 def _coalitions_up_to_cap(ctx, profile, outcomes):
     n = ctx.inst.n
     cap = n if ctx.max_coalition is None else min(ctx.max_coalition, n)
-    return _coalition_reports(ctx, range(1, cap + 1))
+    return _coalition_menus(ctx, profile, outcomes, range(1, cap + 1))
 
 
 def _agent_misreport(witness):
@@ -394,7 +431,7 @@ def _monotonic_steps(ctx, profile, matching):
 _DEFINITIONS = {
     Axiom.STRATEGY_PROOF: _Definition(_agent_misreports, _manipulation, _agent_misreport),
     Axiom.PAIRWISE_STRATEGY_PROOF: _Definition(
-        lambda ctx, profile, outcomes: _coalition_reports(ctx, (2,)),
+        lambda ctx, profile, outcomes: _coalition_menus(ctx, profile, outcomes, (2,)),
         _pair_manipulation,
         _coalition_misreports,
     ),

@@ -158,7 +158,9 @@ def matching_verdict(
         return {"kind": "waste", "agents": [waste[0]], "objects": [waste[1]]}
     if kind == "non-wasteful":
         return None
-    cycle = find_improvement_cycle(inst, matching, profile)
+    if not is_feasible(inst, matching):
+        raise PreconditionViolated(f"matching {matching} is infeasible")
+    cycle = _shortest_improvement_cycle(matching, profile)
     if cycle is None:
         return None
     return {"kind": "cycle", "agents": list(cycle.agents), "objects": list(cycle.objects)}
@@ -179,7 +181,12 @@ def find_improvement_cycle(
         raise PreconditionViolated(f"matching {matching} is infeasible")
     if not is_non_wasteful(inst, matching, profile):
         raise PreconditionViolated("matching is wasteful; no cycle search performed")
-    n = inst.n
+    return _shortest_improvement_cycle(matching, profile)
+
+
+def _shortest_improvement_cycle(matching: Matching, profile: Profile) -> ImprovementCycle | None:
+    """The DFS behind ``find_improvement_cycle``; the caller checks its preconditions."""
+    n = len(matching)
     wants = [
         [j for j in range(n) if j != i and prefers(profile[i], matching[j], matching[i])]
         for i in range(n)

@@ -24,9 +24,9 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
-from .axioms import EX_POST_KINDS, Axiom, CheckOptions, check_axiom
+from .axioms import DETERMINISTIC_ONLY, EX_POST_KINDS, Axiom, CheckOptions, check_axiom
 from .errors import AxiomNotApplicable, BoundsError, PreconditionViolated
 from .matchings import (
     blocking_pair,
@@ -145,14 +145,26 @@ def _theorem_label(inst: Instance, rule: RuleDescriptor) -> str:
 def _checker(inst: Instance, rule: RuleDescriptor, opts: CheckOptions):
     """``check_axiom`` on one outcome table of the rule, reported under the rule's own label.
 
-    The rule is evaluated here, once, unless it is a table already.
+    The rule is evaluated here, once, unless it is a table already.  A
+    deterministic table is viewed as weight-1 lotteries once, on the first
+    lottery axiom, so the lottery checks read that view in place.
     """
     table = rule
     if not isinstance(rule, (TabulatedDeterministicRule, TabulatedLotteryRule)):
         tabulate = TabulatedLotteryRule if is_lottery_rule(rule) else TabulatedDeterministicRule
         table = tabulate({p: evaluate(inst, rule, p) for p in enumerate_profiles(inst)})
     label = rule_label(rule)
-    return lambda axiom: replace(check_axiom(inst, table, axiom, opts), rule=label)
+
+    @cache
+    def lottery_view():
+        return TabulatedLotteryRule({p: Lottery.point(m) for p, m in table.table.items()})
+
+    def check(axiom):
+        as_lottery = axiom not in DETERMINISTIC_ONLY and not is_lottery_rule(table)
+        view = lottery_view() if as_lottery else table
+        return replace(check_axiom(inst, view, axiom, opts), rule=label)
+
+    return check
 
 
 def verify_theorem1(

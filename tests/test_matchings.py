@@ -86,6 +86,12 @@ def test_find_improvement_cycle_rejects_wasteful():
         find_improvement_cycle(inst, (0, 1, 2), profile)
 
 
+def test_pareto_verdict_rejects_an_infeasible_matching_without_waste():
+    profile = ((0, 1, 2), (0, 1, 2), (1, 0, 2))
+    with pytest.raises(PreconditionViolated):
+        matching_verdict(Instance(3, (1, 1, 1)), (0, 0, 1), profile, "pareto")
+
+
 @pytest.mark.parametrize(
     "inst",
     [Instance(3, (1, 1, 1)), Instance(3, (2, 1, 1)), Instance(4, (2, 1, 1))],

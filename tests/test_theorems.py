@@ -28,6 +28,7 @@ from axiomlab.axioms import Axiom, check_axiom
 from axiomlab.jsonio import rule_from_dict, rule_to_dict
 from axiomlab.model import NULL_BOTTOM, enumerate_matchings
 from axiomlab.preferences import common_rank_rearrange, push_to_top
+from axiomlab.rules import random_tabulated_rule
 
 
 def test_verify_theorem1_rsd_tight(unit3):
@@ -126,6 +127,37 @@ def test_harnesses_evaluate_the_rule_once(monkeypatch, unit3, slack3):
     assert thm1.conclusion_verified is True
     assert thm1.rule == "rsd"
     assert {h["rule"] for h in thm1.hypotheses_verified} == {"rsd"}
+
+
+def test_cor2_builds_each_weight_one_lottery_once(monkeypatch, slack3):
+    """The three ex-post checks share one lottery view of the deterministic table."""
+    rule = SerialDictatorshipRule((0, 1, 2))
+    direct = {
+        axiom: check_axiom(slack3, rule, axiom)
+        for axiom in (
+            Axiom.MASKIN_MONOTONIC,
+            Axiom.EX_POST_NON_WASTEFUL,
+            Axiom.EX_POST_PAIRWISE,
+            Axiom.EX_POST_PARETO,
+        )
+    }
+    points = []
+    point = Lottery.point.__func__
+
+    def counted(cls, matching):
+        points.append(matching)
+        return point(cls, matching)
+
+    monkeypatch.setattr(Lottery, "point", classmethod(counted))
+    verdict = verify_theorem1(slack3, rule)
+    assert len(points) == 216
+    assert verdict.theorem == "Cor2"
+    assert verdict.hypotheses_verified == [
+        direct[Axiom.MASKIN_MONOTONIC].to_dict(),
+        direct[Axiom.EX_POST_NON_WASTEFUL].to_dict(),
+    ]
+    assert verdict.details["ex_post_pairwise"] == direct[Axiom.EX_POST_PAIRWISE].passed
+    assert verdict.details["ex_post_pareto"] == direct[Axiom.EX_POST_PARETO].passed
 
 
 def test_replay_theorem1_on_cycle_toy(unit3, cycle_profile):
@@ -307,6 +339,16 @@ def test_verify_proposition1(unit3):
     assert set(bossy.details["properties"].values()) == {False}
     with pytest.raises(AxiomNotApplicable):
         verify_proposition1(unit3, RandomSerialDictatorshipRule())
+
+
+def test_verify_proposition1_beyond_three_agents():
+    inst = Instance(4, (2, 1, 1))
+    sd = verify_proposition1(inst, SerialDictatorshipRule((0, 1, 2, 3)))
+    assert sd.conclusion_verified is True and sd.details["all_hold"] is True
+    assert [h["profiles_checked"] for h in sd.hypotheses_verified] == [1296] * 5
+    table = verify_proposition1(inst, random_tabulated_rule(inst, 11))
+    assert table.conclusion_verified is True and table.details["all_hold"] is False
+    assert set(table.details["properties"].values()) == {False}
 
 
 def test_search_finds_pairwise_but_not_pareto_rule(unit3):
