@@ -188,7 +188,7 @@ def lottery_from_list(data: list, inst: Instance, names: ObjectNames) -> Lottery
     for entry in data:
         matching = matching_from_dict(entry["matching"], inst, names)
         weights[matching] = weights.get(matching, Fraction(0)) + parse_fraction(entry["weight"])
-    return Lottery(weights)
+    return Lottery.from_weights(weights)
 
 
 _PROFILE_KEYS = {"profile", "transformed"}

@@ -134,7 +134,9 @@ def matching_verdict(
 ) -> dict | None:
     """None if ``matching`` meets the efficiency notion ``kind``, else a witness.
 
-    Witnesses are ``{"kind", "agents", "objects"}`` dicts: a ``swap`` for the
+    An infeasible matching, an out-of-range object included, raises
+    ``PreconditionViolated`` for every kind.  Witnesses are
+    ``{"kind", "agents", "objects"}`` dicts: a ``swap`` for the
     lowest blocking pair, a ``waste`` for the lowest agent preferring an
     unfilled object, or, for a non-wasteful Pareto-dominated matching, the
     shortest improvement ``cycle``.
@@ -148,6 +150,8 @@ def matching_verdict(
     """
     if kind not in MATCHING_KINDS:
         raise PreconditionViolated(f"unknown efficiency notion {kind!r}")
+    if not is_feasible(inst, matching):
+        raise PreconditionViolated(f"matching {matching} is infeasible")
     if kind == "pairwise":
         pair = blocking_pair(matching, profile)
         if pair is None:
@@ -158,8 +162,6 @@ def matching_verdict(
         return {"kind": "waste", "agents": [waste[0]], "objects": [waste[1]]}
     if kind == "non-wasteful":
         return None
-    if not is_feasible(inst, matching):
-        raise PreconditionViolated(f"matching {matching} is infeasible")
     cycle = _shortest_improvement_cycle(matching, profile)
     if cycle is None:
         return None

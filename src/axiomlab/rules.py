@@ -1,9 +1,12 @@
 """Allocation rules and the uniform descriptor the checkers consume.
 
-Lottery weights are exact ``fractions.Fraction`` values throughout; no
-floating point is used anywhere, so weight comparisons in the monotonicity
-checkers are exact.  A deterministic rule can always be viewed as the
-degenerate lottery putting weight 1 on its matching.
+A lottery holds integer counts over one denominator: RSD counts the agent
+orders reaching each matching out of n!, and the counterexample search puts
+one count on each matching of a candidate's support.  No floating point is
+used anywhere.  Weight reads return exact ``fractions.Fraction`` values, so
+weight comparisons in the monotonicity checkers are exact.  A deterministic
+rule can always be viewed as the degenerate lottery putting weight 1 on its
+matching.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from numbers import Rational
 from typing import Iterator, Mapping, Union
 
 from .errors import PreconditionViolated, SizeOverflow, TableMiss
@@ -20,50 +24,74 @@ from .preferences import Profile, enumerate_profiles, preference_ranks
 
 
 class Lottery:
-    """A probability distribution over matchings with exact rational weights.
+    """A probability distribution over matchings: integer counts over one denominator.
 
-    Zero weights are dropped, the support is kept in lexicographic matching
-    order, and the weights must sum to exactly 1.
+    Matching ``m`` has probability ``counts[m] / denominator``.  Every count
+    must be a non-negative ``int`` and the counts must sum to the
+    denominator.  Zero counts are dropped, the rest are reduced by their gcd,
+    and the support is kept in lexicographic matching order, so equal
+    distributions are equal and hash alike.  ``weight`` and ``items`` return
+    exact ``Fraction`` values, built only when read.
+
+    >>> lottery = Lottery({(1, 0): 2, (0, 1): 4}, 6)
+    >>> lottery
+    Lottery({(0, 1): 2/3, (1, 0): 1/3})
+    >>> lottery == Lottery({(0, 1): 2, (1, 0): 1}, 3)
+    True
+    >>> lottery.weight((0, 1))
+    Fraction(2, 3)
     """
 
-    __slots__ = ("_weights",)
+    __slots__ = ("_counts", "_denominator")
 
-    def __init__(self, weights: Mapping[Matching, Fraction]):
-        cleaned = {
-            m: Fraction(w) for m, w in sorted(weights.items()) if w != 0
-        }
-        if any(w < 0 for w in cleaned.values()):
-            raise ValueError("lottery weights must be non-negative")
-        if sum(cleaned.values(), Fraction(0)) != 1:
-            raise ValueError("lottery weights must sum to exactly 1")
-        self._weights = cleaned
+    def __init__(self, counts: Mapping[Matching, int], denominator: int):
+        if type(denominator) is not int or denominator < 1:
+            raise ValueError(f"a lottery denominator must be a positive int, got {denominator!r}")
+        if any(type(c) is not int or c < 0 for c in counts.values()):
+            raise ValueError("lottery counts must be non-negative ints")
+        if sum(counts.values()) != denominator:
+            raise ValueError("lottery counts must sum to the denominator")
+        divisor = math.gcd(denominator, *counts.values())
+        self._counts = {m: c // divisor for m, c in sorted(counts.items()) if c}
+        self._denominator = denominator // divisor
+
+    @classmethod
+    def from_weights(cls, weights: Mapping[Matching, Fraction]) -> "Lottery":
+        """The lottery with these exact rational weights, which must sum to 1."""
+        if not all(isinstance(w, Rational) for w in weights.values()):
+            raise ValueError("lottery weights must be exact rationals")
+        denominator = math.lcm(*(w.denominator for w in weights.values()))
+        return cls(
+            {m: w.numerator * (denominator // w.denominator) for m, w in weights.items()},
+            denominator,
+        )
 
     @classmethod
     def point(cls, matching: Matching) -> "Lottery":
-        return cls({matching: Fraction(1)})
+        return cls({matching: 1}, 1)
 
     def weight(self, matching: Matching) -> Fraction:
-        return self._weights.get(matching, Fraction(0))
+        return Fraction(self._counts.get(matching, 0), self._denominator)
 
     def support(self) -> tuple[Matching, ...]:
-        return tuple(self._weights)
+        return tuple(self._counts)
 
     def items(self) -> Iterator[tuple[Matching, Fraction]]:
-        return iter(self._weights.items())
+        return ((m, Fraction(c, self._denominator)) for m, c in self._counts.items())
 
     def is_degenerate(self) -> bool:
-        return len(self._weights) == 1
+        return len(self._counts) == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lottery):
             return NotImplemented
-        return self._weights == other._weights
+        return self._denominator == other._denominator and self._counts == other._counts
 
     def __hash__(self) -> int:
-        return hash(tuple(self._weights.items()))
+        return hash((self._denominator, tuple(self._counts.items())))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{m}: {w}" for m, w in self._weights.items())
+        inner = ", ".join(f"{m}: {w}" for m, w in self.items())
         return f"Lottery({{{inner}}})"
 
 
@@ -165,7 +193,7 @@ def random_serial_dictatorship(inst: Instance, profile: Profile) -> Lottery:
     for order in permutations(range(inst.n)):
         outcome = serial_dictatorship(inst, order, profile)
         counts[outcome] = counts.get(outcome, 0) + 1
-    return Lottery({m: Fraction(c, total) for m, c in counts.items()})
+    return Lottery(counts, total)
 
 
 def top_trading_cycles(

@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cache, partial
 
 from .axioms import DETERMINISTIC_ONLY, EX_POST_KINDS, Axiom, CheckOptions, check_axiom
@@ -531,7 +530,7 @@ def search_counterexample(
             first = pick(p)
             extra = allowed[p][rng.randrange(len(allowed[p]))] if attempt else allowed[p][0]
             support = {first, extra}
-            table[p] = Lottery({m: Fraction(1, len(support)) for m in support})
+            table[p] = Lottery({m: 1 for m in support}, len(support))
         return TabulatedLotteryRule(table)
 
     tried = 0

@@ -209,7 +209,7 @@ def test_prob_monotonic_fail_witness_replays(unit3):
         for p in enumerate_profiles(unit3)
     }
     bad_profile = ((0, 1, 2), (0, 1, 2), (0, 1, 2))
-    table[bad_profile] = Lottery(
+    table[bad_profile] = Lottery.from_weights(
         {
             serial_dictatorship(unit3, (1, 2, 0), bad_profile): Fraction(1, 2),
             serial_dictatorship(unit3, (2, 1, 0), bad_profile): Fraction(1, 2),

@@ -92,6 +92,16 @@ def test_pareto_verdict_rejects_an_infeasible_matching_without_waste():
         matching_verdict(Instance(3, (1, 1, 1)), (0, 0, 1), profile, "pareto")
 
 
+@pytest.mark.parametrize("kind", ["pareto", "pairwise", "non-wasteful"])
+@pytest.mark.parametrize(
+    "matching", [(0, 0, 1), (0, 0, 5)], ids=["over-capacity", "out-of-range"]
+)
+def test_every_verdict_rejects_an_infeasible_matching(kind, matching):
+    profile = ((0, 1, 2), (0, 1, 2), (1, 0, 2))
+    with pytest.raises(PreconditionViolated, match="infeasible"):
+        matching_verdict(Instance(3, (1, 1, 1)), matching, profile, kind)
+
+
 @pytest.mark.parametrize(
     "inst",
     [Instance(3, (1, 1, 1)), Instance(3, (2, 1, 1)), Instance(4, (2, 1, 1))],

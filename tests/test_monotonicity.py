@@ -135,7 +135,7 @@ def perturbed(inst, base, index, first, second):
 def half_and_half(first, second):
     if first == second:
         return Lottery.point(first)
-    return Lottery({first: Fraction(1, 2), second: Fraction(1, 2)})
+    return Lottery.from_weights({first: Fraction(1, 2), second: Fraction(1, 2)})
 
 
 def mixture(inst, a, b):

@@ -196,8 +196,8 @@ def test_evaluate_dispatch(unit3):
 
 def test_lottery_validation():
     with pytest.raises(ValueError):
-        Lottery({(0, 1): Fraction(1, 2)})  # does not sum to 1
+        Lottery.from_weights({(0, 1): Fraction(1, 2)})  # does not sum to 1
     with pytest.raises(ValueError):
-        Lottery({(0, 1): Fraction(3, 2), (1, 0): Fraction(-1, 2)})
-    lottery = Lottery({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2), (1, 1): Fraction(0)})
+        Lottery.from_weights({(0, 1): Fraction(3, 2), (1, 0): Fraction(-1, 2)})
+    lottery = Lottery.from_weights({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2), (1, 1): Fraction(0)})
     assert lottery.support() == ((0, 1), (1, 0))  # zero weight dropped, sorted

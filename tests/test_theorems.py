@@ -1,5 +1,8 @@
 """Theorem harnesses, proof replays, and counterexample search."""
 
+import hashlib
+import json
+
 import pytest
 
 from axiomlab import (
@@ -382,6 +385,30 @@ def test_search_round_trips_through_serialization(unit3):
     assert loaded_inst == unit3
     assert loaded_rule.table == dict(result.rule.table)
     assert not check_axiom(loaded_inst, loaded_rule, Axiom.EX_POST_PARETO).passed
+
+
+# sha256 of the sorted-key JSON of ``rule_to_dict`` for the found lottery
+# rule, recorded from the Fraction-weight Lottery before it held integer
+# counts.  The first query finds the greedy candidate (support choice only);
+# the second finds a seeded random one, so it also pins the rng draw order.
+PINNED_LOTTERY_SEARCHES = [
+    (Axiom.EX_POST_PAIRWISE, Axiom.EX_POST_PARETO, 1, 1,
+     "cdb9a22a18c0b1e85f3056e26512d205495fca190447fe4673b2dd1210060382"),
+    (Axiom.EX_POST_PAIRWISE, Axiom.EX_POST_PARETO, 2, 1,
+     "cdb9a22a18c0b1e85f3056e26512d205495fca190447fe4673b2dd1210060382"),
+    (Axiom.EX_POST_NON_WASTEFUL, Axiom.PROB_MONOTONIC, 1, 2,
+     "4d7af158a76b3a4b49f4f38f7738b29021d793e750a3afef7c532521c2649b3b"),
+    (Axiom.EX_POST_NON_WASTEFUL, Axiom.PROB_MONOTONIC, 2, 2,
+     "ccffd3331226c71956bcbce291b613f79595ccc6a55873f009a22c8ebe172ded"),
+]
+
+
+@pytest.mark.parametrize("required, violated, seed, tried, digest", PINNED_LOTTERY_SEARCHES)
+def test_lottery_search_candidate_stream_is_pinned(unit3, required, violated, seed, tried, digest):
+    result = search_counterexample(unit3, [required], violated, 20, seed=seed, rule_space="lottery")
+    assert result.found and result.candidates_tried == tried
+    text = json.dumps(rule_to_dict(unit3, result.rule), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_search_respects_theorem1(unit3):
