@@ -120,14 +120,6 @@ EX_POST_KINDS = {
 
 
 @dataclass
-class CheckOptions:
-    """Knobs for a checker run; defaults are exhaustive and single-process."""
-
-    max_coalition: int | None = None
-    workers: int = 1
-
-
-@dataclass
 class CheckReport:
     """Outcome of one axiom check.
 
@@ -160,11 +152,10 @@ class CheckReport:
 
 @dataclass
 class _Context:
-    """What a definition needs besides the profile: the instance and the axiom's parameters."""
+    """What a definition needs besides the profile: the instance and the endowment."""
 
     inst: Instance
     endowment: Matching | None = None
-    max_coalition: int | None = None
     _reports: dict = field(default_factory=dict)
     _menus: dict = field(default_factory=dict)
 
@@ -401,12 +392,6 @@ def _coalition_menus(ctx, profile, outcomes, sizes):
     )
 
 
-def _coalitions_up_to_cap(ctx, profile, outcomes):
-    n = ctx.inst.n
-    cap = n if ctx.max_coalition is None else min(ctx.max_coalition, n)
-    return _coalition_menus(ctx, profile, outcomes, range(1, cap + 1))
-
-
 def _agent_misreport(witness):
     return witness["agent"], witness["misreport"]
 
@@ -436,7 +421,9 @@ _DEFINITIONS = {
         _coalition_misreports,
     ),
     Axiom.GROUP_STRATEGY_PROOF: _Definition(
-        _coalitions_up_to_cap,
+        lambda ctx, profile, outcomes: _coalition_menus(
+            ctx, profile, outcomes, range(1, ctx.inst.n + 1)
+        ),
         _group_manipulation,
         _coalition_misreports,
     ),
@@ -501,10 +488,10 @@ def _outcomes(inst: Instance, rule: RuleDescriptor, axiom: Axiom):
     return _OnDemand(lambda profile: evaluate_one(inst, rule, profile))
 
 
-def _scan(inst, rule, axiom, endowment, opts, start=0, stop=None):
+def _scan(inst, rule, axiom, endowment, start=0, stop=None):
     """First violation among profiles ``start:stop`` as ``(index, witness)``, or None."""
     definition = _DEFINITIONS[axiom]
-    ctx = _Context(inst, endowment, opts.max_coalition)
+    ctx = _Context(inst, endowment)
     outcomes = _outcomes(inst, rule, axiom)
     deviations, violation = definition.deviations, definition.violation
     for idx, profile in enumerate(enumerate_profiles(inst, start, stop), start):
@@ -518,23 +505,22 @@ def check_axiom(
     inst: Instance,
     rule: RuleDescriptor,
     axiom: Axiom,
-    opts: CheckOptions | None = None,
     endowment: Matching | None = None,
+    *,
+    workers: int = 1,
 ) -> CheckReport:
     """Check one axiom for one rule over the full profile domain.
 
-    Pass means the universally quantified definition held everywhere within
-    the options' bounds; fail carries the scan-first witness.  Lottery rules
-    reject the deterministic-only incentive axioms with AxiomNotApplicable;
-    deterministic rules are checked against lottery axioms as the degenerate
-    weight-1 lottery.
+    Pass means the universally quantified definition held everywhere; fail
+    carries the scan-first witness.  ``workers`` splits the profile scan over
+    that many processes without changing the report.  Lottery rules reject the
+    deterministic-only incentive axioms with AxiomNotApplicable; deterministic
+    rules are checked against lottery axioms as the degenerate weight-1
+    lottery.
     """
     axiom = Axiom(axiom)
-    opts = opts or CheckOptions()
-    if opts.max_coalition is not None and opts.max_coalition < 1:
-        raise BoundsError(f"a coalition cap of {opts.max_coalition} checks no coalition")
-    if opts.workers < 1:
-        raise BoundsError(f"a worker count of {opts.workers} is below 1")
+    if workers < 1:
+        raise BoundsError(f"a worker count of {workers} is below 1")
     if axiom in DETERMINISTIC_ONLY and is_lottery_rule(rule):
         raise AxiomNotApplicable(f"{axiom.value} is defined for deterministic rules only")
     if axiom is Axiom.INDIVIDUAL_RATIONALITY:
@@ -545,17 +531,17 @@ def check_axiom(
 
     started = time.perf_counter()
     total = count_profiles(inst)
-    if opts.workers > 1 and total >= 4 * opts.workers:
-        chunk = (total + opts.workers - 1) // opts.workers
-        with ProcessPoolExecutor(max_workers=opts.workers) as pool:
+    if workers > 1 and total >= 4 * workers:
+        chunk = (total + workers - 1) // workers
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             scans = [
-                pool.submit(_scan, inst, rule, axiom, endowment, opts, lo, min(lo + chunk, total))
+                pool.submit(_scan, inst, rule, axiom, endowment, lo, min(lo + chunk, total))
                 for lo in range(0, total, chunk)
             ]
             hits = [h for h in (scan.result() for scan in scans) if h is not None]
         hit = min(hits, key=lambda h: h[0]) if hits else None
     else:
-        hit = _scan(inst, rule, axiom, endowment, opts)
+        hit = _scan(inst, rule, axiom, endowment)
     elapsed = time.perf_counter() - started
     if hit is None:
         return CheckReport(axiom.value, "pass", None, total, elapsed, rule_label(rule))
@@ -566,10 +552,11 @@ def check_individual_rationality(
     inst: Instance,
     rule: RuleDescriptor,
     endowment: Matching,
-    opts: CheckOptions | None = None,
+    *,
+    workers: int = 1,
 ) -> CheckReport:
     """Every agent weakly prefers her allotment to her endowment, everywhere."""
-    return check_axiom(inst, rule, Axiom.INDIVIDUAL_RATIONALITY, opts, endowment)
+    return check_axiom(inst, rule, Axiom.INDIVIDUAL_RATIONALITY, endowment, workers=workers)
 
 
 def _frozen(value):

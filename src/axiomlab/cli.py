@@ -18,7 +18,7 @@ import time
 import traceback
 
 from . import jsonio
-from .axioms import Axiom, CheckOptions, check_axiom
+from .axioms import Axiom, check_axiom
 from .errors import AxiomLabError, BoundsError, FormatError, PreconditionViolated
 from .matchings import MATCHING_KINDS, find_dominating, matching_verdict
 from .model import GENERAL, NULL_BOTTOM, Instance
@@ -37,19 +37,7 @@ from .theorems import (
     verify_theorem1,
 )
 
-AXIOM_NAMES = {
-    "strategy-proof": Axiom.STRATEGY_PROOF,
-    "pairwise-strategy-proof": Axiom.PAIRWISE_STRATEGY_PROOF,
-    "group-strategy-proof": Axiom.GROUP_STRATEGY_PROOF,
-    "non-bossy": Axiom.NON_BOSSY,
-    "maskin-monotonic": Axiom.MASKIN_MONOTONIC,
-    "prob-monotonic": Axiom.PROB_MONOTONIC,
-    "equal-treatment": Axiom.EQUAL_TREATMENT,
-    "ex-post-pareto": Axiom.EX_POST_PARETO,
-    "ex-post-pairwise": Axiom.EX_POST_PAIRWISE,
-    "ex-post-non-wasteful": Axiom.EX_POST_NON_WASTEFUL,
-    "individual-rationality": Axiom.INDIVIDUAL_RATIONALITY,
-}
+AXIOM_NAMES = {axiom.value.replace("_", "-"): axiom for axiom in Axiom}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,19 +76,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matching", required=True)
     p.add_argument("--axiom", choices=MATCHING_KINDS, required=True)
 
-    p = add("check-rule", help="check one rule against one axiom, exhaustively")
-    p.add_argument("--instance")
-    p.add_argument("--rule", required=True)
-    p.add_argument("--axiom", choices=sorted(AXIOM_NAMES), required=True)
-    p.add_argument("--order")
-    p.add_argument("--endowment")
-    p.add_argument("--max-coalition", type=int)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-
-    for name in ("verify-thm1", "verify-prop1"):
-        p = add(name, help="run a theorem harness for one rule")
+    harness = "run a theorem harness for one rule"
+    for name, about in (
+        ("check-rule", "check one rule against one axiom, exhaustively"),
+        ("verify-thm1", harness),
+        ("verify-prop1", harness),
+    ):
+        p = add(name, help=about)
         p.add_argument("--instance")
         p.add_argument("--rule", required=True)
+        if name == "check-rule":
+            p.add_argument("--axiom", choices=sorted(AXIOM_NAMES), required=True)
         p.add_argument("--order")
         p.add_argument("--endowment")
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
@@ -250,8 +236,7 @@ def _cmd_check_rule(args):
             endowment = rule.endowment
         if getattr(args, "endowment", None):
             endowment = jsonio.load_matching(args.endowment, inst, names)
-    opts = CheckOptions(max_coalition=args.max_coalition, workers=args.workers)
-    report = check_axiom(inst, rule, axiom, opts, endowment)
+    report = check_axiom(inst, rule, axiom, endowment, workers=args.workers)
     payload = report.to_dict()
     payload["witness"] = jsonio.witness_with_names(payload["witness"], names)
     timing = {"check_wall_time_s": round(report.wall_time, 6)}
@@ -261,7 +246,7 @@ def _cmd_check_rule(args):
 def _cmd_verify(args):
     inst, names, rule = _load_rule(args)
     harness = verify_theorem1 if args.command == "verify-thm1" else verify_proposition1
-    verdict = harness(inst, rule, CheckOptions(workers=args.workers))
+    verdict = harness(inst, rule, workers=args.workers)
     return (0 if verdict.passed else 1), _verdict_payload(verdict, names), dict(verdict.timings)
 
 
@@ -326,7 +311,8 @@ def run(argv=None) -> int:
 
     Every error, an unexpected one included, becomes a JSON error report and
     exit code 2, so exit code 1 always means a fail with a witness.
-    Unexpected errors also print their traceback to stderr.
+    Unexpected errors also print their traceback to stderr.  A stdout closed
+    before the report is written also exits 2, without a traceback.
     """
     parser = build_parser()
     try:
@@ -354,9 +340,15 @@ def run(argv=None) -> int:
             "command": args.command,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        print(json.dumps(report, indent=2))
+        code, text = 2, json.dumps(report, indent=2)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull, so that the
+        # interpreter's last flush of the unwritten report cannot fail again.
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    print(text)
     return code
 
 

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
 
-from .axioms import DETERMINISTIC_ONLY, EX_POST_KINDS, Axiom, CheckOptions, check_axiom
+from .axioms import DETERMINISTIC_ONLY, EX_POST_KINDS, Axiom, check_axiom
 from .errors import AxiomNotApplicable, BoundsError, PreconditionViolated
 from .matchings import (
     blocking_pair,
@@ -141,7 +141,7 @@ def _theorem_label(inst: Instance, rule: RuleDescriptor) -> str:
     return "Cor2"
 
 
-def _checker(inst: Instance, rule: RuleDescriptor, opts: CheckOptions):
+def _checker(inst: Instance, rule: RuleDescriptor, workers: int):
     """``check_axiom`` on one outcome table of the rule, reported under the rule's own label.
 
     The rule is evaluated here, once, unless it is a table already.  A
@@ -161,13 +161,13 @@ def _checker(inst: Instance, rule: RuleDescriptor, opts: CheckOptions):
     def check(axiom):
         as_lottery = axiom not in DETERMINISTIC_ONLY and not is_lottery_rule(table)
         view = lottery_view() if as_lottery else table
-        return replace(check_axiom(inst, view, axiom, opts), rule=label)
+        return replace(check_axiom(inst, view, axiom, workers=workers), rule=label)
 
     return check
 
 
 def verify_theorem1(
-    inst: Instance, rule: RuleDescriptor, opts: CheckOptions | None = None
+    inst: Instance, rule: RuleDescriptor, *, workers: int = 1
 ) -> TheoremVerdict:
     """Check the pairwise/Pareto equivalence claim for one rule.
 
@@ -179,7 +179,6 @@ def verify_theorem1(
     disagree the witness is the failing check's.  The rule is evaluated once
     into an outcome table that every check reads.
     """
-    opts = opts or CheckOptions()
     label = _theorem_label(inst, rule)
     slack = inst.total_capacity > inst.n
     hypothesis_axioms = [
@@ -187,7 +186,7 @@ def verify_theorem1(
     ]
     if slack:
         hypothesis_axioms.append(Axiom.EX_POST_NON_WASTEFUL)
-    check = _checker(inst, rule, opts)
+    check = _checker(inst, rule, workers)
     hypothesis_reports = [check(axiom) for axiom in hypothesis_axioms]
     hypotheses = [r.to_dict() for r in hypothesis_reports]
     timings = {f"hypothesis_{r.axiom}": round(r.wall_time, 6) for r in hypothesis_reports}
@@ -407,7 +406,7 @@ def replay_theorem3_proof(
 
 
 def verify_proposition1(
-    inst: Instance, rule: RuleDescriptor, opts: CheckOptions | None = None
+    inst: Instance, rule: RuleDescriptor, *, workers: int = 1
 ) -> TheoremVerdict:
     """Check that the four incentive properties agree for a deterministic rule.
 
@@ -417,7 +416,7 @@ def verify_proposition1(
     """
     if is_lottery_rule(rule):
         raise AxiomNotApplicable("the four-way equivalence is about deterministic rules")
-    check = _checker(inst, rule, opts or CheckOptions())
+    check = _checker(inst, rule, workers)
     reports = {
         axiom: check(axiom)
         for axiom in (
@@ -475,7 +474,6 @@ def search_counterexample(
     budget: int,
     seed: int = 0,
     rule_space: str = "deterministic",
-    opts: CheckOptions | None = None,
 ) -> SearchResult:
     """Search tabulated rules satisfying ``required`` but violating ``violated``.
 
@@ -490,7 +488,6 @@ def search_counterexample(
         raise BoundsError(f"a budget of {budget} tries no candidate")
     required = [Axiom(a) for a in required]
     violated = Axiom(violated)
-    opts = opts or CheckOptions()
     rng = random.Random(seed)
     profiles = list(enumerate_profiles(inst))
     universe = enumerate_matchings(inst)
@@ -537,10 +534,10 @@ def search_counterexample(
     while tried < budget:
         candidate = make_candidate(tried)
         tried += 1
-        violated_report = check_axiom(inst, candidate, violated, opts)
+        violated_report = check_axiom(inst, candidate, violated)
         if violated_report.passed:
             continue
-        if all(check_axiom(inst, candidate, a, opts).passed for a in required):
+        if all(check_axiom(inst, candidate, a).passed for a in required):
             return SearchResult(
                 status="found",
                 rule=candidate,

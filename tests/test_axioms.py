@@ -29,7 +29,6 @@ from axiomlab.axioms import (
     DETERMINISTIC_ONLY,
     EX_POST_KINDS,
     Axiom,
-    CheckOptions,
     replay_witness,
 )
 from axiomlab.matchings import matching_verdict
@@ -125,8 +124,8 @@ def test_reports_are_deterministic(unit3):
 def test_worker_count_does_not_change_reports(unit3):
     bossy = bossy_flip_rule(unit3)
     for axiom in (Axiom.STRATEGY_PROOF, Axiom.NON_BOSSY, Axiom.EX_POST_PARETO):
-        serial = check_axiom(unit3, bossy, axiom, CheckOptions(workers=1))
-        parallel = check_axiom(unit3, bossy, axiom, CheckOptions(workers=2))
+        serial = check_axiom(unit3, bossy, axiom, workers=1)
+        parallel = check_axiom(unit3, bossy, axiom, workers=2)
         assert serial == parallel
 
 
@@ -164,30 +163,13 @@ def test_constant_endowment_rule_is_individually_rational(unit3):
     assert check_individual_rationality(unit3, constant, endowment).passed
 
 
-def test_max_coalition_one_equals_strategy_proofness(unit3):
-    bossy = bossy_flip_rule(unit3)
-    capped = check_axiom(unit3, bossy, Axiom.GROUP_STRATEGY_PROOF, CheckOptions(max_coalition=1))
-    assert capped.passed  # singleton coalitions cannot manipulate a SP rule
-    full = check_axiom(unit3, bossy, Axiom.GROUP_STRATEGY_PROOF)
-    assert not full.passed
-
-
-@pytest.mark.parametrize("cap", [0, -1])
-def test_coalition_cap_below_one_is_rejected(unit3, cap):
-    """A cap below 1 would check no coalition and pass every rule."""
-    rule = random_tabulated_rule(unit3, 11)
-    assert not check_axiom(unit3, rule, Axiom.GROUP_STRATEGY_PROOF).passed
-    with pytest.raises(BoundsError):
-        check_axiom(unit3, rule, Axiom.GROUP_STRATEGY_PROOF, CheckOptions(max_coalition=cap))
-
-
 @pytest.mark.parametrize("workers", [0, -5])
 def test_worker_count_below_one_is_rejected(unit3, workers):
     """A worker count below 1 used to run silently in one process."""
     with pytest.raises(BoundsError):
         check_axiom(
             unit3, SerialDictatorshipRule((0, 1, 2)), Axiom.STRATEGY_PROOF,
-            CheckOptions(workers=workers),
+            workers=workers,
         )
 
 

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: formats, exit codes, reproducibility."""
 
+import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 
@@ -295,24 +297,23 @@ def test_check_rule_individual_rationality(capsys, files):
     assert payload["result"]["witness"]["kind"] == "individual_rationality"
 
 
-def test_check_rule_max_coalition(capsys, files, tmp_path):
-    """Capping coalitions at size 1 reduces the group check to plain
-    strategy-proofness, which the bossy showcase rule satisfies."""
-    import json as json_mod
-
+def test_coalition_cap_is_a_usage_error(capsys, files):
+    """Group strategy-proofness always scans every coalition size, so a cap that
+    reduced it to strategy-proofness, and passed the bossy rule, is not an option."""
     from axiomlab import Instance, bossy_flip_rule
     from axiomlab.jsonio import rule_to_dict
 
-    rule_path = tmp_path / "bossy.json"
     inst = Instance(3, (1, 1, 1))
-    rule_path.write_text(json_mod.dumps(rule_to_dict(inst, bossy_flip_rule(inst))))
-    code, payload = invoke(
-        capsys, "check-rule", "--rule", str(rule_path),
+    rule = files("bossy.json", rule_to_dict(inst, bossy_flip_rule(inst)))
+    code = run([
+        "check-rule", "--rule", rule,
         "--axiom", "group-strategy-proof", "--max-coalition", "1", "--workers", "1",
-    )
-    assert code == 0 and payload["result"]["verdict"] == "pass"
+    ])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "unrecognized arguments: --max-coalition" in captured.err
     code, payload = invoke(
-        capsys, "check-rule", "--rule", str(rule_path),
+        capsys, "check-rule", "--rule", rule,
         "--axiom", "group-strategy-proof", "--workers", "1",
     )
     assert code == 1 and payload["result"]["witness"]["kind"] == "group_manipulation"
@@ -409,15 +410,6 @@ def test_malformed_lottery_table_is_a_format_error(capsys, files):
     assert error["type"] == "FormatError" and "lottery" in error["message"]
 
 
-def test_coalition_cap_below_one_is_a_bounds_error(capsys, files):
-    inst = files("i.json", INSTANCE_3CYCLE)
-    error = _error(
-        capsys, "check-rule", "--instance", inst, "--rule", "sd",
-        "--axiom", "group-strategy-proof", "--max-coalition", "0", "--workers", "1",
-    )
-    assert error["type"] == "BoundsError" and "coalition" in error["message"]
-
-
 @pytest.mark.parametrize("workers", ["0", "-5"])
 def test_worker_count_below_one_is_a_bounds_error(capsys, files, workers):
     inst = files("i.json", INSTANCE_3CYCLE)
@@ -482,3 +474,44 @@ def test_unexpected_error_exits_2_not_1(capsys, monkeypatch):
     monkeypatch.setitem(cli._HANDLERS, "gen-instance", broken)
     error = _error(capsys, "gen-instance", "--n", "2", "--k", "2")
     assert error == {"type": "RuntimeError", "message": "internal"}
+
+
+class _ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_2_without_a_traceback(capsys, files, monkeypatch):
+    """Exit code 1 means a witnessed fail, so a fail whose report cannot be
+    written exits 2, like any other error."""
+    inst = files("i.json", INSTANCE_3CYCLE)
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = run([
+        "check-rule", "--instance", inst, "--rule", "sd",
+        "--axiom", "equal-treatment", "--workers", "1",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_exits_2():
+    """The process exits 2 too.  With stdout buffered, as it is on a pipe, the
+    unwritten report stays in the buffer, and the interpreter's last flush of
+    it must not fail again, which would exit 120."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "axiomlab.cli", "gen-instance", "--n", "2", "--k", "2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert out.returncode == 2
+    assert out.stderr == ""

@@ -19,7 +19,7 @@ from axiomlab import (
     enumerate_profiles,
     evaluate,
 )
-from axiomlab.axioms import _DEFINITIONS, Axiom, CheckOptions, _Context, replay_witness
+from axiomlab.axioms import _DEFINITIONS, Axiom, _Context, replay_witness
 from axiomlab.model import NULL_BOTTOM
 from axiomlab.preferences import all_preferences
 from axiomlab.rules import random_tabulated_rule, rule_label
@@ -30,26 +30,22 @@ NULL3 = Instance(3, (1, 1, 1, 1), null_object=0, domain=NULL_BOTTOM)
 SLACK4 = Instance(4, (2, 1, 1))
 NULL4 = Instance(4, (1, 1, 1, 1), null_object=0, domain=NULL_BOTTOM)
 
-#: The four incentive axioms, with the coalition cap each is checked at.
+#: The four incentive axioms.
 CASES = [
-    (Axiom.STRATEGY_PROOF, None),
-    (Axiom.NON_BOSSY, None),
-    (Axiom.PAIRWISE_STRATEGY_PROOF, None),
-    (Axiom.GROUP_STRATEGY_PROOF, None),
-    (Axiom.GROUP_STRATEGY_PROOF, 2),
+    Axiom.STRATEGY_PROOF,
+    Axiom.NON_BOSSY,
+    Axiom.PAIRWISE_STRATEGY_PROOF,
+    Axiom.GROUP_STRATEGY_PROOF,
 ]
 
 
-def brute_force_deviations(inst, axiom, cap):
+def brute_force_deviations(inst, axiom):
     """Every deviation in scan order: agents then misreports, or coalitions by
     size then membership, then every joint report lexicographically."""
     n, preferences = inst.n, all_preferences(inst)
     if axiom in (Axiom.STRATEGY_PROOF, Axiom.NON_BOSSY):
         return list(product(range(n), preferences))
-    if axiom is Axiom.PAIRWISE_STRATEGY_PROOF:
-        sizes = (2,)
-    else:
-        sizes = range(1, (n if cap is None else min(cap, n)) + 1)
+    sizes = (2,) if axiom is Axiom.PAIRWISE_STRATEGY_PROOF else range(1, n + 1)
     return [
         (coalition, reports)
         for size in sizes
@@ -64,9 +60,9 @@ def table_of(inst, rule):
 
 
 @lru_cache(maxsize=None)
-def oracle_report(inst, rule, axiom, cap=None):
+def oracle_report(inst, rule, axiom):
     """The ``to_dict()`` of a scan that runs the axiom's body on every deviation."""
-    deviations = brute_force_deviations(inst, axiom, cap)
+    deviations = brute_force_deviations(inst, axiom)
     violation, ctx, outcomes = _DEFINITIONS[axiom].violation, _Context(inst), table_of(inst, rule)
     verdict, witness, checked = "pass", None, 0
     for checked, profile in enumerate(enumerate_profiles(inst), 1):
@@ -118,30 +114,30 @@ FAMILY = {
 }
 
 
-def assert_agrees_with_oracle(inst, rule, axiom, cap, workers=(1,)):
-    expected = oracle_report(inst, rule, axiom, cap)
+def assert_agrees_with_oracle(inst, rule, axiom, workers=(1,)):
+    expected = oracle_report(inst, rule, axiom)
     for count in workers:
-        report = check_axiom(inst, rule, axiom, CheckOptions(max_coalition=cap, workers=count))
-        assert report.to_dict() == expected, (axiom, cap, count)
+        report = check_axiom(inst, rule, axiom, workers=count)
+        assert report.to_dict() == expected, (axiom, count)
         if not report.passed:
-            assert replay_witness(inst, rule, axiom, report.witness), (axiom, cap)
+            assert replay_witness(inst, rule, axiom, report.witness), axiom
 
 
-@pytest.mark.parametrize("axiom, cap", CASES)
+@pytest.mark.parametrize("axiom", CASES)
 @pytest.mark.parametrize("name", list(FAMILY))
-def test_menus_agree_with_the_brute_force_oracle(name, axiom, cap):
-    assert_agrees_with_oracle(*FAMILY[name], axiom, cap, workers=(1, 2))
+def test_menus_agree_with_the_brute_force_oracle(name, axiom):
+    assert_agrees_with_oracle(*FAMILY[name], axiom, workers=(1, 2))
 
 
 def test_family_has_passing_and_failing_rules():
-    def verdicts(names, axiom, cap):
-        return {oracle_report(*FAMILY[name], axiom, cap)["verdict"] for name in names}
+    def verdicts(names, axiom):
+        return {oracle_report(*FAMILY[name], axiom)["verdict"] for name in names}
 
-    for axiom, cap in CASES:
-        assert verdicts(("slack4-sd0123", "null4-sd3120"), axiom, cap) == {"pass"}
-        assert verdicts(("slack4-random11", "null4-random12"), axiom, cap) == {"fail"}
-    assert verdicts(("unit3-bossy",), Axiom.STRATEGY_PROOF, None) == {"pass"}
-    assert verdicts(("unit3-bossy",), Axiom.NON_BOSSY, None) == {"fail"}
+    for axiom in CASES:
+        assert verdicts(("slack4-sd0123", "null4-sd3120"), axiom) == {"pass"}
+        assert verdicts(("slack4-random11", "null4-random12"), axiom) == {"fail"}
+    assert verdicts(("unit3-bossy",), Axiom.STRATEGY_PROOF) == {"pass"}
+    assert verdicts(("unit3-bossy",), Axiom.NON_BOSSY) == {"fail"}
     for name in ("unit3", "slack3", "null3"):
         report = oracle_report(*FAMILY[f"{name}-sd012-perturbed"], Axiom.GROUP_STRATEGY_PROOF)
         assert report["verdict"] == "fail" and report["profiles_checked"] > 1
@@ -151,5 +147,5 @@ def test_family_has_passing_and_failing_rules():
 @given(st.sampled_from([UNIT3, SLACK3, NULL3]), st.integers(0, 215), st.integers(0, 23))
 def test_perturbations_of_sd_agree_with_the_oracle_and_replay(inst, index, choice):
     rule = perturbed_sd(inst, index, choice)
-    for axiom, cap in CASES:
-        assert_agrees_with_oracle(inst, rule, axiom, cap)
+    for axiom in CASES:
+        assert_agrees_with_oracle(inst, rule, axiom)

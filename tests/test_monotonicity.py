@@ -26,12 +26,14 @@ from axiomlab import (
     evaluate_lottery,
     is_monotonic_transformation,
 )
-from axiomlab.axioms import Axiom, AxiomNotApplicable, CheckOptions, replay_witness
+from axiomlab.axioms import Axiom, AxiomNotApplicable, replay_witness
 from axiomlab.model import NULL_BOTTOM
 from axiomlab.rules import is_lottery_rule, random_tabulated_rule
 
 UNIT3 = Instance(3, (1, 1, 1))
 NULL3 = Instance(3, (1, 1, 1, 1), null_object=0, domain=NULL_BOTTOM)
+SLACK4 = Instance(4, (2, 1, 1))
+NULL4 = Instance(4, (1, 1, 1, 1), null_object=0, domain=NULL_BOTTOM)
 SD = SerialDictatorshipRule((0, 1, 2))
 RSD = RandomSerialDictatorshipRule()
 MONOTONICITY = (Axiom.MASKIN_MONOTONIC, Axiom.PROB_MONOTONIC)
@@ -178,6 +180,32 @@ def test_single_agent_steps_agree_with_the_all_pairs_oracle(name):
     assert_agrees_with_oracle(*FAMILY[name])
 
 
+#: Four agents: SD, which passes, and SD with the entry at one profile replaced
+#: by another matching, which fails mid-domain.  The first violation of
+#: ``slack4-sd-perturbed-148`` and ``null4-sd-perturbed-111`` is a step of the
+#: fourth agent.  Fixed cases, since one run of the all-pairs oracle on 1,296
+#: profiles takes seconds.
+FOUR_AGENT_CASES = {
+    "slack4-sd": (SLACK4, (0, 1, 2, 3), None),
+    "slack4-sd-perturbed-148": (SLACK4, (0, 1, 2, 3), (148, 3)),
+    "slack4-sd-perturbed-400": (SLACK4, (0, 1, 2, 3), (400, 5)),
+    "null4-sd": (NULL4, (3, 1, 2, 0), None),
+    "null4-sd-perturbed-111": (NULL4, (3, 1, 2, 0), (111, 5)),
+    "null4-sd-perturbed-777": (NULL4, (3, 1, 2, 0), (777, 9)),
+}
+
+
+@pytest.mark.parametrize("name", list(FOUR_AGENT_CASES))
+def test_four_agent_steps_agree_with_the_all_pairs_oracle(name):
+    inst, order, change = FOUR_AGENT_CASES[name]
+    rule = SerialDictatorshipRule(order)
+    if change is not None:
+        index, matching = change
+        rule = perturbed(inst, rule, index, matching, matching)
+    assert check_axiom(inst, rule, Axiom.MASKIN_MONOTONIC).passed == (change is None)
+    assert_agrees_with_oracle(inst, rule)
+
+
 def test_family_has_passing_and_failing_rules():
     verdicts = {
         name: check_axiom(inst, rule, Axiom.PROB_MONOTONIC).passed
@@ -228,7 +256,7 @@ def test_perturbation_reports_do_not_depend_on_the_worker_count(args):
         reports = []
         for workers in (1, 2):
             try:
-                report = check_axiom(inst, rule, axiom, CheckOptions(workers=workers), endowment)
+                report = check_axiom(inst, rule, axiom, endowment, workers=workers)
                 reports.append(report.to_dict())
             except AxiomNotApplicable as error:
                 reports.append(str(error))
@@ -254,4 +282,4 @@ def test_a_table_missing_its_last_profile_raises(axiom, base, workers):
     else:
         rule = TabulatedLotteryRule({p: evaluate_lottery(UNIT3, rule, p) for p in table})
     with pytest.raises(TableMiss):
-        check_axiom(UNIT3, rule, axiom, CheckOptions(workers=workers))
+        check_axiom(UNIT3, rule, axiom, workers=workers)
