@@ -496,6 +496,58 @@ def test_closed_stdout_exits_2_without_a_traceback(capsys, files, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+#: One invocation of every command, each of which writes its report on stdout.
+#: ``files`` writes the instance, profile and matching it names.
+EVERY_COMMAND = {
+    "gen-instance": lambda f: ["gen-instance", "--n", "2", "--k", "2"],
+    "rsd": lambda f: ["rsd", "--instance", f("i"), "--profile", f("p")],
+    "sd": lambda f: ["sd", "--instance", f("i"), "--profile", f("p")],
+    "ttc": lambda f: ["ttc", "--instance", f("i"), "--profile", f("p")],
+    "check-matching": lambda f: [
+        "check-matching", "--instance", f("i"), "--profile", f("p"),
+        "--matching", f("m"), "--axiom", "pareto",
+    ],
+    "check-rule": lambda f: [
+        "check-rule", "--instance", f("i"), "--rule", "sd",
+        "--axiom", "group-strategy-proof", "--workers", "1",
+    ],
+    "verify-thm1": lambda f: ["verify-thm1", "--instance", f("i"), "--rule", "sd", "--workers", "1"],
+    "verify-prop1": lambda f: ["verify-prop1", "--instance", f("i"), "--rule", "ttc", "--workers", "1"],
+    "replay-proof": lambda f: [
+        "replay-proof", "--instance", f("i"), "--profile", f("p"), "--matching", f("m"),
+    ],
+    "replay-appendix": lambda f: [
+        "replay-appendix", "--instance", f("null-i"), "--profile", f("null-p"),
+        "--matching", f("null-m"),
+    ],
+    "search-cex": lambda f: [
+        "search-cex", "--instance", f("i"), "--require", "ex-post-pairwise",
+        "--violate", "ex-post-pareto", "--budget", "5",
+    ],
+    "error-report": lambda f: ["check-rule", "--instance", f("missing"), "--rule", "sd",
+                               "--axiom", "strategy-proof", "--workers", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(EVERY_COMMAND))
+def test_every_command_exits_2_on_a_closed_stdout(capsys, files, monkeypatch, tmp_path, command):
+    """Every report, error reports included, is written in one guarded place."""
+    payloads = {
+        "i": INSTANCE_3CYCLE, "p": PROFILE_3CYCLE, "m": MATCHING_3CYCLE,
+        "null-i": NULL_TOY_INSTANCE, "null-p": NULL_TOY_PROFILE, "null-m": NULL_TOY_MATCHING,
+    }
+
+    def path(name):
+        if name in payloads:
+            return files(f"{name}.json", payloads[name])
+        return str(tmp_path / f"{name}.json")
+
+    argv = EVERY_COMMAND[command](path)
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert run(argv) == 2
+    assert capsys.readouterr().err == ""
+
+
 def test_closed_stdout_pipe_exits_2():
     """The process exits 2 too.  With stdout buffered, as it is on a pipe, the
     unwritten report stays in the buffer, and the interpreter's last flush of

@@ -79,9 +79,9 @@ def oracle_report(inst, rule, axiom):
     }
 
 
-def perturbed_sd(inst, index, choice):
+def perturbed_sd(inst, index, choice, order=(0, 1, 2)):
     """SD's table with the ``index``-th profile's matching replaced."""
-    table = dict(table_of(inst, SerialDictatorshipRule((0, 1, 2))))
+    table = dict(table_of(inst, SerialDictatorshipRule(order)))
     profile = list(table)[index % len(table)]
     universe = enumerate_matchings(inst)
     table[profile] = universe[choice % len(universe)]
@@ -111,6 +111,10 @@ FAMILY = {
     "slack4-random11": (SLACK4, random_tabulated_rule(SLACK4, 11)),
     "null4-sd3120": (NULL4, SerialDictatorshipRule((3, 1, 2, 0))),
     "null4-random12": (NULL4, random_tabulated_rule(NULL4, 12)),
+    # Four agents, failing mid-domain, so coalitions of three and four agents
+    # are scanned on many blocks before the first violation.
+    "slack4-sd0123-perturbed": (SLACK4, perturbed_sd(SLACK4, 600, 5, (0, 1, 2, 3))),
+    "null4-sd3120-perturbed": (NULL4, perturbed_sd(NULL4, 700, 3, (3, 1, 2, 0))),
 }
 
 
@@ -138,8 +142,8 @@ def test_family_has_passing_and_failing_rules():
         assert verdicts(("slack4-random11", "null4-random12"), axiom) == {"fail"}
     assert verdicts(("unit3-bossy",), Axiom.STRATEGY_PROOF) == {"pass"}
     assert verdicts(("unit3-bossy",), Axiom.NON_BOSSY) == {"fail"}
-    for name in ("unit3", "slack3", "null3"):
-        report = oracle_report(*FAMILY[f"{name}-sd012-perturbed"], Axiom.GROUP_STRATEGY_PROOF)
+    for name in ("unit3-sd012", "slack3-sd012", "null3-sd012", "slack4-sd0123", "null4-sd3120"):
+        report = oracle_report(*FAMILY[f"{name}-perturbed"], Axiom.GROUP_STRATEGY_PROOF)
         assert report["verdict"] == "fail" and report["profiles_checked"] > 1
 
 
