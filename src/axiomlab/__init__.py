@@ -21,11 +21,9 @@ from .errors import (
     TableMiss,
 )
 from .matchings import (
-    ImprovementCycle,
     apply_cycle,
     blocking_pair,
     find_dominating,
-    find_improvement_cycle,
     is_non_wasteful,
     is_pairwise_efficient,
     is_pareto_efficient,

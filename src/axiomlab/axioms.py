@@ -501,6 +501,12 @@ def _scan(inst, rule, axiom, endowment, start=0, stop=None):
     return None
 
 
+def require_workers(workers: int) -> None:
+    """A worker count below 1 is a BoundsError."""
+    if workers < 1:
+        raise BoundsError(f"a worker count of {workers} is below 1")
+
+
 def check_axiom(
     inst: Instance,
     rule: RuleDescriptor,
@@ -519,8 +525,7 @@ def check_axiom(
     lottery.
     """
     axiom = Axiom(axiom)
-    if workers < 1:
-        raise BoundsError(f"a worker count of {workers} is below 1")
+    require_workers(workers)
     if axiom in DETERMINISTIC_ONLY and is_lottery_rule(rule):
         raise AxiomNotApplicable(f"{axiom.value} is defined for deterministic rules only")
     if axiom is Axiom.INDIVIDUAL_RATIONALITY:

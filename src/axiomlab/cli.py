@@ -30,6 +30,7 @@ from .rules import (
     evaluate,
 )
 from .theorems import (
+    RULE_SPACES,
     replay_theorem1_proof,
     replay_theorem3_proof,
     search_counterexample,
@@ -104,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--violate", required=True, choices=sorted(AXIOM_NAMES))
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rule-space", choices=("deterministic", "lottery"), default="deterministic")
+    p.add_argument("--rule-space", choices=RULE_SPACES, default="deterministic")
     p.add_argument("--rule-out", help="write any found rule table to this path")
     return parser
 
@@ -160,44 +161,12 @@ def gen_instance(seed: int, n: int, k: int, capacity_style: str, domain: str = G
     return inst, profile
 
 
-def _named_profiles(report: dict, names) -> dict:
-    """Convert the profile/matching payloads of a replay report to names."""
-    out = dict(report)
-    for key in ("pushed_profile", "rearranged_profile"):
-        if key in out:
-            out[key] = jsonio.profile_to_lists(out[key], names)
-    if "survivors" in out:
-        out["survivors"] = [jsonio.matching_to_list(m, names) for m in out["survivors"]]
-    if "sequence" in out:
-        out["sequence"] = [jsonio.profile_to_lists(p, names) for p in out["sequence"]]
-    if "blocking_swap" in out:
-        swap = dict(out["blocking_swap"])
-        swap["objects"] = [names[o] for o in swap["objects"]]
-        out["blocking_swap"] = swap
-    if "delegated" in out:
-        out["delegated"] = _named_profiles(out["delegated"], names)
-    return out
-
-
-def _verdict_payload(verdict, names) -> dict:
-    payload = verdict.to_dict()
-    payload["witness"] = jsonio.witness_with_names(payload["witness"], names)
-    payload["hypotheses_verified"] = [
-        {**h, "witness": jsonio.witness_with_names(h["witness"], names)}
-        for h in payload["hypotheses_verified"]
-    ]
-    return payload
-
-
 def _cmd_gen_instance(args):
     domain = NULL_BOTTOM if args.domain == "null-bottom" else GENERAL
     inst, profile = gen_instance(args.seed, args.n, args.k, args.capacity_style, domain)
     names = jsonio.default_object_names(inst)
-    result = {
-        "instance": jsonio.instance_to_dict(inst, names),
-        "profile": jsonio.profile_to_lists(profile, names),
-    }
-    return 0, result
+    named = jsonio.with_names({"profile": profile}, names)
+    return 0, {"instance": jsonio.instance_to_dict(inst, names), **named}
 
 
 def _cmd_rule_eval(args):
@@ -206,11 +175,10 @@ def _cmd_rule_eval(args):
     if args.command == "rsd":
         return 0, {"lottery": jsonio.lottery_to_list(outcome, names)}
     if args.command == "sd":
-        return 0, {"order": list(rule.order), "matching": jsonio.matching_to_list(outcome, names)}
-    return 0, {
-        "endowment": jsonio.matching_to_list(rule.endowment, names),
-        "matching": jsonio.matching_to_list(outcome, names),
-    }
+        result = {"order": rule.order, "matching": outcome}
+    else:
+        result = {"endowment": rule.endowment, "matching": outcome}
+    return 0, jsonio.with_names(result, names)
 
 
 def _cmd_check_matching(args):
@@ -220,11 +188,11 @@ def _cmd_check_matching(args):
     witness = matching_verdict(inst, matching, profile, args.axiom)
     result = {
         "axiom": args.axiom,
-        "matching": jsonio.matching_to_list(matching, names),
+        "matching": matching,
         "verdict": "pass" if witness is None else "fail",
-        "witness": jsonio.witness_with_names(witness, names),
+        "witness": witness,
     }
-    return (0 if witness is None else 1), result
+    return (0 if witness is None else 1), jsonio.with_names(result, names)
 
 
 def _cmd_check_rule(args):
@@ -237,17 +205,16 @@ def _cmd_check_rule(args):
         if getattr(args, "endowment", None):
             endowment = jsonio.load_matching(args.endowment, inst, names)
     report = check_axiom(inst, rule, axiom, endowment, workers=args.workers)
-    payload = report.to_dict()
-    payload["witness"] = jsonio.witness_with_names(payload["witness"], names)
     timing = {"check_wall_time_s": round(report.wall_time, 6)}
-    return (0 if report.passed else 1), payload, timing
+    return (0 if report.passed else 1), jsonio.with_names(report.to_dict(), names), timing
 
 
 def _cmd_verify(args):
     inst, names, rule = _load_rule(args)
     harness = verify_theorem1 if args.command == "verify-thm1" else verify_proposition1
     verdict = harness(inst, rule, workers=args.workers)
-    return (0 if verdict.passed else 1), _verdict_payload(verdict, names), dict(verdict.timings)
+    payload = jsonio.with_names(verdict.to_dict(), names)
+    return (0 if verdict.passed else 1), payload, dict(verdict.timings)
 
 
 def _cmd_replay(args):
@@ -265,7 +232,7 @@ def _cmd_replay(args):
     timing = report.pop("timings", {})
     if "delegated" in report:
         timing = report["delegated"].pop("timings", {})
-    return (0 if report["passed"] else 1), _named_profiles(report, names), timing
+    return (0 if report["passed"] else 1), jsonio.with_names(report, names), timing
 
 
 def _cmd_search_cex(args):
@@ -283,12 +250,12 @@ def _cmd_search_cex(args):
         "required": result.required,
         "violated": result.violated,
         "candidates_tried": result.candidates_tried,
-        "witness": jsonio.witness_with_names(result.witness, names),
+        "witness": result.witness,
     }
     if result.found and args.rule_out:
         jsonio.dump_json_file(args.rule_out, jsonio.rule_to_dict(inst, result.rule, names))
         payload["rule_file"] = args.rule_out
-    return (1 if result.found else 0), payload
+    return (1 if result.found else 0), jsonio.with_names(payload, names)
 
 
 _HANDLERS = {

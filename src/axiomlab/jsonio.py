@@ -102,7 +102,9 @@ def instance_from_dict(data: dict) -> tuple[Instance, ObjectNames]:
     names = tuple(str(obj["name"]) for obj in data["objects"])
     if len(set(names)) != len(names):
         raise FormatError(f"duplicate object names: {names}")
-    capacities = tuple(int(obj["capacity"]) for obj in data["objects"])
+    sizes = [data["n"], *(obj["capacity"] for obj in data["objects"])]
+    if any(type(size) is not int for size in sizes):  # int() would read 1.9 or true as 1
+        raise FormatError(f"'n' and each capacity must be JSON integers, got {json.dumps(sizes)}")
     null_name = data.get("null_object")
     null_object = None
     if null_name is not None:
@@ -114,7 +116,7 @@ def instance_from_dict(data: dict) -> tuple[Instance, ObjectNames]:
     domain = data.get("domain", GENERAL)
     if domain not in (GENERAL, NULL_BOTTOM):
         raise FormatError(f"unknown domain {domain!r}")
-    return Instance(int(data["n"]), capacities, null_object, domain), names
+    return Instance(sizes[0], tuple(sizes[1:]), null_object, domain), names
 
 
 def load_instance(path: str) -> tuple[Instance, ObjectNames]:
@@ -152,10 +154,6 @@ def load_profile(path: str, inst: Instance, names: ObjectNames) -> Profile:
     return profile_from_dict(load_json_file(path), inst, names)
 
 
-def profile_to_lists(profile: Profile, names: ObjectNames) -> list[list[str]]:
-    return [[names[o] for o in pref] for pref in profile]
-
-
 def matching_from_dict(data: Any, inst: Instance, names: ObjectNames) -> Matching:
     if isinstance(data, dict) and "matching" in data:
         data = data["matching"]
@@ -171,15 +169,12 @@ def load_matching(path: str, inst: Instance, names: ObjectNames) -> Matching:
     return matching_from_dict(load_json_file(path), inst, names)
 
 
-def matching_to_list(matching: Matching, names: ObjectNames) -> list[str]:
-    return [names[o] for o in matching]
-
-
 def lottery_to_list(lottery: Lottery, names: ObjectNames) -> list[dict]:
-    return [
-        {"matching": matching_to_list(m, names), "weight": format_fraction(w)}
-        for m, w in lottery.items()
-    ]
+    return with_names(_weighted(lottery), names)
+
+
+def _weighted(lottery: Lottery) -> list[dict]:
+    return [{"matching": m, "weight": format_fraction(w)} for m, w in lottery.items()]
 
 
 @_schema("lottery")
@@ -191,43 +186,40 @@ def lottery_from_list(data: list, inst: Instance, names: ObjectNames) -> Lottery
     return Lottery.from_weights(weights)
 
 
-_PROFILE_KEYS = {"profile", "transformed"}
-_MATCHING_KEYS = {
-    "matching",
-    "swapped",
-    "outcome",
-    "flipped_outcome",
-    "new_outcome",
+#: Report keys whose values hold object ids, with the depth of their nesting:
+#: 0 is one object, 1 a list of them (a matching or a ranking), 2 a list of
+#: those (a profile, or a list of matchings), 3 a list of profiles.
+_ID_DEPTH = {
+    **dict.fromkeys(("truthful_allotment", "manipulated_allotment"), 0),
+    **dict.fromkeys(("matching", "swapped", "outcome", "flipped_outcome", "new_outcome"), 1),
+    **dict.fromkeys(("endowment", "misreport", "objects"), 1),
+    **dict.fromkeys(("profile", "transformed", "misreports"), 2),
+    **dict.fromkeys(("pushed_profile", "rearranged_profile", "survivors"), 2),
+    "sequence": 3,
 }
-_PREFERENCE_KEYS = {"misreport"}
-_PREFERENCE_LIST_KEYS = {"misreports"}
-_OBJECT_KEYS = {"truthful_allotment", "manipulated_allotment"}
-_OBJECT_LIST_KEYS = {"objects"}
 
 
-def witness_with_names(witness: dict | None, names: ObjectNames) -> dict | None:
-    """Replace object ids with names in a witness; agent ids stay numeric."""
-    if witness is None:
-        return None
-    out: dict = {}
-    for key, value in witness.items():
-        if value is None:
-            out[key] = None
-        elif key in _PROFILE_KEYS:
-            out[key] = profile_to_lists(tuple(tuple(p) for p in value), names)
-        elif key in _MATCHING_KEYS:
-            out[key] = matching_to_list(tuple(value), names)
-        elif key in _PREFERENCE_KEYS:
-            out[key] = [names[o] for o in value]
-        elif key in _PREFERENCE_LIST_KEYS:
-            out[key] = [[names[o] for o in pref] for pref in value]
-        elif key in _OBJECT_KEYS:
-            out[key] = names[value]
-        elif key in _OBJECT_LIST_KEYS:
-            out[key] = [names[o] for o in value]
-        else:
-            out[key] = value
-    return out
+def with_names(report: Any, names: ObjectNames) -> Any:
+    """Replace the object ids in an id-based report with names; agent ids stay numeric.
+
+    Every value under a key of ``_ID_DEPTH`` is converted; every other dict
+    and list is walked into, so nested witnesses and replays are named too.
+
+    >>> with_names({"agents": [0, 1], "objects": [1, 0], "witness": None}, ("a", "b"))
+    {'agents': [0, 1], 'objects': ['b', 'a'], 'witness': None}
+    """
+    return _named(report, None, names)
+
+
+def _named(value: Any, depth: int | None, names: ObjectNames) -> Any:
+    """``value`` with names for ids; ``depth`` is None where no id is expected yet."""
+    if depth == 0:
+        return names[value]
+    if isinstance(value, dict):
+        return {key: _named(item, _ID_DEPTH.get(key), names) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_named(item, None if depth is None else depth - 1, names) for item in value]
+    return value
 
 
 def rule_to_dict(
@@ -237,19 +229,17 @@ def rule_to_dict(
     names = names or default_object_names(inst)
     if not isinstance(rule, (TabulatedDeterministicRule, TabulatedLotteryRule)):
         raise FormatError(f"only tabulated rules serialize to tables, got {rule_label(rule)}")
-    entries = []
-    for profile in sorted(rule.table):
-        value = rule.table[profile]
-        record = {"profile": profile_to_lists(profile, names)}
-        if isinstance(rule, TabulatedDeterministicRule):
-            record["matching"] = matching_to_list(value, names)
-        else:
-            record["lottery"] = lottery_to_list(value, names)
-        entries.append(record)
+    deterministic = isinstance(rule, TabulatedDeterministicRule)
+    entries = [
+        {"profile": profile, "matching": value}
+        if deterministic
+        else {"profile": profile, "lottery": _weighted(value)}
+        for profile, value in sorted(rule.table.items())
+    ]
     return {
-        "kind": "deterministic" if isinstance(rule, TabulatedDeterministicRule) else "lottery",
+        "kind": "deterministic" if deterministic else "lottery",
         "instance": instance_to_dict(inst, names),
-        "entries": entries,
+        "entries": with_names(entries, names),
     }
 
 

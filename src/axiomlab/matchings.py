@@ -1,4 +1,4 @@
-"""Efficiency predicates on matchings and improvement-cycle machinery.
+"""Efficiency predicates on matchings, improvement cycles and trade cycles.
 
 ``matching_verdict`` is the one routine that judges a matching against an
 efficiency notion (Pareto efficiency, pairwise efficiency, non-wastefulness)
@@ -6,50 +6,17 @@ and builds the failure witness; the ex-post axioms, the ``check-matching``
 command and the counterexample search all go through it.  It decides Pareto
 efficiency by the characterization of Abdulkadiroğlu and Sönmez (1998): a
 matching is Pareto efficient iff it is non-wasteful and has no improvement
-cycle.  ``is_pareto_efficient``, a scan of every feasible matching, is the
-oracle the tests hold that decision to.  All tie-breaking is fixed (lowest
-agent ids first) so every witness is reproducible byte for byte.
+cycle; its ``cycle`` witness is the only public form of that cycle.
+``is_pareto_efficient``, a scan of every feasible matching, is the oracle
+the tests hold that decision to.  All tie-breaking is fixed (lowest agent
+ids first) so every witness is reproducible byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionViolated
 from .model import Instance, Matching, enumerate_matchings, is_feasible, object_usage
 from .preferences import Profile, preference_ranks, prefers
-
-
-@dataclass(frozen=True)
-class ImprovementCycle:
-    """Agents who each strictly prefer the next agent's allotment, cyclically.
-
-    ``objects[t]`` is the current allotment of ``agents[t]``; clearing the
-    cycle hands it to ``agents[t-1]``.
-    """
-
-    agents: tuple[int, ...]
-    objects: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.agents) < 2 or len(self.agents) != len(self.objects):
-            raise PreconditionViolated("a cycle needs at least two agent/object pairs")
-
-    @property
-    def length(self) -> int:
-        return len(self.agents)
-
-    def verify(self, matching: Matching, profile: Profile) -> bool:
-        """Re-check the cycle against a matching and profile."""
-        ell = self.length
-        for t in range(ell):
-            agent = self.agents[t]
-            nxt = self.agents[(t + 1) % ell]
-            if matching[agent] != self.objects[t]:
-                return False
-            if not prefers(profile[agent], matching[nxt], matching[agent]):
-                return False
-        return True
 
 
 def pareto_dominates(candidate: Matching, matching: Matching, profile: Profile) -> bool:
@@ -165,29 +132,15 @@ def matching_verdict(
     cycle = _shortest_improvement_cycle(matching, profile)
     if cycle is None:
         return None
-    return {"kind": "cycle", "agents": list(cycle.agents), "objects": list(cycle.objects)}
+    return {"kind": "cycle", "agents": list(cycle), "objects": [matching[a] for a in cycle]}
 
 
-def find_improvement_cycle(
-    inst: Instance, matching: Matching, profile: Profile
-) -> ImprovementCycle | None:
-    """Shortest improvement cycle of a non-wasteful matching, or None.
+def _shortest_improvement_cycle(matching: Matching, profile: Profile) -> tuple[int, ...] | None:
+    """Agents of the shortest cycle where each wants the next one's allotment, or None.
 
-    Ties are broken by lowest starting agent id, then lowest next-agent id,
-    so the returned witness is deterministic.  All objects on a shortest
-    cycle are mutually distinct.  Wasteful matchings are rejected: slack
-    capacity makes improvement chains, not cycles, and wastefulness is
-    reported separately.
+    Ties go to the lowest starting agent, then the lowest next agent.  The
+    caller rules out waste first: slack capacity makes chains, not cycles.
     """
-    if not is_feasible(inst, matching):
-        raise PreconditionViolated(f"matching {matching} is infeasible")
-    if not is_non_wasteful(inst, matching, profile):
-        raise PreconditionViolated("matching is wasteful; no cycle search performed")
-    return _shortest_improvement_cycle(matching, profile)
-
-
-def _shortest_improvement_cycle(matching: Matching, profile: Profile) -> ImprovementCycle | None:
-    """The DFS behind ``find_improvement_cycle``; the caller checks its preconditions."""
     n = len(matching)
     wants = [
         [j for j in range(n) if j != i and prefers(profile[i], matching[j], matching[i])]
@@ -209,9 +162,7 @@ def _shortest_improvement_cycle(matching: Matching, profile: Profile) -> Improve
         for start in range(n):
             found = extend([start], length, start)
             if found is not None:
-                return ImprovementCycle(
-                    agents=found, objects=tuple(matching[i] for i in found)
-                )
+                return found
     return None
 
 

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
 
-from .axioms import DETERMINISTIC_ONLY, EX_POST_KINDS, Axiom, check_axiom
+from .axioms import DETERMINISTIC_ONLY, EX_POST_KINDS, Axiom, check_axiom, require_workers
 from .errors import AxiomNotApplicable, BoundsError, PreconditionViolated
 from .matchings import (
     blocking_pair,
@@ -144,10 +144,12 @@ def _theorem_label(inst: Instance, rule: RuleDescriptor) -> str:
 def _checker(inst: Instance, rule: RuleDescriptor, workers: int):
     """``check_axiom`` on one outcome table of the rule, reported under the rule's own label.
 
-    The rule is evaluated here, once, unless it is a table already.  A
-    deterministic table is viewed as weight-1 lotteries once, on the first
-    lottery axiom, so the lottery checks read that view in place.
+    The worker count is checked first.  The rule is evaluated here, once,
+    unless it is a table already.  A deterministic table is viewed as
+    weight-1 lotteries once, on the first lottery axiom, so the lottery
+    checks read that view in place.
     """
+    require_workers(workers)
     table = rule
     if not isinstance(rule, (TabulatedDeterministicRule, TabulatedLotteryRule)):
         tabulate = TabulatedLotteryRule if is_lottery_rule(rule) else TabulatedDeterministicRule
@@ -467,6 +469,10 @@ class SearchResult:
         return self.status == "found"
 
 
+#: The kinds of tabulated rule ``search_counterexample`` draws candidates from.
+RULE_SPACES = ("deterministic", "lottery")
+
+
 def search_counterexample(
     inst: Instance,
     required: list[Axiom],
@@ -482,10 +488,13 @@ def search_counterexample(
     axiom; one greedy candidate is tried first, then seeded random ones.
     Every candidate is screened by the full checkers, so a returned rule has
     already been independently re-verified.  ``budget`` bounds the number of
-    candidates tried; a budget below 1 is a BoundsError.
+    candidates tried; a budget below 1 is a BoundsError, and a
+    ``rule_space`` outside ``RULE_SPACES`` a PreconditionViolated.
     """
     if budget < 1:
         raise BoundsError(f"a budget of {budget} tries no candidate")
+    if rule_space not in RULE_SPACES:
+        raise PreconditionViolated(f"unknown rule space {rule_space!r}, not in {RULE_SPACES}")
     required = [Axiom(a) for a in required]
     violated = Axiom(violated)
     rng = random.Random(seed)

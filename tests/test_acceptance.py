@@ -25,10 +25,10 @@ from axiomlab import (
     enumerate_matchings,
     enumerate_profiles,
     find_dominating,
-    find_improvement_cycle,
     is_non_wasteful,
     is_pairwise_efficient,
     is_pareto_efficient,
+    matching_verdict,
     pareto_dominates,
     random_serial_dictatorship,
     replay_theorem1_proof,
@@ -322,7 +322,7 @@ def test_c8_cycle_equivalence(inst):
             if not is_non_wasteful(inst, matching, profile):
                 continue
             inefficient = not is_pareto_efficient(inst, matching, profile, matchings)
-            cycle = find_improvement_cycle(inst, matching, profile)
+            cycle = matching_verdict(inst, matching, profile, "pareto")
             assert inefficient == (cycle is not None)
     report("C8", f"cycle existence equals Pareto inefficiency (n={inst.n})")
 

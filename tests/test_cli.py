@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, exit codes, reproducibility."""
 
+import hashlib
 import io
 import itertools
 import json
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from axiomlab.cli import run
+from axiomlab.cli import AXIOM_NAMES, run
 
 INSTANCE_3CYCLE = {
     "n": 3,
@@ -393,10 +394,15 @@ def test_missing_input_file_is_a_format_error(capsys, tmp_path):
 
 
 def test_object_without_capacity_is_a_format_error(capsys, files):
-    objects = [{"name": "a"}, {"name": "b", "capacity": 1}]
-    inst = files("i.json", dict(INSTANCE_3CYCLE, n=2, objects=objects))
-    error = _error(capsys, "rsd", "--instance", inst, "--profile", inst)
-    assert error["type"] == "FormatError" and "capacity" in error["message"]
+    """Sizes are JSON integers: a missing, fractional, boolean or quoted one is a schema error."""
+    cases = [({}, 2, "capacity")]
+    cases += [({"capacity": bad}, 2, "capacity") for bad in (1.9, 1.0, True, "1")]
+    cases += [({"capacity": 1}, bad, "'n'") for bad in (2.0, True, "2")]
+    for first, n, key in cases:
+        objects = [{"name": "a", **first}, {"name": "b", "capacity": 1}]
+        inst = files("i.json", dict(INSTANCE_3CYCLE, n=n, objects=objects))
+        error = _error(capsys, "rsd", "--instance", inst, "--profile", inst)
+        assert error["type"] == "FormatError" and key in error["message"], (first, n)
 
 
 def test_malformed_lottery_table_is_a_format_error(capsys, files):
@@ -529,23 +535,151 @@ EVERY_COMMAND = {
 }
 
 
+def _random_table(capacities, seed):
+    from axiomlab import Instance
+    from axiomlab.jsonio import rule_to_dict
+    from axiomlab.rules import random_tabulated_rule
+
+    inst = Instance(len(capacities), capacities)
+    return rule_to_dict(inst, random_tabulated_rule(inst, seed))
+
+
+def _objects(**capacities):
+    return [{"name": name, "capacity": c} for name, c in capacities.items()]
+
+
+#: The input files the command tables read, by name; a callable builds its payload.
+INPUTS = {
+    "i": INSTANCE_3CYCLE, "p": PROFILE_3CYCLE, "m": MATCHING_3CYCLE,
+    "null-i": NULL_TOY_INSTANCE, "null-p": NULL_TOY_PROFILE, "null-m": NULL_TOY_MATCHING,
+    "unit-rule": lambda: _random_table((1, 1, 1), 11),
+    "slack-rule": lambda: _random_table((2, 1, 1), 0),
+    "endowment": ["o2", "o3", "o1"],
+    "pair-i": {"n": 2, "objects": _objects(x=1, y=1)},
+    "pair-p": [["y", "x"], ["x", "y"]],
+    "pair-m": ["x", "y"],
+    "slack-i": {"n": 3, "objects": _objects(a=2, b=1, c=1)},
+    "slack-p": [["a", "b", "c"], ["b", "a", "c"], ["a", "c", "b"]],
+    "slack-m": ["a", "b", "c"],
+    # no agent holds the null object, so the Thm3 replay delegates to Thm1's
+    "null3-i": dict(NULL_TOY_INSTANCE, n=3),
+    "null3-p": [["y", "x", "z", "null"], ["x", "y", "z", "null"], ["z", "x", "y", "null"]],
+    "null3-m": ["x", "y", "z"],
+}
+
+
+@pytest.fixture
+def path(files, tmp_path):
+    """Write the input of that name and return its path; an unknown name is a missing file."""
+
+    def write(name):
+        if name not in INPUTS:
+            return str(tmp_path / f"{name}.json")
+        payload = INPUTS[name]
+        return files(f"{name}.json", payload() if callable(payload) else payload)
+
+    return write
+
+
 @pytest.mark.parametrize("command", list(EVERY_COMMAND))
-def test_every_command_exits_2_on_a_closed_stdout(capsys, files, monkeypatch, tmp_path, command):
+def test_every_command_exits_2_on_a_closed_stdout(capsys, path, monkeypatch, command):
     """Every report, error reports included, is written in one guarded place."""
-    payloads = {
-        "i": INSTANCE_3CYCLE, "p": PROFILE_3CYCLE, "m": MATCHING_3CYCLE,
-        "null-i": NULL_TOY_INSTANCE, "null-p": NULL_TOY_PROFILE, "null-m": NULL_TOY_MATCHING,
-    }
-
-    def path(name):
-        if name in payloads:
-            return files(f"{name}.json", payloads[name])
-        return str(tmp_path / f"{name}.json")
-
     argv = EVERY_COMMAND[command](path)
     monkeypatch.setattr(sys, "stdout", _ClosedStdout())
     assert run(argv) == 2
     assert capsys.readouterr().err == ""
+
+
+def _check_rule_fail(axiom):
+    if axiom == "individual-rationality":
+        return lambda f: ["check-rule", "--rule", f("unit-rule"), "--axiom", axiom,
+                          "--endowment", f("endowment"), "--workers", "1"]
+    return lambda f: ["check-rule", "--rule", f("slack-rule"), "--axiom", axiom, "--workers", "1"]
+
+
+def _check_matching(name, axiom):
+    return lambda f: ["check-matching", "--instance", f(f"{name}-i"), "--profile", f(f"{name}-p"),
+                      "--matching", f(f"{name}-m"), "--axiom", axiom]
+
+
+#: Every command of ``EVERY_COMMAND`` that prints a result, a fail of each
+#: axiom and of each matching witness kind, and both kinds of Thm3 replay.
+DIGESTED = {
+    **{name: argv for name, argv in EVERY_COMMAND.items() if name != "error-report"},
+    **{f"check-rule {axiom}": _check_rule_fail(axiom) for axiom in sorted(AXIOM_NAMES)},
+    "check-matching cycle": _check_matching("null", "pareto"),
+    "check-matching swap": _check_matching("pair", "pairwise"),
+    "check-matching waste": _check_matching("slack", "non-wasteful"),
+    "replay-appendix degenerate": lambda f: [
+        "replay-appendix", "--instance", f("null3-i"), "--profile", f("null3-p"),
+        "--matching", f("null3-m"),
+    ],
+}
+
+#: Exit code and sha256 of the ``result`` JSON of each ``DIGESTED`` run,
+#: recorded before object ids were named through one key table.
+RESULT_DIGESTS = {
+    "gen-instance":
+        (0, "8f618941d98666fe39ce1217c23788985c9aec72654070b726488a6fb509fb98"),
+    "rsd":
+        (0, "9cc627777eab7c8c2f875948920d996c076364ed82a6bfe87075f939bfe2f8e1"),
+    "sd":
+        (0, "8817ff5f01dbd3b48240a1767925a3abf9bfe8db8cbf0e2d2575cbae0ee9ce5d"),
+    "ttc":
+        (0, "89577e7fe98655a073d57eb614e66c8432a432306d95f804599f9e3124271f88"),
+    "check-matching":
+        (1, "438178739e27844f8e42cf6813d143dd9e7019bf747abbdd6a87757ebf1b5711"),
+    "check-rule":
+        (0, "5ebdeb5ea835a462161b2ded7b39ed21ecfd430cc88b4bd69ae00199950836e7"),
+    "verify-thm1":
+        (0, "2d270f801b21c53f8141912dba867ec6ff898194e1cb2e5e1fbdb3c8286435cb"),
+    "verify-prop1":
+        (0, "3d4d8a2184b8273f8d05946d8c6c31bd3b898d76cfbdd3a3e877caf56be214d9"),
+    "replay-proof":
+        (0, "1554f54877f633749b69d3011082b70c429bf93e0ee22aca5ae8780edca7aa65"),
+    "replay-appendix":
+        (0, "f023ebf39612a9057da876e1325c4793f8fd42c98456c9d6824aa5abd9b563ec"),
+    "search-cex":
+        (1, "87195c268b9660d9d636a1242066aa335b16a6a96516deb56a217643d87a696e"),
+    "check-rule equal-treatment":
+        (1, "edf6cb3294eee7dda7ab2c7c48a00a9aa2df16eb29fc2afdb1042bd819aed6a5"),
+    "check-rule ex-post-non-wasteful":
+        (1, "5c9e68fd81d4339a01747f08df34f18a7a6fb172d8dd7fcd035c3c92d15a7a09"),
+    "check-rule ex-post-pairwise":
+        (1, "f9e2c21d0c9993b79e9477eaf2944456874af0780fc5d3ae46ed23be1eca5126"),
+    "check-rule ex-post-pareto":
+        (1, "87c6e53fa734db82a0bfa2df5de709360fdcf075ea57c6e188df07b3d0d78c97"),
+    "check-rule group-strategy-proof":
+        (1, "ff41689f8f6d22dd5fe3420bd54e288ceded41af303e460d715ed31071ffc1b0"),
+    "check-rule individual-rationality":
+        (1, "636d9f632746b03f9c1e2a746e08d2db6e4f1579dbafdc01dc23c1c7c1237baf"),
+    "check-rule maskin-monotonic":
+        (1, "a8b83e45b001c1b9dd664b6edd92fcebe0e068149f3f45536b75b02f91dc36e6"),
+    "check-rule non-bossy":
+        (1, "a2153245a842c490649f6d14f564ef13628621fbc4a0d3ef5bd621ab38b634e4"),
+    "check-rule pairwise-strategy-proof":
+        (1, "5f6741afc0acbe190f823a7e814d8a02ee35180864537d1fcb515b6a15c01cd9"),
+    "check-rule prob-monotonic":
+        (1, "d863924660147374475a4e0df5541d8abce051c0af7a071cabb40acea52a36d2"),
+    "check-rule strategy-proof":
+        (1, "9ae2dc79cfdf084c8c13143bb947c87edae648d0219ac5df8bafcf44f6b7ff87"),
+    "check-matching cycle":
+        (1, "debfb77f989e56bbcd958f05d1ade9e84a542d2ea7e24662fe525aa516b756fc"),
+    "check-matching swap":
+        (1, "5d58956ab2d3aa3c796d36c8da493893b6dcc5fa5a66feabb1dcf6acc1491df4"),
+    "check-matching waste":
+        (1, "875de42c4edec4015b05897c63a3626d10d4806c38e33f5c173719c6db4b6b23"),
+    "replay-appendix degenerate":
+        (0, "a01da6ab8e5b432a1d2348824a1c5ac24b03fead82c0daa0b062301c68d3dc03"),
+}
+
+
+@pytest.mark.parametrize("name", list(DIGESTED))
+def test_result_payloads_are_pinned(capsys, path, name):
+    """Whole results, not only the keys other tests assert, stay byte-identical."""
+    code, payload = invoke(capsys, *DIGESTED[name](path))
+    digest = hashlib.sha256(json.dumps(payload["result"]).encode()).hexdigest()
+    assert (code, digest) == RESULT_DIGESTS[name]
 
 
 def test_closed_stdout_pipe_exits_2():

@@ -9,7 +9,6 @@ from axiomlab import (
     apply_cycle,
     enumerate_matchings,
     enumerate_profiles,
-    find_improvement_cycle,
     is_monotonic_transformation,
     is_non_wasteful,
     is_pairwise_efficient,
@@ -64,26 +63,29 @@ def test_tight_capacity_makes_every_feasible_matching_non_wasteful(unit3):
         assert all(is_non_wasteful(unit3, m, profile) for m in matchings)
 
 
-def test_find_improvement_cycle_examples(unit3, cycle_profile):
-    cycle = find_improvement_cycle(unit3, (0, 1, 2), cycle_profile)
-    assert cycle.agents == (0, 1, 2)
-    assert cycle.objects == (0, 1, 2)
-    assert cycle.verify((0, 1, 2), cycle_profile)
+def _is_improvement_cycle(witness, matching, profile):
+    """Each listed agent holds the listed object and strictly prefers the next agent's."""
+    agents, objects = witness["agents"], witness["objects"]
+    return all(
+        matching[agent] == objects[t]
+        and prefers(profile[agent], matching[agents[(t + 1) % len(agents)]], matching[agent])
+        for t, agent in enumerate(agents)
+    )
+
+
+def test_pareto_verdict_cycle_examples(unit3, cycle_profile):
+    cycle = matching_verdict(unit3, (0, 1, 2), cycle_profile, "pareto")
+    assert cycle["agents"] == [0, 1, 2]
+    assert cycle["objects"] == [0, 1, 2]
+    assert _is_improvement_cycle(cycle, (0, 1, 2), cycle_profile)
     # clearing it lands on the dominating matching
-    assert apply_cycle((0, 1, 2), cycle.agents) == (1, 2, 0)
+    assert apply_cycle((0, 1, 2), tuple(cycle["agents"])) == (1, 2, 0)
     # a Pareto-efficient matching has no cycle
-    assert find_improvement_cycle(unit3, (1, 2, 0), cycle_profile) is None
+    assert matching_verdict(unit3, (1, 2, 0), cycle_profile, "pareto") is None
     # two agents wanting to swap form a 2-cycle
     two = Instance(2, (1, 1))
-    swap = find_improvement_cycle(two, (0, 1), ((1, 0), (0, 1)))
-    assert swap.length == 2 and swap.agents == (0, 1)
-
-
-def test_find_improvement_cycle_rejects_wasteful():
-    inst = Instance(3, (2, 1, 1))
-    profile = ((0, 1, 2), (1, 0, 2), (0, 2, 1))
-    with pytest.raises(PreconditionViolated):
-        find_improvement_cycle(inst, (0, 1, 2), profile)
+    swap = matching_verdict(two, (0, 1), ((1, 0), (0, 1)), "pareto")
+    assert len(swap["agents"]) == 2 and swap["agents"] == [0, 1]
 
 
 def test_pareto_verdict_rejects_an_infeasible_matching_without_waste():
@@ -115,11 +117,12 @@ def test_cycle_existence_equals_pareto_inefficiency(inst):
         for matching in matchings:
             if not is_non_wasteful(inst, matching, profile):
                 continue
-            cycle = find_improvement_cycle(inst, matching, profile)
+            cycle = matching_verdict(inst, matching, profile, "pareto")
             efficient = is_pareto_efficient(inst, matching, profile, matchings)
             assert (cycle is None) == efficient
             if cycle is not None:
-                improved = apply_cycle(matching, cycle.agents)
+                assert cycle["kind"] == "cycle"
+                improved = apply_cycle(matching, tuple(cycle["agents"]))
                 assert pareto_dominates(improved, matching, profile)
 
 

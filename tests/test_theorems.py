@@ -132,6 +132,17 @@ def test_harnesses_evaluate_the_rule_once(monkeypatch, unit3, slack3):
     assert {h["rule"] for h in thm1.hypotheses_verified} == {"rsd"}
 
 
+def test_harnesses_check_the_worker_count_before_evaluating(monkeypatch, slack3):
+    """A worker count below 1 fails at once, before the rule's outcome table is built."""
+    rsd_runs = _count_calls(monkeypatch, "random_serial_dictatorship")
+    sd_runs = _count_calls(monkeypatch, "serial_dictatorship")
+    with pytest.raises(BoundsError, match="worker"):
+        verify_theorem1(slack3, RandomSerialDictatorshipRule(), workers=0)
+    with pytest.raises(BoundsError, match="worker"):
+        verify_proposition1(slack3, SerialDictatorshipRule((0, 1, 2)), workers=0)
+    assert rsd_runs == [] and sd_runs == []
+
+
 def test_cor2_builds_each_weight_one_lottery_once(monkeypatch, slack3):
     """The three ex-post checks share one lottery view of the deterministic table."""
     rule = SerialDictatorshipRule((0, 1, 2))
@@ -436,3 +447,15 @@ def test_search_budget_zero(unit3):
     for budget in (0, -3):
         with pytest.raises(BoundsError, match="budget"):
             search_counterexample(unit3, required=[], violated=Axiom.EX_POST_PARETO, budget=budget)
+
+
+def test_search_rejects_an_unknown_rule_space(monkeypatch, unit3):
+    """Only the two rule spaces are searched; any other value is rejected before any work."""
+    import axiomlab.theorems as theorems
+
+    enumerations = []
+    monkeypatch.setattr(theorems, "enumerate_profiles", enumerations.append)
+    for space in ("Deterministic", "lotteries", ""):
+        with pytest.raises(PreconditionViolated, match="rule space"):
+            search_counterexample(unit3, [], Axiom.EX_POST_PARETO, budget=1, rule_space=space)
+    assert enumerations == []
