@@ -332,7 +332,7 @@ def _ex_post_failure(kind: str) -> Callable:
     def violation(ctx, profile, lotteries, deviations):
         lottery = lotteries[profile]
         for matching in deviations:
-            if not lottery.weight(matching):
+            if matching not in lottery:
                 continue
             witness = matching_verdict(ctx.inst, matching, profile, kind)
             if witness is not None:
@@ -345,7 +345,7 @@ def _ex_post_failure(kind: str) -> Callable:
 def _irrationality(ctx, profile, lotteries, deviations):
     lottery = lotteries[profile]
     for matching, (agent, endowed) in deviations:
-        if lottery.weight(matching) and not weakly_prefers(
+        if matching in lottery and not weakly_prefers(
             profile[agent], matching[agent], endowed
         ):
             return {
@@ -507,6 +507,23 @@ def require_workers(workers: int) -> None:
         raise BoundsError(f"a worker count of {workers} is below 1")
 
 
+def require_applicable(
+    inst: Instance, axiom: Axiom, lottery: bool, endowment: Matching | None = None
+) -> None:
+    """AxiomNotApplicable unless ``axiom`` can be checked for a rule of this kind.
+
+    Lottery rules meet no deterministic-only axiom, and individual
+    rationality needs an endowment on a housing market.
+    """
+    if axiom in DETERMINISTIC_ONLY and lottery:
+        raise AxiomNotApplicable(f"{axiom.value} is defined for deterministic rules only")
+    if axiom is Axiom.INDIVIDUAL_RATIONALITY:
+        if endowment is None:
+            raise AxiomNotApplicable("individual rationality needs an endowment")
+        if not inst.is_housing_market():
+            raise AxiomNotApplicable("individual rationality is checked on housing markets")
+
+
 def check_axiom(
     inst: Instance,
     rule: RuleDescriptor,
@@ -526,13 +543,7 @@ def check_axiom(
     """
     axiom = Axiom(axiom)
     require_workers(workers)
-    if axiom in DETERMINISTIC_ONLY and is_lottery_rule(rule):
-        raise AxiomNotApplicable(f"{axiom.value} is defined for deterministic rules only")
-    if axiom is Axiom.INDIVIDUAL_RATIONALITY:
-        if endowment is None:
-            raise AxiomNotApplicable("individual rationality needs an endowment")
-        if not inst.is_housing_market():
-            raise AxiomNotApplicable("individual rationality is checked on housing markets")
+    require_applicable(inst, axiom, is_lottery_rule(rule), endowment)
 
     started = time.perf_counter()
     total = count_profiles(inst)

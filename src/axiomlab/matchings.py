@@ -15,7 +15,7 @@ ids first) so every witness is reproducible byte for byte.
 from __future__ import annotations
 
 from .errors import PreconditionViolated
-from .model import Instance, Matching, enumerate_matchings, is_feasible, object_usage
+from .model import Instance, Matching, enumerate_matchings, feasible_usage, object_usage
 from .preferences import Profile, preference_ranks, prefers
 
 
@@ -74,10 +74,12 @@ def is_pairwise_efficient(matching: Matching, profile: Profile) -> bool:
 
 
 def waste_witness(
-    inst: Instance, matching: Matching, profile: Profile
+    inst: Instance, matching: Matching, profile: Profile, usage: list[int]
 ) -> tuple[int, int] | None:
-    """Lowest (agent, object) pair where the agent prefers an unfilled object."""
-    usage = object_usage(inst, matching)
+    """Lowest (agent, object) pair where the agent prefers an unfilled object.
+
+    ``usage`` is the matching's ``object_usage``.
+    """
     for i, pref in enumerate(profile):
         for obj in pref:
             if obj == matching[i]:
@@ -89,7 +91,7 @@ def waste_witness(
 
 def is_non_wasteful(inst: Instance, matching: Matching, profile: Profile) -> bool:
     """True iff no agent prefers an object with remaining capacity to her own."""
-    return waste_witness(inst, matching, profile) is None
+    return waste_witness(inst, matching, profile, object_usage(inst, matching)) is None
 
 
 #: The efficiency notions ``matching_verdict`` judges.
@@ -117,14 +119,15 @@ def matching_verdict(
     """
     if kind not in MATCHING_KINDS:
         raise PreconditionViolated(f"unknown efficiency notion {kind!r}")
-    if not is_feasible(inst, matching):
+    usage = feasible_usage(inst, matching)
+    if usage is None:
         raise PreconditionViolated(f"matching {matching} is infeasible")
     if kind == "pairwise":
         pair = blocking_pair(matching, profile)
         if pair is None:
             return None
         return {"kind": "swap", "agents": list(pair), "objects": [matching[a] for a in pair]}
-    waste = waste_witness(inst, matching, profile)
+    waste = waste_witness(inst, matching, profile, usage)
     if waste is not None:
         return {"kind": "waste", "agents": [waste[0]], "objects": [waste[1]]}
     if kind == "non-wasteful":

@@ -126,12 +126,19 @@ def object_usage(inst: Instance, matching: Matching) -> list[int]:
 
 def is_feasible(inst: Instance, matching: Matching) -> bool:
     """True iff ``matching`` assigns every agent and respects all capacities."""
+    return feasible_usage(inst, matching) is not None
+
+
+def feasible_usage(inst: Instance, matching: Matching) -> list[int] | None:
+    """``object_usage`` of a feasible ``matching``; None if it is infeasible."""
     if len(matching) != inst.n:
-        return False
+        return None
     if any(not 0 <= obj < inst.k for obj in matching):
-        return False
+        return None
     usage = object_usage(inst, matching)
-    return all(usage[o] <= inst.capacities[o] for o in inst.objects)
+    if any(usage[o] > inst.capacities[o] for o in inst.objects):
+        return None
+    return usage
 
 
 def count_matchings(inst: Instance) -> int:

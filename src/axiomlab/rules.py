@@ -2,11 +2,13 @@
 
 A lottery holds integer counts over one denominator: RSD counts the agent
 orders reaching each matching out of n!, and the counterexample search puts
-one count on each matching of a candidate's support.  No floating point is
-used anywhere.  Weight reads return exact ``fractions.Fraction`` values, so
-weight comparisons in the monotonicity checkers are exact.  A deterministic
-rule can always be viewed as the degenerate lottery putting weight 1 on its
-matching.
+one count on each matching of a candidate's support.  RSD weights are exact,
+with one order enumeration per anonymity orbit: profiles that differ only by
+a relabelling of the agents share one memoised enumeration.  No floating
+point is used anywhere.  Weight reads return exact ``fractions.Fraction``
+values, so weight comparisons in the monotonicity checkers are exact.  A
+deterministic rule can always be viewed as the degenerate lottery putting
+weight 1 on its matching.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from numbers import Rational
 from typing import Iterator, Mapping, Union
@@ -72,6 +75,10 @@ class Lottery:
 
     def weight(self, matching: Matching) -> Fraction:
         return Fraction(self._counts.get(matching, 0), self._denominator)
+
+    def __contains__(self, matching: Matching) -> bool:
+        """True iff ``matching`` has positive weight; reads the counts only."""
+        return matching in self._counts
 
     def support(self) -> tuple[Matching, ...]:
         return tuple(self._counts)
@@ -182,18 +189,45 @@ def serial_dictatorship(inst: Instance, order: tuple[int, ...], profile: Profile
 def random_serial_dictatorship(inst: Instance, profile: Profile) -> Lottery:
     """Exact RSD lottery: weight of a matching = (orders reaching it) / n!.
 
-    Enumerates all n! orders; there is no sampling mode, because the engine
-    verifies exact claims and desk-scale n keeps n! small.
+    The n! orders are enumerated once per anonymity orbit, on the profile
+    with the agents sorted by preference, and each matching is relabelled
+    back to the original agents.  This is exact because RSD is anonymous: if
+    the sorted profile puts agent ``order[p]`` at position ``p``, then the
+    agent order ``(order[o_1], ..., order[o_n])`` gives agent ``order[p]``
+    what the position order ``(o_1, ..., o_n)`` gives position ``p`` on the
+    sorted profile, and this maps the n! orders one to one.  Agents with
+    equal preferences are swapped by a relabelling that fixes the profile,
+    so they get equal counts and the tie-break of the sort cannot matter.
+    There is no sampling mode, because the engine verifies exact claims and
+    desk-scale n keeps n! small.
     """
     total = math.factorial(inst.n)
     bound = enumeration_bound()
     if total > bound:
         raise SizeOverflow(f"{total} agent orders exceed the bound of {bound}")
+    order = sorted(range(inst.n), key=profile.__getitem__)
+    position = [0] * inst.n
+    for p, agent in enumerate(order):
+        position[agent] = p
+    counts = {
+        tuple(sorted_matching[p] for p in position): count
+        for sorted_matching, count in _orbit_counts(inst, tuple(profile[a] for a in order))
+    }
+    return Lottery(counts, total)
+
+
+@lru_cache(maxsize=None)
+def _orbit_counts(inst: Instance, profile: Profile) -> tuple[tuple[Matching, int], ...]:
+    """(matching, number of agent orders reaching it) for every reached matching.
+
+    Memoised for the life of the process: one entry per orbit met, keyed by
+    the instance and the sorted profile.
+    """
     counts: dict[Matching, int] = {}
     for order in permutations(range(inst.n)):
         outcome = serial_dictatorship(inst, order, profile)
         counts[outcome] = counts.get(outcome, 0) + 1
-    return Lottery(counts, total)
+    return tuple(counts.items())
 
 
 def top_trading_cycles(

@@ -25,7 +25,14 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
 
-from .axioms import DETERMINISTIC_ONLY, EX_POST_KINDS, Axiom, check_axiom, require_workers
+from .axioms import (
+    DETERMINISTIC_ONLY,
+    EX_POST_KINDS,
+    Axiom,
+    check_axiom,
+    require_applicable,
+    require_workers,
+)
 from .errors import AxiomNotApplicable, BoundsError, PreconditionViolated
 from .matchings import (
     blocking_pair,
@@ -489,7 +496,10 @@ def search_counterexample(
     Every candidate is screened by the full checkers, so a returned rule has
     already been independently re-verified.  ``budget`` bounds the number of
     candidates tried; a budget below 1 is a BoundsError, and a
-    ``rule_space`` outside ``RULE_SPACES`` a PreconditionViolated.
+    ``rule_space`` outside ``RULE_SPACES`` a PreconditionViolated.  An axiom
+    that no candidate can be checked against (a deterministic-only axiom in
+    the lottery space, or individual rationality, which needs an endowment)
+    raises AxiomNotApplicable before any candidate is built.
     """
     if budget < 1:
         raise BoundsError(f"a budget of {budget} tries no candidate")
@@ -497,6 +507,8 @@ def search_counterexample(
         raise PreconditionViolated(f"unknown rule space {rule_space!r}, not in {RULE_SPACES}")
     required = [Axiom(a) for a in required]
     violated = Axiom(violated)
+    for axiom in (violated, *required):
+        require_applicable(inst, axiom, rule_space == "lottery")
     rng = random.Random(seed)
     profiles = list(enumerate_profiles(inst))
     universe = enumerate_matchings(inst)

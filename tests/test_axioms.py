@@ -23,6 +23,7 @@ from axiomlab import (
     enumerate_profiles,
     evaluate,
     is_monotonic_transformation,
+    random_serial_dictatorship,
     serial_dictatorship,
 )
 from axiomlab.axioms import (
@@ -268,6 +269,51 @@ def test_every_fail_witness_replays_and_a_doctored_one_does_not(axiom):
     assert replay_witness(inst, rule, axiom, json.loads(json.dumps(report.witness)))
     assert not replay_witness(inst, rule, axiom, _doctored(inst, rule, axiom, report.witness))
     assert not replay_witness(inst, rule, axiom, {**report.witness, "kind": "other"})
+
+
+def _support_violation(inst, axiom, profile, matching, endowment):
+    """The witness ``axiom``'s body reports for ``matching`` if it is in the support, else None."""
+    if axiom is Axiom.INDIVIDUAL_RATIONALITY:
+        agent = next(
+            (a for a in inst.agents if not weakly_prefers(profile[a], matching[a], endowment[a])),
+            None,
+        )
+        if agent is None:
+            return None
+        return {
+            "kind": "individual_rationality",
+            "profile": profile,
+            "matching": matching,
+            "agents": [agent],
+            "objects": [matching[agent], endowment[agent]],
+        }
+    verdict = matching_verdict(inst, matching, profile, EX_POST_KINDS[axiom])
+    return None if verdict is None else {**verdict, "profile": profile, "matching": matching}
+
+
+@pytest.mark.parametrize(
+    "axiom", [*EX_POST_KINDS, Axiom.INDIVIDUAL_RATIONALITY], ids=lambda a: a.value
+)
+def test_replay_rejects_a_violating_matching_outside_the_support(axiom):
+    """Support membership is read from the lottery's counts: a recorded matching
+    that would violate the axiom but has no weight at RSD does not replay, and
+    it does once a lottery puts weight on it."""
+    slack = axiom is not Axiom.INDIVIDUAL_RATIONALITY  # IR is checked on housing markets
+    inst = Instance(3, (2, 1, 1)) if slack else Instance(3, (1, 1, 1))
+    endowment = (1, 2, 0)
+    table = {p: random_serial_dictatorship(inst, p) for p in enumerate_profiles(inst)}
+    profile, matching, witness = next(
+        (p, m, w)
+        for p, lottery in table.items()
+        for m in enumerate_matchings(inst)
+        if m not in lottery and (w := _support_violation(inst, axiom, p, m, endowment))
+    )
+    assert table[profile].weight(matching) == 0
+    assert not replay_witness(inst, RSD, axiom, witness)
+    assert not replay_witness(inst, TabulatedLotteryRule(table), axiom, witness)
+    counts = {m: 1 for m in (*table[profile].support(), matching)}
+    table[profile] = Lottery(counts, len(counts))
+    assert replay_witness(inst, TabulatedLotteryRule(table), axiom, witness)
 
 
 def _count_evaluations(monkeypatch):

@@ -33,6 +33,7 @@ def test_integer_build_equals_weight_build(counts):
     for m in UNIVERSE:
         assert by_counts.weight(m) == by_weights.weight(m) == Fraction(counts.get(m, 0), total)
         assert str(by_counts.weight(m)) == str(by_weights.weight(m))
+        assert (m in by_counts) == (counts.get(m, 0) > 0) == (by_weights.weight(m) > 0)
     assert by_counts.support() == tuple(sorted(m for m, c in counts.items() if c))
     assert all(type(w) is Fraction for _, w in by_counts.items())
 

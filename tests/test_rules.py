@@ -8,11 +8,13 @@ from itertools import permutations
 import pytest
 
 from axiomlab import (
+    NULL_BOTTOM,
     Instance,
     Lottery,
     PreconditionViolated,
     RandomSerialDictatorshipRule,
     SerialDictatorshipRule,
+    SizeOverflow,
     TabulatedDeterministicRule,
     TableMiss,
     TopTradingCyclesRule,
@@ -25,7 +27,9 @@ from axiomlab import (
     random_serial_dictatorship,
     serial_dictatorship,
     top_trading_cycles,
+    verify_theorem1,
 )
+from axiomlab import rules
 from axiomlab.model import object_usage
 from axiomlab.preferences import weakly_prefers
 
@@ -131,6 +135,98 @@ def test_rsd_matches_oracle_everywhere(unit3):
         assert dict(lottery.items()) == oracle
         assert sum(w for _, w in lottery.items()) == 1
         assert all(w.denominator in (1, 2, 3, 6) for _, w in lottery.items())
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        Instance(3, (2, 1, 1)),
+        Instance(4, (2, 1, 1)),
+        Instance(4, (2, 2, 1)),
+        Instance(4, (1, 1, 1, 1), null_object=0, domain=NULL_BOTTOM),
+    ],
+    ids=["slack3", "caps211", "caps221", "null4"],
+)
+def test_orbit_rsd_matches_the_oracle_on_every_profile(inst):
+    for profile in enumerate_profiles(inst):
+        assert dict(random_serial_dictatorship(inst, profile).items()) == rsd_oracle(inst, profile)
+
+
+def _relabelled(profile, agents):
+    """The profile in which agent ``i`` reports what agent ``agents[i]`` reported."""
+    return tuple(profile[a] for a in agents)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        ((0, 1, 2),) * 5,
+        ((0, 1, 2), (2, 1, 0), (0, 1, 2), (1, 0, 2), (2, 1, 0)),
+        ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1)),
+    ],
+    ids=["all-equal", "two-two-one", "all-distinct"],
+)
+def test_orbit_rsd_matches_the_oracle_on_every_relabelling_n5(profile):
+    """One profile per tie pattern at n=5, caps (2,2,2): every agent relabelling."""
+    inst = Instance(5, (2, 2, 2))
+    for agents in permutations(range(5)):
+        relabelled = _relabelled(profile, agents)
+        assert dict(random_serial_dictatorship(inst, relabelled).items()) == rsd_oracle(
+            inst, relabelled
+        )
+
+
+def _count_sd_runs(monkeypatch):
+    runs = []
+    original = rules.serial_dictatorship
+
+    def counted(*args):
+        runs.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rules, "serial_dictatorship", counted)
+    return runs
+
+
+def test_rsd_enumerates_orders_once_per_orbit(monkeypatch, slack3):
+    """slack3 has 216 profiles in 56 orbits; Thm1 runs 3! orders on each orbit."""
+    rules._orbit_counts.cache_clear()
+    runs = _count_sd_runs(monkeypatch)
+    assert verify_theorem1(slack3, RandomSerialDictatorshipRule()).conclusion_verified
+    assert len(runs) == 56 * 6
+
+
+def test_every_relabelling_of_one_n6_profile_shares_one_enumeration(monkeypatch):
+    inst = Instance(6, (2, 2, 2))
+    profile = tuple(permutations(range(3)))  # six agents, six distinct preferences
+    rules._orbit_counts.cache_clear()
+    runs = _count_sd_runs(monkeypatch)
+    base = random_serial_dictatorship(inst, profile)
+    for agents in permutations(range(6)):
+        lottery = random_serial_dictatorship(inst, _relabelled(profile, agents))
+        assert lottery == Lottery.from_weights(
+            {_relabelled(m, agents): w for m, w in base.items()}
+        )
+    assert len(runs) == 720
+    assert dict(base.items()) == rsd_oracle(inst, profile)
+
+
+def test_rsd_checks_the_order_bound_before_any_run(monkeypatch, unit3):
+    """The n! bound is checked on every call, also when the orbit is memoised."""
+    profile = ((0, 1, 2), (0, 1, 2), (1, 0, 2))
+    random_serial_dictatorship(unit3, profile)
+    rules._orbit_counts.cache_clear()
+    runs = _count_sd_runs(monkeypatch)
+    monkeypatch.setenv("AXIOMLAB_MAX_PROFILES", "5")
+    with pytest.raises(SizeOverflow, match="6 agent orders exceed the bound of 5"):
+        random_serial_dictatorship(unit3, profile)
+    assert runs == []
+    monkeypatch.delenv("AXIOMLAB_MAX_PROFILES")
+    random_serial_dictatorship(unit3, profile)
+    monkeypatch.setenv("AXIOMLAB_MAX_PROFILES", "5")
+    with pytest.raises(SizeOverflow):
+        random_serial_dictatorship(unit3, profile)
+    assert len(runs) == 6
 
 
 def test_rsd_support_is_ex_post_pareto_efficient():

@@ -459,3 +459,27 @@ def test_search_rejects_an_unknown_rule_space(monkeypatch, unit3):
         with pytest.raises(PreconditionViolated, match="rule space"):
             search_counterexample(unit3, [], Axiom.EX_POST_PARETO, budget=1, rule_space=space)
     assert enumerations == []
+
+
+@pytest.mark.parametrize(
+    "rule_space, required, violated",
+    [
+        ("lottery", [Axiom.STRATEGY_PROOF], Axiom.EX_POST_PARETO),
+        ("lottery", [Axiom.EX_POST_PAIRWISE], Axiom.NON_BOSSY),
+        ("deterministic", [Axiom.INDIVIDUAL_RATIONALITY], Axiom.EX_POST_PARETO),
+        ("lottery", [], Axiom.INDIVIDUAL_RATIONALITY),
+    ],
+)
+def test_search_rejects_an_inapplicable_axiom_before_any_work(
+    monkeypatch, rule_space, required, violated
+):
+    """An axiom no candidate can be checked against fails before any matching is screened."""
+    import axiomlab.theorems as theorems
+
+    verdicts = []
+    monkeypatch.setattr(theorems, "matching_verdict", lambda *args: verdicts.append(args))
+    with pytest.raises(AxiomNotApplicable):
+        search_counterexample(
+            Instance(4, (2, 1, 1)), required, violated, budget=5, rule_space=rule_space
+        )
+    assert verdicts == []
