@@ -293,16 +293,17 @@ def _prob_non_monotonicity(ctx, profile, lotteries, deviations):
     lottery = lotteries[profile]
     for transformed, matching in deviations:
         if is_monotonic_transformation(profile, transformed, matching):
-            before = lottery.weight(matching)
-            after = lotteries[transformed].weight(matching)
-            if after < before:
+            moved = lotteries[transformed]
+            count, denominator = lottery.share(matching)
+            moved_count, moved_denominator = moved.share(matching)
+            if moved_count * denominator < count * moved_denominator:
                 return {
                     "kind": "prob_monotonicity",
                     "profile": profile,
                     "transformed": transformed,
                     "matching": matching,
-                    "weight_before": str(before),
-                    "weight_after": str(after),
+                    "weight_before": str(lottery.weight(matching)),
+                    "weight_after": str(moved.weight(matching)),
                 }
     return None
 
@@ -315,7 +316,7 @@ def _unequal_treatment(ctx, profile, lotteries, deviations):
         swapped = list(matching)
         swapped[i], swapped[j] = swapped[j], swapped[i]
         swapped = tuple(swapped)
-        if lottery.weight(swapped) != lottery.weight(matching):
+        if lottery.share(swapped) != lottery.share(matching):
             return {
                 "kind": "equal_treatment",
                 "profile": profile,

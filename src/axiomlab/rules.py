@@ -5,8 +5,9 @@ orders reaching each matching out of n!, and the counterexample search puts
 one count on each matching of a candidate's support.  RSD weights are exact,
 with one order enumeration per anonymity orbit: profiles that differ only by
 a relabelling of the agents share one memoised enumeration.  No floating
-point is used anywhere.  Weight reads return exact ``fractions.Fraction``
-values, so weight comparisons in the monotonicity checkers are exact.  A
+point is used anywhere.  The checkers compare weights as integer counts
+and denominators (``Lottery.share``); weight reads return exact
+``fractions.Fraction`` values, which witnesses and file formats print.  A
 deterministic rule can always be viewed as the degenerate lottery putting
 weight 1 on its matching.
 """
@@ -75,6 +76,17 @@ class Lottery:
 
     def weight(self, matching: Matching) -> Fraction:
         return Fraction(self._counts.get(matching, 0), self._denominator)
+
+    def share(self, matching: Matching) -> tuple[int, int]:
+        """The weight of ``matching`` as ``(count, denominator)``, without a ``Fraction``.
+
+        All shares of one lottery have the same denominator, so comparing two
+        of them compares their counts.
+
+        >>> Lottery({(1, 0): 2, (0, 1): 4}, 6).share((1, 0))
+        (1, 3)
+        """
+        return self._counts.get(matching, 0), self._denominator
 
     def __contains__(self, matching: Matching) -> bool:
         """True iff ``matching`` has positive weight; reads the counts only."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
 
@@ -480,6 +481,35 @@ class SearchResult:
 RULE_SPACES = ("deterministic", "lottery")
 
 
+class _DrawnLotteries(Mapping):
+    """A lottery candidate's read-only table: the matchings drawn for each profile.
+
+    A profile's uniform lottery over its drawn matchings is built the first
+    time the profile is read, and that same object is returned on every later
+    read.  Membership, length and iteration read the draws and build nothing.
+    """
+
+    def __init__(self, draws: dict[Profile, tuple[Matching, Matching]]):
+        self._draws = draws
+        self._built: dict[Profile, Lottery] = {}
+
+    def __getitem__(self, profile: Profile) -> Lottery:
+        lottery = self._built.get(profile)
+        if lottery is None:
+            support = dict.fromkeys(self._draws[profile], 1)
+            lottery = self._built[profile] = Lottery(support, len(support))
+        return lottery
+
+    def __contains__(self, profile) -> bool:
+        return profile in self._draws
+
+    def __len__(self) -> int:
+        return len(self._draws)
+
+    def __iter__(self) -> Iterator[Profile]:
+        return iter(self._draws)
+
+
 def search_counterexample(
     inst: Instance,
     required: list[Axiom],
@@ -492,7 +522,12 @@ def search_counterexample(
 
     Candidates are built per profile from the matchings allowed by the
     ex-post requirements, biased toward matchings that break the violated
-    axiom; one greedy candidate is tried first, then seeded random ones.
+    axiom; one greedy candidate is tried first, then seeded random ones.  A
+    lottery candidate is the uniform lottery over two matchings drawn per
+    profile.  Every draw is made when the candidate is made, in profile
+    order, so a seed always yields the same candidates; each profile's
+    ``Lottery`` is built only when a check first reads it, since the checks
+    of an early-failing candidate read few profiles.
     Every candidate is screened by the full checkers, so a returned rule has
     already been independently re-verified.  ``budget`` bounds the number of
     candidates tried; a budget below 1 is a BoundsError, and a
@@ -537,19 +572,18 @@ def search_counterexample(
 
     def random_choice(profile):
         pool = breakers[profile] if breakers.get(profile) and rng.random() < 0.75 else allowed[profile]
-        return pool[rng.randrange(len(pool))]
+        return rng.choice(pool)
 
     def make_candidate(attempt: int) -> RuleDescriptor:
         pick = greedy_choice if attempt == 0 else random_choice
         if rule_space == "deterministic":
             return TabulatedDeterministicRule({p: pick(p) for p in profiles})
-        table = {}
+        draws = {}
         for p in profiles:
             first = pick(p)
-            extra = allowed[p][rng.randrange(len(allowed[p]))] if attempt else allowed[p][0]
-            support = {first, extra}
-            table[p] = Lottery({m: 1 for m in support}, len(support))
-        return TabulatedLotteryRule(table)
+            extra = rng.choice(allowed[p]) if attempt else allowed[p][0]
+            draws[p] = first, extra
+        return TabulatedLotteryRule(_DrawnLotteries(draws))
 
     tried = 0
     while tried < budget:

@@ -1,7 +1,9 @@
 """Theorem harnesses, proof replays, and counterexample search."""
 
+import copy
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -13,11 +15,13 @@ from axiomlab import (
     PreconditionViolated,
     RandomSerialDictatorshipRule,
     SerialDictatorshipRule,
+    TableMiss,
     TabulatedDeterministicRule,
     TabulatedLotteryRule,
     TopTradingCyclesRule,
     bossy_flip_rule,
     enumerate_profiles,
+    evaluate,
     partition_agents,
     random_serial_dictatorship,
     replay_theorem1_proof,
@@ -27,8 +31,9 @@ from axiomlab import (
     verify_proposition1,
     verify_theorem1,
 )
-from axiomlab.axioms import Axiom, check_axiom
+from axiomlab.axioms import DETERMINISTIC_ONLY, EX_POST_KINDS, Axiom, check_axiom
 from axiomlab.jsonio import rule_from_dict, rule_to_dict
+from axiomlab.matchings import matching_verdict
 from axiomlab.model import NULL_BOTTOM, enumerate_matchings
 from axiomlab.preferences import common_rank_rearrange, push_to_top
 from axiomlab.rules import random_tabulated_rule
@@ -420,6 +425,118 @@ def test_lottery_search_candidate_stream_is_pinned(unit3, required, violated, se
     assert result.found and result.candidates_tried == tried
     text = json.dumps(rule_to_dict(unit3, result.rule), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _eager_lottery_candidates(inst, required, violated, seed, count):
+    """The first ``count`` lottery candidates of the search, as full tables.
+
+    The reference keeps its own copy of the search's draws, made with
+    ``randrange`` and built into a ``Lottery`` per profile at once, so the
+    candidates it yields do not depend on the search's table.
+    """
+    rng = random.Random(seed)
+    keep = [EX_POST_KINDS[a] for a in required if a in EX_POST_KINDS]
+    broken = EX_POST_KINDS.get(violated)
+    profiles = list(enumerate_profiles(inst))
+    allowed = {
+        p: [
+            m
+            for m in enumerate_matchings(inst)
+            if all(matching_verdict(inst, m, p, k) is None for k in keep)
+        ]
+        for p in profiles
+    }
+    breakers = {
+        p: [m for m in allowed[p] if broken and matching_verdict(inst, m, p, broken)]
+        for p in profiles
+    }
+    tables = []
+    for attempt in range(count):
+        table = {}
+        for p in profiles:
+            if attempt == 0:
+                first = (breakers[p] or allowed[p])[0]
+                extra = allowed[p][0]
+            else:
+                pool = breakers[p] if breakers[p] and rng.random() < 0.75 else allowed[p]
+                first = pool[rng.randrange(len(pool))]
+                extra = allowed[p][rng.randrange(len(allowed[p]))]
+            support = {first, extra}
+            table[p] = Lottery({m: 1 for m in support}, len(support))
+        tables.append(table)
+    return tables
+
+
+def _searched_candidates(monkeypatch, inst, required, violated, budget, seed):
+    """Run a lottery search; return each candidate it checked, with an unread copy."""
+    import axiomlab.theorems as theorems
+
+    fresh = {}
+
+    def recording(inst, rule, axiom, *args, **kwargs):
+        fresh.setdefault(id(rule), (rule, copy.deepcopy(rule)))
+        return check_axiom(inst, rule, axiom, *args, **kwargs)
+
+    monkeypatch.setattr(theorems, "check_axiom", recording)
+    search_counterexample(inst, required, violated, budget, seed=seed, rule_space="lottery")
+    return list(fresh.values())
+
+
+def test_lottery_search_builds_each_entry_once_and_only_where_read(monkeypatch, unit3):
+    """A lottery candidate builds a profile's lottery on the first read only."""
+    built = []
+    init = Lottery.__init__
+
+    def counted(self, counts, denominator):
+        built.append(counts)
+        init(self, counts, denominator)
+
+    monkeypatch.setattr(Lottery, "__init__", counted)
+    required = [Axiom.PROB_MONOTONIC, Axiom.EX_POST_NON_WASTEFUL, Axiom.EX_POST_PAIRWISE]
+    candidates = _searched_candidates(monkeypatch, unit3, required, Axiom.EX_POST_PARETO, 25, 3)
+    searched = len(built)
+    assert len(candidates) == 25 and 0 < searched < 25 * 216
+    # Reading every entry twice after the search builds each entry the
+    # search did not read, once; so the search built no entry twice.
+    for candidate, _ in candidates:
+        assert all(candidate.table[p] is candidate.table[p] for p in candidate.table)
+    assert len(built) == 25 * 216
+
+
+LAZY_TABLE_QUERIES = [
+    ([Axiom.EX_POST_NON_WASTEFUL], Axiom.PROB_MONOTONIC, 1),
+    ([Axiom.EX_POST_NON_WASTEFUL], Axiom.PROB_MONOTONIC, 2),
+    ([Axiom.PROB_MONOTONIC, Axiom.EX_POST_NON_WASTEFUL, Axiom.EX_POST_PAIRWISE],
+     Axiom.EX_POST_PARETO, 3),
+]
+
+
+@pytest.mark.parametrize("required, violated, seed", LAZY_TABLE_QUERIES)
+def test_lazy_lottery_candidates_check_as_eager_tables(monkeypatch, unit3, required, violated, seed):
+    """Reports and files of a lazy candidate are those of its eagerly built table.
+
+    Each query tries the greedy candidate and at least one random one; two
+    workers pickle the unread table.
+    """
+    searched = _searched_candidates(monkeypatch, unit3, required, violated, 3, seed)
+    candidates = [unread for _, unread in searched]
+    eager_tables = _eager_lottery_candidates(unit3, required, violated, seed, len(candidates))
+    assert len(candidates) >= 2
+    lottery_axioms = [a for a in Axiom if a not in DETERMINISTIC_ONLY]
+    for candidate, table in zip(candidates, eager_tables):
+        eager = TabulatedLotteryRule(table)
+        for workers in (1, 2):
+            lazy = copy.deepcopy(candidate)
+            for axiom in lottery_axioms:
+                assert (
+                    check_axiom(unit3, lazy, axiom, (0, 1, 2), workers=workers).to_dict()
+                    == check_axiom(unit3, eager, axiom, (0, 1, 2)).to_dict()
+                )
+        lazy = copy.deepcopy(candidate)
+        assert json.dumps(rule_to_dict(unit3, lazy)) == json.dumps(rule_to_dict(unit3, eager))
+        assert {p: lazy.table[p] for p in lazy.table} == table
+        with pytest.raises(TableMiss):
+            evaluate(unit3, lazy, ((0, 1, 2),) * 4)
 
 
 def test_search_respects_theorem1(unit3):
