@@ -24,8 +24,6 @@ from .matchings import (
     apply_cycle,
     blocking_pair,
     find_dominating,
-    is_non_wasteful,
-    is_pairwise_efficient,
     is_pareto_efficient,
     matching_verdict,
     pareto_dominates,
@@ -47,7 +45,6 @@ from .preferences import (
     count_profiles,
     enumerate_profiles,
     is_monotonic_transformation,
-    lower_contour,
     push_to_top,
 )
 from .rules import (

@@ -42,24 +42,53 @@ finds the same first witness as scanning every joint report.  Menus are built
 on first use and cached on the scan's context, so each pool worker keeps its
 own.
 
+Five lottery axioms are scanned over anonymity orbits when the rule is
+anonymous: probabilistic monotonicity, equal treatment and the three ex-post
+axioms (``RELABEL_INVARIANT``).  Each is unchanged when the agents are
+relabelled: if f(sigma P) = sigma f(P) for every relabelling sigma, a
+violation at P maps to one at sigma P (a support matching m to sigma m, a
+pair of equal reports to a pair of equal reports, a single-agent monotonic
+step at m to one at sigma m).  Individual rationality is not: the endowment
+stays put.  A stable sort of the agents by preference takes P to its sorted
+profile S, the lexicographically first profile of its orbit.  One pass,
+``_is_anonymous``, checks two conditions on the outcomes the scan reads:
+every profile's lottery is its sorted profile's relabelled back to the
+original agents, and every sorted profile's lottery is unchanged when two
+adjacent agents with equal preferences swap.  Without the second, S could
+favour one of two agents who report alike, and the relabelling the first
+condition fixes would not be the only one from S to P.  Adjacent tied swaps
+generate every relabelling that fixes S, so together the two conditions give
+f(sigma P) = sigma f(P) for every sigma.  The first violating profile of the
+full scan is then sorted, since its sorted profile violates too and comes no
+later; so scanning the sorted profiles in enumeration order, each under its
+index in the full enumeration, runs the same body on the same first
+violating profile and returns the same witness and ``profiles_checked``.  A
+pass reports the whole domain, as the full scan does.  A rule that fails the
+pass gets the plain scan of every profile.
+
 The scan and the replay read outcomes through ``_outcomes``.  A table of the
 axiom's kind (lottery or deterministic) is read in place, and any other rule
-is evaluated at a profile the first time a body reads it; a table with a gap
-raises TableMiss, even when the scan would stop early.  Profile scans can be
-partitioned across worker processes; chunks are contiguous outer-profile
-ranges, so merging keeps the scan-earliest witness and results are
-independent of the worker count.  Each worker evaluates the rule only where
-its chunk reads.
+is evaluated at a profile the first time the anonymity pass or a body reads
+it; a table with a gap raises TableMiss, even when the scan would stop early.
+The pass evaluates such a rule everywhere but keeps only the sorted profiles'
+outcomes.  Scans can be partitioned across worker processes; chunks are
+contiguous ranges of the scanned stream (the sorted profiles, or every
+profile), so merging keeps the scan-earliest witness and results are
+independent of the worker count.  The pass runs before the pool starts, so a
+forked worker inherits what it evaluated (RSD's orbit memo); otherwise each
+worker evaluates the rule only where its chunk reads.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, islice, product
+from operator import itemgetter
 from typing import Callable
 
 from .errors import AxiomNotApplicable, BoundsError, TableMiss
@@ -73,6 +102,7 @@ from .preferences import (
     is_monotonic_transformation,
     monotonic_steps,
     prefers,
+    sorted_profiles,
     weakly_prefers,
 )
 from .rules import (
@@ -118,6 +148,11 @@ EX_POST_KINDS = {
     Axiom.EX_POST_NON_WASTEFUL: "non-wasteful",
 }
 
+#: The lottery axioms that hold at a profile iff they hold at every relabelling
+#: of its agents.  Individual rationality is not one: the endowment is not
+#: relabelled.
+RELABEL_INVARIANT = frozenset({Axiom.PROB_MONOTONIC, Axiom.EQUAL_TREATMENT, *EX_POST_KINDS})
+
 
 @dataclass
 class CheckReport:
@@ -125,8 +160,10 @@ class CheckReport:
 
     ``profiles_checked`` counts outer-loop profiles up to and including the
     witness profile (or the whole domain on a pass), so it does not depend on
-    the worker count.  ``wall_time`` is informational only and excluded from
-    report comparisons.
+    the worker count.  ``scan`` names the stream the scan walked, ``"orbits"``
+    (the sorted profiles of an anonymous rule) or ``"profiles"`` (the whole
+    domain), and ``scan_size`` is its length.  Those two and ``wall_time``
+    are informational only and excluded from report comparisons.
     """
 
     axiom: str
@@ -135,10 +172,16 @@ class CheckReport:
     profiles_checked: int
     wall_time: float = field(compare=False)
     rule: str = ""
+    scan: str = field(default="profiles", compare=False)
+    scan_size: int = field(default=0, compare=False)
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
+
+    def stats(self) -> dict:
+        """Which scan ran and how many profiles it streams; not part of ``to_dict``."""
+        return {"scan": self.scan, "scan_size": self.scan_size}
 
     def to_dict(self) -> dict:
         return {
@@ -465,14 +508,17 @@ _DEFINITIONS = {
 
 
 class _OnDemand(dict):
-    """Outcome table that evaluates the rule at a profile the first time it is read."""
+    """Outcome table that evaluates the rule at a profile the first time it is read.
 
-    def __init__(self, outcome_at: Callable[[Profile], object]):
+    ``evaluate`` evaluates the rule at a profile without keeping the outcome.
+    """
+
+    def __init__(self, evaluate: Callable[[Profile], object]):
         super().__init__()
-        self._outcome_at = outcome_at
+        self.evaluate = evaluate
 
     def __missing__(self, profile):
-        self[profile] = outcome = self._outcome_at(profile)
+        self[profile] = outcome = self.evaluate(profile)
         return outcome
 
 
@@ -489,13 +535,59 @@ def _outcomes(inst: Instance, rule: RuleDescriptor, axiom: Axiom):
     return _OnDemand(lambda profile: evaluate_one(inst, rule, profile))
 
 
-def _scan(inst, rule, axiom, endowment, start=0, stop=None):
-    """First violation among profiles ``start:stop`` as ``(index, witness)``, or None."""
+def _is_anonymous(inst: Instance, lotteries) -> bool:
+    """True iff relabelling the agents of a profile relabels its lottery alike.
+
+    One pass in enumeration order, stopping at the first mismatch, checks
+    that every profile's lottery is the lottery of its sorted profile (agents
+    stably sorted by preference, as RSD sorts them) relabelled back to the
+    original agents, and that every sorted profile's lottery is unchanged
+    when two adjacent agents with equal preferences swap.  An on-demand
+    table keeps the sorted profiles' lotteries only.
+    """
+    read = lotteries.evaluate if isinstance(lotteries, _OnDemand) else lotteries.__getitem__
+    identity = list(range(inst.n))
+    swaps = []  # swaps[p] exchanges what agents p and p + 1 get
+    for p in identity[:-1]:
+        swap = identity[:]
+        swap[p], swap[p + 1] = p + 1, p
+        swaps.append(itemgetter(*swap))
+    position = [0] * inst.n
+    for profile in enumerate_profiles(inst):
+        order = sorted(identity, key=profile.__getitem__)
+        if order == identity:
+            lottery = lotteries[profile]
+            for p, swap in enumerate(swaps):
+                if profile[p] == profile[p + 1] and not lottery.equals_relabelled(lottery, swap):
+                    return False
+            continue
+        for p, agent in enumerate(order):
+            position[agent] = p
+        base = lotteries[tuple(profile[agent] for agent in order)]
+        if not read(profile).equals_relabelled(base, itemgetter(*position)):
+            return False
+    return True
+
+
+#: Each scan's stream of ``(index in enumerate_profiles, profile)`` pairs.
+_STREAMS = {
+    "profiles": lambda inst: enumerate(enumerate_profiles(inst)),
+    "orbits": sorted_profiles,
+}
+
+
+def _scan(inst, rule, axiom, endowment, scan, start=0, stop=None, outcomes=None):
+    """First violation among items ``start:stop`` of the ``scan`` stream as
+    ``(index, witness)``, or None.
+
+    Without ``outcomes``, as in a worker, the rule's outcomes are read afresh.
+    """
+    if outcomes is None:
+        outcomes = _outcomes(inst, rule, axiom)
     definition = _DEFINITIONS[axiom]
     ctx = _Context(inst, endowment)
-    outcomes = _outcomes(inst, rule, axiom)
     deviations, violation = definition.deviations, definition.violation
-    for idx, profile in enumerate(enumerate_profiles(inst, start, stop), start):
+    for idx, profile in islice(_STREAMS[scan](inst), start, stop):
         witness = violation(ctx, profile, outcomes, deviations(ctx, profile, outcomes))
         if witness is not None:
             return idx, witness
@@ -536,7 +628,9 @@ def check_axiom(
     """Check one axiom for one rule over the full profile domain.
 
     Pass means the universally quantified definition held everywhere; fail
-    carries the scan-first witness.  ``workers`` splits the profile scan over
+    carries the scan-first witness.  For a relabel-invariant axiom, a rule
+    that ``_is_anonymous`` finds anonymous is scanned on its sorted profiles
+    only, with the same report.  ``workers`` splits the scanned stream over
     that many processes without changing the report.  Lottery rules reject the
     deterministic-only incentive axioms with AxiomNotApplicable; deterministic
     rules are checked against lottery axioms as the degenerate weight-1
@@ -548,21 +642,28 @@ def check_axiom(
 
     started = time.perf_counter()
     total = count_profiles(inst)
-    if workers > 1 and total >= 4 * workers:
-        chunk = (total + workers - 1) // workers
+    outcomes = _outcomes(inst, rule, axiom)
+    if axiom in RELABEL_INVARIANT and _is_anonymous(inst, outcomes):
+        # One sorted profile per multiset of n preferences.
+        scan, size = "orbits", math.comb(len(all_preferences(inst)) + inst.n - 1, inst.n)
+    else:
+        scan, size = "profiles", total
+    if workers > 1 and size >= 4 * workers:
+        chunk = (size + workers - 1) // workers
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            scans = [
-                pool.submit(_scan, inst, rule, axiom, endowment, lo, min(lo + chunk, total))
-                for lo in range(0, total, chunk)
+            futures = [
+                pool.submit(_scan, inst, rule, axiom, endowment, scan, lo, lo + chunk)
+                for lo in range(0, size, chunk)
             ]
-            hits = [h for h in (scan.result() for scan in scans) if h is not None]
+            hits = [h for h in (future.result() for future in futures) if h is not None]
         hit = min(hits, key=lambda h: h[0]) if hits else None
     else:
-        hit = _scan(inst, rule, axiom, endowment)
+        hit = _scan(inst, rule, axiom, endowment, scan, outcomes=outcomes)
     elapsed = time.perf_counter() - started
+    label = rule_label(rule)
     if hit is None:
-        return CheckReport(axiom.value, "pass", None, total, elapsed, rule_label(rule))
-    return CheckReport(axiom.value, "fail", hit[1], hit[0] + 1, elapsed, rule_label(rule))
+        return CheckReport(axiom.value, "pass", None, total, elapsed, label, scan, size)
+    return CheckReport(axiom.value, "fail", hit[1], hit[0] + 1, elapsed, label, scan, size)
 
 
 def check_individual_rationality(

@@ -1,10 +1,12 @@
 """Command-line entry point: file I/O, dispatch, and report emission.
 
 Every command prints one JSON document to stdout: the deterministic payload
-under ``"result"`` and wall-clock timing under ``"timing"``.  The timing
-section is the only non-reproducible part, so golden-file comparisons should
-drop it.  Exit codes: 0 pass, 1 fail with witness (or a found
-counterexample), 2 usage, format, overflow, or any other error.
+under ``"result"`` and wall-clock timing under ``"timing"``.  ``check-rule``,
+``verify-thm1`` and ``verify-prop1`` also print, under ``"stats"``, which scan
+each check ran (``CheckReport.stats``).  Only ``"result"`` is reproducible,
+so golden-file comparisons should read it alone.  Exit codes: 0 pass, 1 fail
+with witness (or a found counterexample), 2 usage, format, overflow, or any
+other error.
 """
 
 from __future__ import annotations
@@ -206,7 +208,8 @@ def _cmd_check_rule(args):
             endowment = jsonio.load_matching(args.endowment, inst, names)
     report = check_axiom(inst, rule, axiom, endowment, workers=args.workers)
     timing = {"check_wall_time_s": round(report.wall_time, 6)}
-    return (0 if report.passed else 1), jsonio.with_names(report.to_dict(), names), timing
+    result = jsonio.with_names(report.to_dict(), names)
+    return (0 if report.passed else 1), result, timing, report.stats()
 
 
 def _cmd_verify(args):
@@ -214,7 +217,7 @@ def _cmd_verify(args):
     harness = verify_theorem1 if args.command == "verify-thm1" else verify_proposition1
     verdict = harness(inst, rule, workers=args.workers)
     payload = jsonio.with_names(verdict.to_dict(), names)
-    return (0 if verdict.passed else 1), payload, dict(verdict.timings)
+    return (0 if verdict.passed else 1), payload, dict(verdict.timings), verdict.stats
 
 
 def _cmd_replay(args):
@@ -258,6 +261,8 @@ def _cmd_search_cex(args):
     return (1 if result.found else 0), jsonio.with_names(payload, names)
 
 
+#: Each handler returns ``(exit code, result)``, optionally followed by extra
+#: ``"timing"`` entries and then the ``"stats"`` section.
 _HANDLERS = {
     "gen-instance": _cmd_gen_instance,
     "rsd": _cmd_rule_eval,
@@ -288,13 +293,13 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     started = time.perf_counter()
     try:
-        outcome = _HANDLERS[args.command](args)
-        code, result = outcome[0], outcome[1]
-        extra_timing = outcome[2] if len(outcome) > 2 else {}
-        report = {
-            "command": args.command,
-            "result": result,
-            "timing": {"wall_time_s": round(time.perf_counter() - started, 6), **extra_timing},
+        code, result, *extras = _HANDLERS[args.command](args)
+        report = {"command": args.command, "result": result}
+        if len(extras) > 1:
+            report["stats"] = extras[1]
+        report["timing"] = {
+            "wall_time_s": round(time.perf_counter() - started, 6),
+            **(extras[0] if extras else {}),
         }
         text = json.dumps(report, indent=2)
         if args.out:

@@ -15,7 +15,7 @@ ids first) so every witness is reproducible byte for byte.
 from __future__ import annotations
 
 from .errors import PreconditionViolated
-from .model import Instance, Matching, enumerate_matchings, feasible_usage, object_usage
+from .model import Instance, Matching, enumerate_matchings, feasible_usage
 from .preferences import Profile, preference_ranks, prefers
 
 
@@ -68,11 +68,6 @@ def blocking_pair(matching: Matching, profile: Profile) -> tuple[int, int] | Non
     return None
 
 
-def is_pairwise_efficient(matching: Matching, profile: Profile) -> bool:
-    """True iff no two agents both strictly prefer each other's allotment."""
-    return blocking_pair(matching, profile) is None
-
-
 def waste_witness(
     inst: Instance, matching: Matching, profile: Profile, usage: list[int]
 ) -> tuple[int, int] | None:
@@ -87,11 +82,6 @@ def waste_witness(
             if usage[obj] < inst.capacities[obj]:
                 return (i, obj)
     return None
-
-
-def is_non_wasteful(inst: Instance, matching: Matching, profile: Profile) -> bool:
-    """True iff no agent prefers an object with remaining capacity to her own."""
-    return waste_witness(inst, matching, profile, object_usage(inst, matching)) is None
 
 
 #: The efficiency notions ``matching_verdict`` judges.

@@ -18,7 +18,7 @@ proof-replay harnesses:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice, permutations, product
+from itertools import combinations_with_replacement, islice, permutations, product
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -54,12 +54,6 @@ def prefers(pref: Preference, a: int, b: int) -> bool:
 def weakly_prefers(pref: Preference, a: int, b: int) -> bool:
     ranks = preference_ranks(pref)
     return ranks[a] <= ranks[b]
-
-
-def lower_contour(pref: Preference, obj: int) -> frozenset[int]:
-    """All objects ranked weakly below ``obj``, including ``obj`` itself."""
-    ranks = preference_ranks(pref)
-    return frozenset(pref[ranks[obj]:])
 
 
 def validate_preference(inst: Instance, pref: Preference) -> None:
@@ -113,6 +107,26 @@ def enumerate_profiles(
     if start or stop is not None:
         stream = islice(stream, start, stop)
     return iter(stream)
+
+
+def sorted_profiles(inst: Instance) -> Iterator[tuple[int, Profile]]:
+    """Every profile whose preferences ascend, with its index in ``enumerate_profiles``.
+
+    Such a profile is the lexicographically first of its anonymity orbit (the
+    profiles that differ from it by a relabelling of the agents); they stream
+    in enumeration order.  The index is the profile's mixed-radix number
+    over ``all_preferences``.
+
+    >>> inst = Instance(2, (1, 1))
+    >>> list(sorted_profiles(inst))
+    [(0, ((0, 1), (0, 1))), (1, ((0, 1), (1, 0))), (3, ((1, 0), (1, 0)))]
+    """
+    prefs = all_preferences(inst)
+    for digits in combinations_with_replacement(range(len(prefs)), inst.n):
+        index = 0
+        for digit in digits:
+            index = index * len(prefs) + digit
+        yield index, tuple(prefs[d] for d in digits)
 
 
 @lru_cache(maxsize=None)
@@ -279,14 +293,14 @@ def appendix_transform_sequence(
     The last element ranks, for every cycle agent, her new allotment first
     and all other real objects in the shared ranking.
     """
-    from .matchings import is_non_wasteful, pareto_dominates  # cycle-free import
+    from .matchings import matching_verdict, pareto_dominates  # cycle-free import
 
     if inst.domain != NULL_BOTTOM:
         raise PreconditionViolated("the stepwise construction lives in the null-bottom domain")
     validate_profile(inst, profile)
     if not pareto_dominates(improved, matching, profile):
         raise PreconditionViolated("improved matching does not Pareto-dominate the original")
-    if not is_non_wasteful(inst, matching, profile):
+    if matching_verdict(inst, matching, profile, "non-wasteful") is not None:
         raise PreconditionViolated("original matching is wasteful")
 
     cycle = single_trade_cycle(matching, improved)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from numbers import Rational
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import PreconditionViolated, SizeOverflow, TableMiss
 from .model import Instance, Matching, enumeration_bound
@@ -88,6 +88,22 @@ class Lottery:
         """
         return self._counts.get(matching, 0), self._denominator
 
+    def equals_relabelled(self, other: "Lottery", relabel: Callable[[Matching], Matching]) -> bool:
+        """True iff this is ``other`` with each matching ``m`` renamed ``relabel(m)``.
+
+        ``relabel`` must be one to one, such as a relabelling of the agents.
+        Builds no lottery.
+
+        >>> from operator import itemgetter
+        >>> Lottery({(0, 1): 2, (1, 0): 1}, 3).equals_relabelled(
+        ...     Lottery({(0, 1): 1, (1, 0): 2}, 3), itemgetter(1, 0))
+        True
+        """
+        if self._denominator != other._denominator or len(self._counts) != len(other._counts):
+            return False
+        counts = self._counts
+        return all(counts.get(relabel(m)) == c for m, c in other._counts.items())
+
     def __contains__(self, matching: Matching) -> bool:
         """True iff ``matching`` has positive weight; reads the counts only."""
         return matching in self._counts
@@ -97,9 +113,6 @@ class Lottery:
 
     def items(self) -> Iterator[tuple[Matching, Fraction]]:
         return ((m, Fraction(c, self._denominator)) for m, c in self._counts.items())
-
-    def is_degenerate(self) -> bool:
-        return len(self._counts) == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lottery):
@@ -218,28 +231,29 @@ def random_serial_dictatorship(inst: Instance, profile: Profile) -> Lottery:
     if total > bound:
         raise SizeOverflow(f"{total} agent orders exceed the bound of {bound}")
     order = sorted(range(inst.n), key=profile.__getitem__)
+    lottery = _orbit_lottery(inst, tuple(profile[a] for a in order))
+    if order == list(range(inst.n)):
+        return lottery
     position = [0] * inst.n
     for p, agent in enumerate(order):
         position[agent] = p
-    counts = {
-        tuple(sorted_matching[p] for p in position): count
-        for sorted_matching, count in _orbit_counts(inst, tuple(profile[a] for a in order))
-    }
-    return Lottery(counts, total)
+    counts = {tuple(m[p] for p in position): c for m, c in lottery._counts.items()}
+    return Lottery(counts, lottery._denominator)
 
 
 @lru_cache(maxsize=None)
-def _orbit_counts(inst: Instance, profile: Profile) -> tuple[tuple[Matching, int], ...]:
-    """(matching, number of agent orders reaching it) for every reached matching.
+def _orbit_lottery(inst: Instance, profile: Profile) -> Lottery:
+    """RSD at a sorted profile: each reached matching counts the agent orders reaching it.
 
     Memoised for the life of the process: one entry per orbit met, keyed by
-    the instance and the sorted profile.
+    the instance and the sorted profile.  RSD at the sorted profile itself
+    returns this object, so a table of RSD outcomes shares it.
     """
     counts: dict[Matching, int] = {}
     for order in permutations(range(inst.n)):
         outcome = serial_dictatorship(inst, order, profile)
         counts[outcome] = counts.get(outcome, 0) + 1
-    return tuple(counts.items())
+    return Lottery(counts, math.factorial(inst.n))
 
 
 def top_trading_cycles(

@@ -35,13 +35,7 @@ from .axioms import (
     require_workers,
 )
 from .errors import AxiomNotApplicable, BoundsError, PreconditionViolated
-from .matchings import (
-    blocking_pair,
-    is_non_wasteful,
-    matching_verdict,
-    pareto_dominates,
-    reduce_to_single_cycle,
-)
+from .matchings import matching_verdict, pareto_dominates, reduce_to_single_cycle
 from .model import GENERAL, NULL_BOTTOM, Instance, Matching, enumerate_matchings, object_usage
 from .preferences import (
     CommonRanking,
@@ -115,7 +109,8 @@ class TheoremVerdict:
 
     ``conclusion_verified`` is None when the hypotheses failed, in which case
     no claim about the conclusion is made.  ``timings`` holds per-check wall
-    times; it is not part of ``to_dict`` so reports stay byte-comparable.
+    times and ``stats`` each check's ``CheckReport.stats``, keyed by axiom;
+    neither is part of ``to_dict``, so reports stay byte-comparable.
     """
 
     theorem: str
@@ -125,6 +120,7 @@ class TheoremVerdict:
     witness: dict | None = None
     details: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict, compare=False)
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -206,21 +202,25 @@ def verify_theorem1(
     }
     if inst.domain == NULL_BOTTOM and is_lottery_rule(rule):
         details["note"] = "lottery rules on the null-bottom domain are outside the proven claims"
+    stats = {r.axiom: r.stats() for r in hypothesis_reports}
     failed = next((r for r in hypothesis_reports if not r.passed), None)
     if failed is not None:
         details["status"] = "hypotheses not met"
         return TheoremVerdict(
-            label, rule_label(rule), hypotheses, None, failed.witness, details, timings
+            label, rule_label(rule), hypotheses, None, failed.witness, details, timings, stats
         )
 
     pairwise, pareto = check(Axiom.EX_POST_PAIRWISE), check(Axiom.EX_POST_PARETO)
+    stats.update({r.axiom: r.stats() for r in (pairwise, pareto)})
     details["ex_post_pairwise"] = pairwise.passed
     details["ex_post_pareto"] = pareto.passed
     details["profiles_checked"] = max(pairwise.profiles_checked, pareto.profiles_checked)
     timings["conclusion_scan"] = round(pairwise.wall_time + pareto.wall_time, 6)
     verified = pairwise.passed == pareto.passed
     witness = None if verified else (pareto if pairwise.passed else pairwise).witness
-    return TheoremVerdict(label, rule_label(rule), hypotheses, verified, witness, details, timings)
+    return TheoremVerdict(
+        label, rule_label(rule), hypotheses, verified, witness, details, timings, stats
+    )
 
 
 def _timed(timings: dict[str, float], key: str, thunk):
@@ -261,7 +261,8 @@ def _theorem1_replay_core(
         lambda: [
             m
             for m in universe
-            if blocking_pair(m, rearranged) is None and is_non_wasteful(inst, m, rearranged)
+            if matching_verdict(inst, m, rearranged, "pairwise") is None
+            and matching_verdict(inst, m, rearranged, "non-wasteful") is None
         ],
     )
     target_usage = object_usage(inst, improved)
@@ -328,7 +329,7 @@ def replay_theorem3_proof(
         raise PreconditionViolated("the stepwise replay runs on the null-bottom domain")
     if not pareto_dominates(improved, matching, profile):
         raise PreconditionViolated("improved matching does not Pareto-dominate the original")
-    if not is_non_wasteful(inst, matching, profile):
+    if matching_verdict(inst, matching, profile, "non-wasteful") is not None:
         raise PreconditionViolated("original matching is wasteful")
 
     null = inst.null_object
@@ -377,7 +378,7 @@ def replay_theorem3_proof(
             object_usage(inst, m) == target_usage
             for prof in sequence
             for m in universe
-            if is_non_wasteful(inst, m, prof)
+            if matching_verdict(inst, m, prof, "non-wasteful") is None
         ),
     )
 
@@ -454,6 +455,7 @@ def verify_proposition1(
         witness=witness,
         details={"properties": properties, "all_hold": agreed and all(properties.values())},
         timings={r.axiom: round(r.wall_time, 6) for r in reports.values()},
+        stats={r.axiom: r.stats() for r in reports.values()},
     )
 
 

@@ -25,8 +25,6 @@ from axiomlab import (
     enumerate_matchings,
     enumerate_profiles,
     find_dominating,
-    is_non_wasteful,
-    is_pairwise_efficient,
     is_pareto_efficient,
     matching_verdict,
     pareto_dominates,
@@ -92,8 +90,9 @@ def _theorem1_criterion(inst, label):
     for profile in enumerate_profiles(inst):
         lottery = random_serial_dictatorship(inst, profile)
         for matching in lottery.support():
-            if is_pairwise_efficient(matching, profile) and is_non_wasteful(
-                inst, matching, profile
+            if (
+                matching_verdict(inst, matching, profile, "pairwise") is None
+                and matching_verdict(inst, matching, profile, "non-wasteful") is None
             ):
                 if not is_pareto_efficient(inst, matching, profile, matchings):
                     discrepancies += 1
@@ -151,8 +150,8 @@ def test_c4_matching_level_gap(tmp_path, capsys):
     mat_file.write_text(json.dumps(["a", "b", "c"]))
     profile = ((1, 0, 2), (2, 1, 0), (0, 2, 1))
     matching = (0, 1, 2)
-    assert is_pairwise_efficient(matching, profile)
-    assert is_non_wasteful(UNIT3, matching, profile)
+    assert matching_verdict(UNIT3, matching, profile, "pairwise") is None
+    assert matching_verdict(UNIT3, matching, profile, "non-wasteful") is None
     assert not is_pareto_efficient(UNIT3, matching, profile)
 
     code = run(
@@ -273,7 +272,7 @@ def _theorem3_triples(count, seed):
             profile.append(tuple(perm) + (0,))
         triple = (inst, tuple(profile), tuple(matching), tuple(improved))
         assert pareto_dominates(triple[3], triple[2], triple[1])
-        assert is_non_wasteful(inst, triple[2], triple[1])
+        assert matching_verdict(inst, triple[2], triple[1], "non-wasteful") is None
         out.append(triple)
     return out
 
@@ -319,7 +318,7 @@ def test_c8_cycle_equivalence(inst):
     matchings = enumerate_matchings(inst)
     for profile in enumerate_profiles(inst):
         for matching in matchings:
-            if not is_non_wasteful(inst, matching, profile):
+            if matching_verdict(inst, matching, profile, "non-wasteful") is not None:
                 continue
             inefficient = not is_pareto_efficient(inst, matching, profile, matchings)
             cycle = matching_verdict(inst, matching, profile, "pareto")

@@ -234,6 +234,31 @@ def test_verify_commands(capsys, files):
     assert payload["result"]["details"]["all_hold"] is True
 
 
+def test_stats_name_each_checks_scan_outside_the_result(capsys, files):
+    """RSD is scanned on its 56 sorted profiles, SD on all 216; other commands print no stats."""
+    inst = files("i.json", INSTANCE_3CYCLE)
+    orbits, profiles = {"scan": "orbits", "scan_size": 56}, {"scan": "profiles", "scan_size": 216}
+    for rule, stats in (("rsd", orbits), ("sd", profiles)):
+        code, payload = invoke(
+            capsys, "check-rule", "--instance", inst, "--rule", rule,
+            "--axiom", "ex-post-pareto", "--workers", "1",
+        )
+        assert code == 0 and list(payload) == ["command", "result", "stats", "timing"]
+        assert payload["stats"] == stats
+    code, payload = invoke(
+        capsys, "verify-thm1", "--instance", inst, "--rule", "rsd", "--workers", "2"
+    )
+    axioms = ("prob_monotonic", "ex_post_pairwise", "ex_post_pareto")
+    assert code == 0 and payload["stats"] == dict.fromkeys(axioms, orbits)
+    code, payload = invoke(
+        capsys, "verify-prop1", "--instance", inst, "--rule", "sd", "--workers", "1"
+    )
+    axioms = [h["axiom"] for h in payload["result"]["hypotheses_verified"]]
+    assert code == 0 and payload["stats"] == dict.fromkeys(axioms, profiles)
+    code, payload = invoke(capsys, "gen-instance", "--n", "2", "--k", "2")
+    assert code == 0 and list(payload) == ["command", "result", "timing"]
+
+
 def test_replay_proof_command(capsys, files):
     inst = files("i.json", INSTANCE_3CYCLE)
     prof = files("p.json", PROFILE_3CYCLE)

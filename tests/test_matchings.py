@@ -10,8 +10,6 @@ from axiomlab import (
     enumerate_matchings,
     enumerate_profiles,
     is_monotonic_transformation,
-    is_non_wasteful,
-    is_pairwise_efficient,
     is_pareto_efficient,
     matching_verdict,
     pareto_dominates,
@@ -40,27 +38,27 @@ def test_pareto_efficiency_cycle_example(unit3, cycle_profile):
 
 def test_pairwise_efficiency(unit3, cycle_profile):
     # only the 3-cycle improves this matching, so no pair blocks it
-    assert is_pairwise_efficient((0, 1, 2), cycle_profile)
+    assert matching_verdict(unit3, (0, 1, 2), cycle_profile, "pairwise") is None
     two = ((1, 0), (0, 1))  # agent 0: y>x, agent 1: x>y, holding (x, y)
-    assert not is_pairwise_efficient((0, 1), two)
+    assert matching_verdict(Instance(2, (1, 1)), (0, 1), two, "pairwise") is not None
     tops = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-    assert is_pairwise_efficient((0, 1, 2), tops)
+    assert matching_verdict(unit3, (0, 1, 2), tops, "pairwise") is None
 
 
 def test_non_wastefulness():
     inst = Instance(3, (2, 1, 1))
     # copies of object 0: q=2, one used; agent 2 on object 2 prefers object 0
     profile = ((0, 1, 2), (1, 0, 2), (0, 2, 1))
-    assert not is_non_wasteful(inst, (0, 1, 2), profile)
+    assert matching_verdict(inst, (0, 1, 2), profile, "non-wasteful") is not None
     tops = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-    assert is_non_wasteful(inst, (0, 1, 2), tops)
+    assert matching_verdict(inst, (0, 1, 2), tops, "non-wasteful") is None
 
 
 def test_tight_capacity_makes_every_feasible_matching_non_wasteful(unit3):
     """With capacity sum equal to n, feasibility leaves no slack anywhere."""
     matchings = enumerate_matchings(unit3)
     for profile in enumerate_profiles(unit3):
-        assert all(is_non_wasteful(unit3, m, profile) for m in matchings)
+        assert all(matching_verdict(unit3, m, profile, "non-wasteful") is None for m in matchings)
 
 
 def _is_improvement_cycle(witness, matching, profile):
@@ -115,7 +113,7 @@ def test_cycle_existence_equals_pareto_inefficiency(inst):
     matchings = enumerate_matchings(inst)
     for profile in enumerate_profiles(inst):
         for matching in matchings:
-            if not is_non_wasteful(inst, matching, profile):
+            if matching_verdict(inst, matching, profile, "non-wasteful") is not None:
                 continue
             cycle = matching_verdict(inst, matching, profile, "pareto")
             efficient = is_pareto_efficient(inst, matching, profile, matchings)
@@ -164,12 +162,12 @@ def test_pareto_implies_pairwise_and_non_wasteful_not_conversely(unit3):
     gap_found = False
     for profile in enumerate_profiles(unit3):
         for matching in matchings:
+            pairwise = matching_verdict(unit3, matching, profile, "pairwise") is None
+            non_wasteful = matching_verdict(unit3, matching, profile, "non-wasteful") is None
             if is_pareto_efficient(unit3, matching, profile, matchings):
-                assert is_pairwise_efficient(matching, profile)
-                assert is_non_wasteful(unit3, matching, profile)
-            elif is_pairwise_efficient(matching, profile) and is_non_wasteful(
-                unit3, matching, profile
-            ):
+                assert pairwise
+                assert non_wasteful
+            elif pairwise and non_wasteful:
                 gap_found = True
     assert gap_found  # the two notions genuinely differ at matching level
 

@@ -14,7 +14,6 @@ from axiomlab import (
     enumerate_matchings,
     enumerate_profiles,
     is_monotonic_transformation,
-    lower_contour,
     push_to_top,
 )
 from axiomlab.model import NULL_BOTTOM
@@ -45,11 +44,17 @@ def test_profiles_unique_and_in_domain():
         assert all(a < b for a, b in zip(profiles, profiles[1:]))
 
 
+def _lower_contour(pref, obj):
+    """All objects ranked weakly below ``obj``, including ``obj`` itself."""
+    return frozenset(pref[pref.index(obj):])
+
+
 def test_lower_contour():
+    """The oracle that ``monotonic_steps`` is held to below."""
     pref = (0, 1, 2)  # x > y > z
-    assert lower_contour(pref, 1) == {1, 2}
-    assert lower_contour(pref, 0) == {0, 1, 2}
-    assert lower_contour(pref, 2) == {2}
+    assert _lower_contour(pref, 1) == {1, 2}
+    assert _lower_contour(pref, 0) == {0, 1, 2}
+    assert _lower_contour(pref, 2) == {2}
 
 
 def test_monotonic_transformation_examples():
@@ -72,7 +77,7 @@ def test_monotonic_steps_are_every_other_monotonic_preference(inst):
     assert set(steps) == {(pref, obj) for pref in prefs for obj in inst.objects}
     for (pref, obj), alternatives in steps.items():
         assert list(alternatives) == [
-            q for q in prefs if q != pref and lower_contour(pref, obj) <= lower_contour(q, obj)
+            q for q in prefs if q != pref and _lower_contour(pref, obj) <= _lower_contour(q, obj)
         ]
 
 

@@ -318,10 +318,9 @@ def test_object_counts_after_rearrangement(unit3):
             rearranged = common_rank_rearrange(unit3, pushed, target)
             usage = object_usage(unit3, target)
             for m in matchings:
-                from axiomlab import is_non_wasteful, is_pairwise_efficient
-
-                if is_pairwise_efficient(m, rearranged) and is_non_wasteful(
-                    unit3, m, rearranged
+                if (
+                    matching_verdict(unit3, m, rearranged, "pairwise") is None
+                    and matching_verdict(unit3, m, rearranged, "non-wasteful") is None
                 ):
                     assert object_usage(unit3, m) == usage
 
