@@ -99,7 +99,7 @@ def instance_from_dict(data: dict) -> tuple[Instance, ObjectNames]:
     """Parse an instance object; returns the instance and its object names."""
     if not isinstance(data, dict) or "objects" not in data or "n" not in data:
         raise FormatError("instance JSON needs 'n' and 'objects'")
-    names = tuple(str(obj["name"]) for obj in data["objects"])
+    names = tuple(_name(obj["name"], "object name") for obj in data["objects"])
     if len(set(names)) != len(names):
         raise FormatError(f"duplicate object names: {names}")
     sizes = [data["n"], *(obj["capacity"] for obj in data["objects"])]
@@ -127,7 +127,15 @@ def load_instance(path: str) -> tuple[Instance, ObjectNames]:
     return instance_from_dict(data)
 
 
-def _object_id(name: str, names: ObjectNames) -> int:
+def _name(value: Any, what: str) -> str:
+    """``value`` if it is a JSON string; an object is named and referred to by strings only."""
+    if not isinstance(value, str):
+        raise FormatError(f"{what} must be a JSON string, got {json.dumps(value)}")
+    return value
+
+
+def _object_id(name: Any, names: ObjectNames) -> int:
+    _name(name, "object reference")
     try:
         return names.index(name)
     except ValueError:
@@ -135,7 +143,9 @@ def _object_id(name: str, names: ObjectNames) -> int:
 
 
 def preference_from_names(entry: list, names: ObjectNames) -> Preference:
-    return tuple(_object_id(str(o), names) for o in entry)
+    if not isinstance(entry, list):  # a string would be read as one name per character
+        raise FormatError(f"a ranking must be a JSON list of names, got {json.dumps(entry)}")
+    return tuple(_object_id(o, names) for o in entry)
 
 
 def profile_from_dict(data: Any, inst: Instance, names: ObjectNames) -> Profile:
@@ -159,7 +169,7 @@ def matching_from_dict(data: Any, inst: Instance, names: ObjectNames) -> Matchin
         data = data["matching"]
     if not isinstance(data, list) or len(data) != inst.n:
         raise FormatError(f"matching JSON must assign all {inst.n} agents")
-    matching = tuple(_object_id(str(o), names) for o in data)
+    matching = tuple(_object_id(o, names) for o in data)
     if not is_feasible(inst, matching):
         raise FormatError(f"matching {data} exceeds the capacity of an object")
     return matching

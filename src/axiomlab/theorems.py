@@ -49,6 +49,7 @@ from .preferences import (
     prefers,
     push_to_top,
     single_trade_cycle,
+    sorted_profiles,
 )
 from .rules import (
     Lottery,
@@ -512,6 +513,54 @@ class _DrawnLotteries(Mapping):
         return iter(self._draws)
 
 
+def _prescreen(
+    inst: Instance, profiles: list[Profile], keep_kinds: list[str], break_kind: str | None
+) -> tuple[dict[Profile, list[Matching]], dict[Profile, list[Matching]]]:
+    """Per profile, the matchings meeting every kept kind, and those breaking ``break_kind``.
+
+    Both lists are in ``enumerate_matchings`` order, the breakers are a
+    subset of the allowed matchings, and without ``break_kind`` there are no
+    breakers.  The efficiency notions are
+    equivariant under agent relabelling: m meets one at P iff sigma m meets it
+    at sigma P.  So the verdicts are taken on the sorted profiles only, and
+    every other profile gets its sorted profile's lists relabelled back to its
+    agents (as ``rules.random_serial_dictatorship`` relabels a lottery) and
+    sorted again.  Swapping two agents with equal preferences fixes the sorted
+    profile and so its lists; the tie-break of the sort cannot matter.  Each
+    relabelled matching is the ``enumerate_matchings`` tuple itself.
+    """
+    universe = enumerate_matchings(inst)
+    canon = {m: m for m in universe}
+    screened = {}
+    for _, profile in sorted_profiles(inst):
+        pool = [
+            m
+            for m in universe
+            if all(matching_verdict(inst, m, profile, k) is None for k in keep_kinds)
+        ]
+        broken = [m for m in pool if break_kind and matching_verdict(inst, m, profile, break_kind)]
+        screened[profile] = pool, broken
+
+    def relabelled(matchings, position):
+        return sorted(canon[tuple(m[p] for p in position)] for m in matchings)
+
+    allowed: dict[Profile, list[Matching]] = {}
+    breakers: dict[Profile, list[Matching]] = {}
+    identity = list(range(inst.n))
+    position = [0] * inst.n
+    for profile in profiles:
+        order = sorted(identity, key=profile.__getitem__)
+        pool, broken = screened[tuple(profile[a] for a in order)]
+        if order != identity:
+            for p, agent in enumerate(order):
+                position[agent] = p
+            pool, broken = relabelled(pool, position), relabelled(broken, position)
+        allowed[profile] = pool
+        if break_kind is not None:
+            breakers[profile] = broken
+    return allowed, breakers
+
+
 def search_counterexample(
     inst: Instance,
     required: list[Axiom],
@@ -529,7 +578,19 @@ def search_counterexample(
     profile.  Every draw is made when the candidate is made, in profile
     order, so a seed always yields the same candidates; each profile's
     ``Lottery`` is built only when a check first reads it, since the checks
-    of an early-failing candidate read few profiles.
+    of an early-failing candidate read few profiles.  The allowed and
+    breaking matchings are screened on the sorted profiles only and
+    relabelled onto the others (``_prescreen``).
+
+    Each candidate is checked against the required axioms the draws do not
+    enforce (those outside ``EX_POST_KINDS``), in the order given, then the
+    violated axiom, then the required ex-post axioms, stopping at the first
+    decisive result.  A candidate is accepted iff the violated axiom fails
+    and every required axiom passes, and no check draws from the rng, so the
+    order decides only how much is checked, never the result.  The required
+    axioms no draw enforces are the ones a candidate can fail, and a failing
+    scan stops at its first violation, while the violated axiom's scan may
+    walk much of the domain before it meets a drawn breaker.
     Every candidate is screened by the full checkers, so a returned rule has
     already been independently re-verified.  ``budget`` bounds the number of
     candidates tried; a budget below 1 is a BoundsError, and a
@@ -548,24 +609,12 @@ def search_counterexample(
         require_applicable(inst, axiom, rule_space == "lottery")
     rng = random.Random(seed)
     profiles = list(enumerate_profiles(inst))
-    universe = enumerate_matchings(inst)
-
-    keep_kinds = [EX_POST_KINDS[a] for a in required if a in EX_POST_KINDS]
-    break_kind = EX_POST_KINDS.get(violated)
-
-    allowed: dict[Profile, list[Matching]] = {}
-    breakers: dict[Profile, list[Matching]] = {}
-    for profile in profiles:
-        pool = [
-            m
-            for m in universe
-            if all(matching_verdict(inst, m, profile, k) is None for k in keep_kinds)
-        ]
-        allowed[profile] = pool
-        if break_kind is not None:
-            breakers[profile] = [
-                m for m in pool if matching_verdict(inst, m, profile, break_kind)
-            ]
+    allowed, breakers = _prescreen(
+        inst,
+        profiles,
+        [EX_POST_KINDS[a] for a in required if a in EX_POST_KINDS],
+        EX_POST_KINDS.get(violated),
+    )
 
     def greedy_choice(profile):
         if breakers.get(profile):
@@ -587,14 +636,18 @@ def search_counterexample(
             draws[p] = first, extra
         return TabulatedLotteryRule(_DrawnLotteries(draws))
 
+    unenforced = [a for a in required if a not in EX_POST_KINDS]
+    enforced = [a for a in required if a in EX_POST_KINDS]
     tried = 0
     while tried < budget:
         candidate = make_candidate(tried)
         tried += 1
+        if not all(check_axiom(inst, candidate, a).passed for a in unenforced):
+            continue
         violated_report = check_axiom(inst, candidate, violated)
         if violated_report.passed:
             continue
-        if all(check_axiom(inst, candidate, a).passed for a in required):
+        if all(check_axiom(inst, candidate, a).passed for a in enforced):
             return SearchResult(
                 status="found",
                 rule=candidate,

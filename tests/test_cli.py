@@ -430,6 +430,46 @@ def test_object_without_capacity_is_a_format_error(capsys, files):
         assert error["type"] == "FormatError" and key in error["message"], (first, n)
 
 
+def test_object_names_and_references_are_json_strings(capsys, files):
+    """A name, or a reference in a profile, matching or rule file, that is not a string is
+    rejected, not read as its ``str`` (a null name as an object called "None"); so is a
+    ranking given as a string, not read as one name per character."""
+    for bad in (None, {"k": 1}, 1, ["a"]):
+        objects = [{"name": bad, "capacity": 1}, *INSTANCE_3CYCLE["objects"][1:]]
+        inst = files("i.json", dict(INSTANCE_3CYCLE, objects=objects))
+        error = _error(capsys, "rsd", "--instance", inst, "--profile", inst)
+        assert error["type"] == "FormatError" and "object name" in error["message"], bad
+
+    inst = files("i.json", INSTANCE_3CYCLE)
+    prof = files("p.json", PROFILE_3CYCLE)
+    for bad in (None, 0, ["a"]):
+        profile = files("bad-p.json", [[bad, "a", "c"], *PROFILE_3CYCLE[1:]])
+        error = _error(capsys, "rsd", "--instance", inst, "--profile", profile)
+        assert error["type"] == "FormatError" and "object reference" in error["message"], bad
+        matching = files("bad-m.json", [bad, "b", "c"])
+        error = _error(
+            capsys, "check-matching", "--instance", inst, "--profile", prof,
+            "--matching", matching, "--axiom", "pairwise",
+        )
+        assert error["type"] == "FormatError" and "object reference" in error["message"], bad
+    profile = files("bad-p.json", ["bac", *PROFILE_3CYCLE[1:]])
+    error = _error(capsys, "rsd", "--instance", inst, "--profile", profile)
+    assert error["type"] == "FormatError" and "ranking" in error["message"]
+
+    from axiomlab import Instance
+    from axiomlab.jsonio import rule_to_dict
+    from axiomlab.rules import random_tabulated_rule
+
+    unit = Instance(3, (1, 1, 1))
+    table = rule_to_dict(unit, random_tabulated_rule(unit, 11))
+    first = table["entries"][0]
+    for key, value in (("matching", [0, 1, 2]), ("profile", [[0, 1, 2]] * 3)):
+        entries = [dict(first, **{key: value}), *table["entries"][1:]]
+        rule = files("rule.json", dict(table, entries=entries))
+        error = _error(capsys, "check-rule", "--rule", rule, "--axiom", "strategy-proof")
+        assert error["type"] == "FormatError" and "object reference" in error["message"], key
+
+
 def test_malformed_lottery_table_is_a_format_error(capsys, files):
     entries = [
         {"profile": [["x", "y"], p], "lottery": [{"matching": ["x", "y"], "weight": "1/2"}]}

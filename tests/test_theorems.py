@@ -2,8 +2,10 @@
 
 import copy
 import hashlib
+import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +16,7 @@ from axiomlab import (
     Lottery,
     PreconditionViolated,
     RandomSerialDictatorshipRule,
+    SearchResult,
     SerialDictatorshipRule,
     TableMiss,
     TabulatedDeterministicRule,
@@ -37,6 +40,7 @@ from axiomlab.matchings import matching_verdict
 from axiomlab.model import NULL_BOTTOM, enumerate_matchings
 from axiomlab.preferences import common_rank_rearrange, push_to_top
 from axiomlab.rules import random_tabulated_rule
+from axiomlab.theorems import RULE_SPACES
 
 
 def test_verify_theorem1_rsd_tight(unit3):
@@ -426,44 +430,50 @@ def test_lottery_search_candidate_stream_is_pinned(unit3, required, violated, se
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def _eager_lottery_candidates(inst, required, violated, seed, count):
-    """The first ``count`` lottery candidates of the search, as full tables.
-
-    The reference keeps its own copy of the search's draws, made with
-    ``randrange`` and built into a ``Lottery`` per profile at once, so the
-    candidates it yields do not depend on the search's table.
-    """
-    rng = random.Random(seed)
-    keep = [EX_POST_KINDS[a] for a in required if a in EX_POST_KINDS]
-    broken = EX_POST_KINDS.get(violated)
+def _direct_prescreen(inst, keep_kinds, break_kind, verdict=matching_verdict):
+    """The search's pre-screen taken directly: ``matching_verdict`` on every profile."""
     profiles = list(enumerate_profiles(inst))
     allowed = {
         p: [
             m
             for m in enumerate_matchings(inst)
-            if all(matching_verdict(inst, m, p, k) is None for k in keep)
+            if all(verdict(inst, m, p, k) is None for k in keep_kinds)
         ]
         for p in profiles
     }
     breakers = {
-        p: [m for m in allowed[p] if broken and matching_verdict(inst, m, p, broken)]
+        p: [m for m in allowed[p] if break_kind and verdict(inst, m, p, break_kind)]
         for p in profiles
     }
-    tables = []
-    for attempt in range(count):
+    return allowed, breakers
+
+
+def _eager_candidates(inst, required, violated, seed, rule_space="lottery"):
+    """The search's candidates, in order, as full tables.
+
+    The reference keeps its own copy of the search's draws, made with
+    ``randrange`` on the direct pre-screen, and builds each profile's entry
+    (a ``Lottery`` in the lottery space) at once, so the candidates it yields
+    do not depend on the search's table.
+    """
+    rng = random.Random(seed)
+    keep = [EX_POST_KINDS[a] for a in required if a in EX_POST_KINDS]
+    allowed, breakers = _direct_prescreen(inst, keep, EX_POST_KINDS.get(violated))
+    for attempt in itertools.count():
         table = {}
-        for p in profiles:
+        for p in allowed:
             if attempt == 0:
                 first = (breakers[p] or allowed[p])[0]
-                extra = allowed[p][0]
             else:
                 pool = breakers[p] if breakers[p] and rng.random() < 0.75 else allowed[p]
                 first = pool[rng.randrange(len(pool))]
-                extra = allowed[p][rng.randrange(len(allowed[p]))]
+            if rule_space == "deterministic":
+                table[p] = first
+                continue
+            extra = allowed[p][rng.randrange(len(allowed[p]))] if attempt else allowed[p][0]
             support = {first, extra}
             table[p] = Lottery({m: 1 for m in support}, len(support))
-        tables.append(table)
-    return tables
+        yield table
 
 
 def _searched_candidates(monkeypatch, inst, required, violated, budget, seed):
@@ -519,7 +529,7 @@ def test_lazy_lottery_candidates_check_as_eager_tables(monkeypatch, unit3, requi
     """
     searched = _searched_candidates(monkeypatch, unit3, required, violated, 3, seed)
     candidates = [unread for _, unread in searched]
-    eager_tables = _eager_lottery_candidates(unit3, required, violated, seed, len(candidates))
+    eager_tables = _eager_candidates(unit3, required, violated, seed)
     assert len(candidates) >= 2
     lottery_axioms = [a for a in Axiom if a not in DETERMINISTIC_ONLY]
     for candidate, table in zip(candidates, eager_tables):
@@ -556,6 +566,121 @@ def test_search_respects_theorem1(unit3):
         )
         assert result.status == "budget_exhausted"
         assert result.rule is None
+
+
+PRESCREEN_INSTANCES = {
+    "unit3": Instance(3, (1, 1, 1)),
+    "slack3-211": Instance(3, (2, 1, 1)),
+    "slack3-112": Instance(3, (1, 1, 2)),
+    "tight4-211": Instance(4, (2, 1, 1)),
+    "null-bottom3": Instance(3, (1, 1, 1, 1), null_object=0, domain=NULL_BOTTOM),
+}
+
+
+@pytest.mark.parametrize("name", PRESCREEN_INSTANCES)
+def test_prescreen_on_sorted_profiles_is_the_direct_filter(monkeypatch, name):
+    """Every profile's allowed and breaking lists are the direct filter's, for every
+    combination of kept kinds and broken kind, in the same order, and all the
+    lists share one tuple per matching."""
+    import axiomlab.theorems as theorems
+
+    inst = PRESCREEN_INSTANCES[name]
+    kinds = sorted(EX_POST_KINDS.values())
+    profiles = list(enumerate_profiles(inst))
+    universe = enumerate_matchings(inst)
+    verdicts = {
+        (p, m, kind): matching_verdict(inst, m, p, kind)
+        for p in profiles
+        for m in universe
+        for kind in kinds
+    }
+    screened = []
+
+    def recorded(inst, m, p, kind):  # the pre-screen reads sorted profiles only
+        screened.append(p)
+        return verdicts[p, m, kind]
+
+    monkeypatch.setattr(theorems, "matching_verdict", recorded)
+    for size in range(len(kinds) + 1):
+        for keep in itertools.combinations(kinds, size):
+            for broken in (None, *kinds):
+                allowed, breakers = theorems._prescreen(inst, profiles, list(keep), broken)
+                direct_allowed, direct_breakers = _direct_prescreen(
+                    inst, keep, broken, lambda _, m, p, kind: verdicts[p, m, kind]
+                )
+                assert allowed == direct_allowed, (keep, broken)
+                assert breakers == (direct_breakers if broken else {}), (keep, broken)
+                shared = {id(m) for ms in (*allowed.values(), *breakers.values()) for m in ms}
+                assert len(shared) <= len(universe), (keep, broken)
+    assert all(list(p) == sorted(p) for p in screened)
+
+
+def _oracle_search(inst, required, violated, budget, seed, rule_space):
+    """The search on full tables, checking the violated axiom first, then ``required``."""
+    tabulate = TabulatedDeterministicRule if rule_space == "deterministic" else TabulatedLotteryRule
+    tables = _eager_candidates(inst, required, violated, seed, rule_space)
+    names = [a.value for a in required]
+    for tried, table in enumerate(itertools.islice(tables, budget), start=1):
+        rule = tabulate(table)
+        report = check_axiom(inst, rule, violated)
+        if not report.passed and all(check_axiom(inst, rule, a).passed for a in required):
+            return SearchResult("found", rule, report.witness, tried, names, violated.value)
+    return SearchResult("budget_exhausted", None, None, budget, names, violated.value)
+
+
+def _random_queries(rule_space, count, seed):
+    """``count`` queries of up to three required axioms, drawn from the axioms the space checks."""
+    rng = random.Random(seed)
+    axioms = [
+        a
+        for a in Axiom
+        if a is not Axiom.INDIVIDUAL_RATIONALITY
+        and (rule_space == "deterministic" or a not in DETERMINISTIC_ONLY)
+    ]
+    return [
+        (rng.sample(axioms, rng.randrange(4)), rng.choice(axioms), rng.randrange(5))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("rule_space", RULE_SPACES)
+def test_search_check_order_changes_no_result(unit3, slack3, rule_space):
+    """Checking the unenforced requirements before the violated axiom gives the
+    oracle's result and rule, found or not, on random queries at n=3."""
+    outcomes = set()
+    for inst in (unit3, slack3):
+        for required, violated, seed in _random_queries(rule_space, 12, 7):
+            query = (inst, required, violated, seed)
+            result = search_counterexample(inst, required, violated, 4, seed, rule_space)
+            oracle = _oracle_search(inst, required, violated, 4, seed, rule_space)
+            assert replace(result, rule=None) == replace(oracle, rule=None), query
+            digests = [
+                r.rule and json.dumps(rule_to_dict(inst, r.rule), sort_keys=True)
+                for r in (result, oracle)
+            ]
+            assert digests[0] == digests[1], query
+            outcomes.add(result.status)
+    assert outcomes == {"found", "budget_exhausted"}
+
+
+def test_thm1b_lottery_search_makes_no_pareto_check(monkeypatch):
+    """With probabilistic monotonicity required, the search never reaches the
+    ex-post Pareto scan on n=4, caps (2,1,1): monotonicity rejects every candidate."""
+    import axiomlab.theorems as theorems
+
+    checked = []
+
+    def recording(inst, rule, axiom, *args, **kwargs):
+        checked.append(axiom)
+        return check_axiom(inst, rule, axiom, *args, **kwargs)
+
+    monkeypatch.setattr(theorems, "check_axiom", recording)
+    required = [Axiom.PROB_MONOTONIC, Axiom.EX_POST_NON_WASTEFUL, Axiom.EX_POST_PAIRWISE]
+    result = search_counterexample(
+        Instance(4, (2, 1, 1)), required, Axiom.EX_POST_PARETO, 20, seed=1, rule_space="lottery"
+    )
+    assert result.status == "budget_exhausted" and result.candidates_tried == 20
+    assert checked == [Axiom.PROB_MONOTONIC] * 20
 
 
 def test_search_budget_zero(unit3):
