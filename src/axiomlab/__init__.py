@@ -24,7 +24,6 @@ from .matchings import (
     apply_cycle,
     blocking_pair,
     find_dominating,
-    is_pareto_efficient,
     matching_verdict,
     pareto_dominates,
     reduce_to_single_cycle,
@@ -54,7 +53,6 @@ from .rules import (
     TabulatedDeterministicRule,
     TabulatedLotteryRule,
     TopTradingCyclesRule,
-    bossy_flip_rule,
     evaluate,
     evaluate_lottery,
     random_serial_dictatorship,

@@ -30,17 +30,21 @@ replay too.
 
 The four incentive axioms (strategy-proofness, non-bossiness, pairwise and
 group strategy-proofness) are scanned over menus.  A block is a coalition C
-together with the reports of every agent outside C; its menu is, for each
-distinct outcome the rule reaches in the block, the lexicographically first
-joint report of C reaching it, listed in scan order.  The four bodies read a
-deviated profile only through its outcome, so every report reaching an outcome
-violates iff the first one does.  The first violating report of the full scan
-is therefore the first report of its outcome, a menu entry, and no menu entry
-before it violates; a report reaching the truthful outcome never violates.
-Hence scanning coalitions by size then membership, then each coalition's menu,
-finds the same first witness as scanning every joint report.  Menus are built
-on first use and cached on the scan's context, so each pool worker keeps its
-own.
+together with the reports of every agent outside C; its menu holds, for each
+distinct outcome the rule reaches in the block, that outcome and the
+lexicographically first joint report of C reaching it, listed in scan order.
+The bodies read a deviation only through its outcome, which the menu entry
+carries, so every report reaching an outcome violates iff the first one does.
+The first violating report of the full scan is therefore the first report of
+its outcome, a menu entry, and no menu entry before it violates; a report
+reaching the truthful outcome never violates, so it needs no skip.  Hence
+scanning coalitions by size then membership, then each coalition's menu, finds
+the same first witness as scanning every joint report.  Strategy-proofness and
+pairwise and group strategy-proofness share one body, which reports the first
+deviation in which every member of the coalition weakly gains and one strictly
+gains; they differ only in the coalition sizes scanned (1, 2, and 1 to n).
+Menus are built on first use and cached on the scan's context, so each pool
+worker keeps its own.
 
 Five lottery axioms are scanned over anonymity orbits when the rule is
 anonymous: probabilistic monotonicity, equal treatment and the three ex-post
@@ -101,7 +105,9 @@ from .preferences import (
     enumerate_profiles,
     is_monotonic_transformation,
     monotonic_steps,
+    preference_ranks,
     prefers,
+    sort_agents,
     sorted_profiles,
     weakly_prefers,
 )
@@ -213,20 +219,26 @@ class _Context:
         return self._reports[size]
 
     def menu(self, profile: Profile, coalition: tuple, outcomes) -> tuple:
-        """The first joint report of ``coalition`` reaching each outcome, in scan order.
+        """The first joint report of ``coalition`` reaching each outcome, with the outcome.
 
         Everyone outside the coalition reports as at ``profile``.  The menu is
         built on first use and cached for every profile of the same block.
         """
         block = coalition, tuple(r for a, r in enumerate(profile) if a not in coalition)
         if block not in self._menus:
-            deviated, firsts = list(profile), {}
+            firsts = {}
             for reports in self.reports(len(coalition)):
-                for a, r in zip(coalition, reports):
-                    deviated[a] = r
-                firsts.setdefault(outcomes[tuple(deviated)], reports)
-            self._menus[block] = tuple(firsts.values())
+                firsts.setdefault(outcomes[_deviated(profile, coalition, reports)], reports)
+            self._menus[block] = tuple((reports, got) for got, reports in firsts.items())
         return self._menus[block]
+
+
+def _deviated(profile: Profile, coalition, reports) -> Profile:
+    """``profile`` with each agent of ``coalition`` reporting her entry of ``reports``."""
+    deviated = list(profile)
+    for a, r in zip(coalition, reports):
+        deviated[a] = r
+    return tuple(deviated)
 
 
 # Violation bodies.  Each takes ``(ctx, profile, outcomes, deviations)``, where
@@ -234,77 +246,64 @@ class _Context:
 # witness of the first deviation that violates the axiom, or None.
 
 
-def _manipulation(ctx, profile, outcomes, deviations):
-    mine = outcomes[profile]
-    for agent, misreport in deviations:
-        truth = profile[agent]
-        if misreport == truth:
-            continue
-        deviated = profile[:agent] + (misreport,) + profile[agent + 1 :]
-        got = outcomes[deviated][agent]
-        if prefers(truth, got, mine[agent]):
-            return {
-                "kind": "manipulation",
-                "profile": profile,
-                "agent": agent,
-                "misreport": misreport,
-                "truthful_allotment": mine[agent],
-                "manipulated_allotment": got,
-            }
-    return None
+def _coalition_gain(witness: Callable) -> Callable:
+    """The body of the three manipulation axioms: the first deviation in which every
+    coalition member weakly gains and one strictly gains, as ``witness`` reports it."""
+
+    def violation(ctx, profile, outcomes, deviations):
+        mine = outcomes[profile]
+        ranks = [preference_ranks(pref) for pref in profile]
+        held = [rank[obj] for rank, obj in zip(ranks, mine)]
+        for coalition, reports, got in deviations:
+            strict = False
+            for a in coalition:
+                rank = ranks[a][got[a]]
+                if rank > held[a]:
+                    break
+                strict = strict or rank < held[a]
+            else:
+                if strict:
+                    return witness(profile, mine, coalition, reports, got)
+        return None
+
+    return violation
 
 
-def _pair_manipulation(ctx, profile, outcomes, deviations):
-    mine = outcomes[profile]
-    for (i, j), (ri, rj) in deviations:
-        deviated = list(profile)
-        deviated[i], deviated[j] = ri, rj
-        deviated = tuple(deviated)
-        if deviated == profile:
-            continue
-        got = outcomes[deviated]
-        for strict, weak in ((i, j), (j, i)):
-            if prefers(profile[strict], got[strict], mine[strict]) and weakly_prefers(
-                profile[weak], got[weak], mine[weak]
-            ):
-                return {
-                    "kind": "pair_manipulation",
-                    "profile": profile,
-                    "agents": [i, j],
-                    "misreports": [ri, rj],
-                    "strict_agent": strict,
-                }
-    return None
+def _manipulation_witness(profile, mine, coalition, reports, got):
+    (agent,), (misreport,) = coalition, reports
+    return {
+        "kind": "manipulation",
+        "profile": profile,
+        "agent": agent,
+        "misreport": misreport,
+        "truthful_allotment": mine[agent],
+        "manipulated_allotment": got[agent],
+    }
 
 
-def _group_manipulation(ctx, profile, outcomes, deviations):
-    mine = outcomes[profile]
-    for coalition, reports in deviations:
-        deviated = list(profile)
-        for a, r in zip(coalition, reports):
-            deviated[a] = r
-        deviated = tuple(deviated)
-        if deviated == profile:
-            continue
-        got = outcomes[deviated]
-        if all(weakly_prefers(profile[a], got[a], mine[a]) for a in coalition) and any(
-            prefers(profile[a], got[a], mine[a]) for a in coalition
-        ):
-            return {
-                "kind": "group_manipulation",
-                "profile": profile,
-                "agents": list(coalition),
-                "misreports": list(reports),
-            }
-    return None
+def _pair_witness(profile, mine, coalition, reports, got):
+    i, j = coalition
+    return {
+        "kind": "pair_manipulation",
+        "profile": profile,
+        "agents": [i, j],
+        "misreports": list(reports),
+        "strict_agent": i if prefers(profile[i], got[i], mine[i]) else j,
+    }
+
+
+def _group_witness(profile, mine, coalition, reports, got):
+    return {
+        "kind": "group_manipulation",
+        "profile": profile,
+        "agents": list(coalition),
+        "misreports": list(reports),
+    }
 
 
 def _bossiness(ctx, profile, outcomes, deviations):
     mine = outcomes[profile]
-    for agent, misreport in deviations:
-        if misreport == profile[agent]:
-            continue
-        got = outcomes[profile[:agent] + (misreport,) + profile[agent + 1 :]]
+    for (agent,), (misreport,), got in deviations:
         if got[agent] == mine[agent] and got != mine:
             return {
                 "kind": "bossiness",
@@ -406,42 +405,44 @@ def _irrationality(ctx, profile, lotteries, deviations):
 class _Definition:
     """One axiom: its deviations at a profile, in scan order, and its violation body.
 
-    ``recorded`` reads back from a witness the deviation it records, in the
-    shape the generator yields.
+    ``recorded`` reads back from a witness, with the rule's outcomes, the
+    deviation it records, in the shape the generator yields.
     """
 
     deviations: Callable  # (ctx, profile, outcomes) -> iterable of deviations
     violation: Callable  # (ctx, profile, outcomes, deviations) -> witness or None
-    recorded: Callable  # witness -> deviation
+    recorded: Callable  # (witness, outcomes) -> deviation
 
 
-# Deviation generators take ``(ctx, profile, outcomes)``; ``recorded`` readers
-# take a witness.  Both produce deviations of the shape the body unpacks.
+# Deviation generators take ``(ctx, profile, outcomes)`` and ``recorded`` readers
+# ``(witness, outcomes)``; both produce deviations of the shape the body unpacks.
 
 
-def _agent_misreports(ctx, profile, outcomes):
-    return (
-        (agent, reports[0])
-        for agent in range(ctx.inst.n)
-        for reports in ctx.menu(profile, (agent,), outcomes)
-    )
+def _coalition_menus(*sizes):
+    """The menus of every coalition of these sizes (all sizes if none), as
+    ``(coalition, reports, outcome)``: coalitions by size then membership,
+    then each menu in scan order."""
+
+    def deviations(ctx, profile, outcomes):
+        n = ctx.inst.n
+        return (
+            (coalition, reports, got)
+            for size in sizes or range(1, n + 1)
+            for coalition in combinations(range(n), size)
+            for reports, got in ctx.menu(profile, coalition, outcomes)
+        )
+
+    return deviations
 
 
-def _coalition_menus(ctx, profile, outcomes, sizes):
-    return (
-        (coalition, reports)
-        for size in sizes
-        for coalition in combinations(range(ctx.inst.n), size)
-        for reports in ctx.menu(profile, coalition, outcomes)
-    )
+def _agent_misreport(witness, outcomes):
+    coalition, reports = (witness["agent"],), (witness["misreport"],)
+    return coalition, reports, outcomes[_deviated(witness["profile"], coalition, reports)]
 
 
-def _agent_misreport(witness):
-    return witness["agent"], witness["misreport"]
-
-
-def _coalition_misreports(witness):
-    return witness["agents"], witness["misreports"]
+def _coalition_misreports(witness, outcomes):
+    coalition, reports = witness["agents"], witness["misreports"]
+    return coalition, reports, outcomes[_deviated(witness["profile"], coalition, reports)]
 
 
 def _support(ctx, profile, lotteries):
@@ -458,24 +459,20 @@ def _monotonic_steps(ctx, profile, matching):
 
 
 _DEFINITIONS = {
-    Axiom.STRATEGY_PROOF: _Definition(_agent_misreports, _manipulation, _agent_misreport),
+    Axiom.STRATEGY_PROOF: _Definition(
+        _coalition_menus(1), _coalition_gain(_manipulation_witness), _agent_misreport
+    ),
     Axiom.PAIRWISE_STRATEGY_PROOF: _Definition(
-        lambda ctx, profile, outcomes: _coalition_menus(ctx, profile, outcomes, (2,)),
-        _pair_manipulation,
-        _coalition_misreports,
+        _coalition_menus(2), _coalition_gain(_pair_witness), _coalition_misreports
     ),
     Axiom.GROUP_STRATEGY_PROOF: _Definition(
-        lambda ctx, profile, outcomes: _coalition_menus(
-            ctx, profile, outcomes, range(1, ctx.inst.n + 1)
-        ),
-        _group_manipulation,
-        _coalition_misreports,
+        _coalition_menus(), _coalition_gain(_group_witness), _coalition_misreports
     ),
-    Axiom.NON_BOSSY: _Definition(_agent_misreports, _bossiness, _agent_misreport),
+    Axiom.NON_BOSSY: _Definition(_coalition_menus(1), _bossiness, _agent_misreport),
     Axiom.MASKIN_MONOTONIC: _Definition(
         lambda ctx, profile, outcomes: _monotonic_steps(ctx, profile, outcomes[profile]),
         _non_monotonicity,
-        lambda w: w["transformed"],
+        lambda w, _: w["transformed"],
     ),
     Axiom.PROB_MONOTONIC: _Definition(
         lambda ctx, profile, lotteries: (
@@ -484,17 +481,17 @@ _DEFINITIONS = {
             for transformed in _monotonic_steps(ctx, profile, matching)
         ),
         _prob_non_monotonicity,
-        lambda w: (w["transformed"], w["matching"]),
+        lambda w, _: (w["transformed"], w["matching"]),
     ),
     Axiom.EQUAL_TREATMENT: _Definition(
         lambda ctx, profile, lotteries: product(
             combinations(range(ctx.inst.n), 2), lotteries[profile].support()
         ),
         _unequal_treatment,
-        lambda w: (w["agents"], w["matching"]),
+        lambda w, _: (w["agents"], w["matching"]),
     ),
     **{
-        axiom: _Definition(_support, _ex_post_failure(kind), lambda w: w["matching"])
+        axiom: _Definition(_support, _ex_post_failure(kind), lambda w, _: w["matching"])
         for axiom, kind in EX_POST_KINDS.items()
     },
     Axiom.INDIVIDUAL_RATIONALITY: _Definition(
@@ -502,7 +499,7 @@ _DEFINITIONS = {
             lotteries[profile].support(), enumerate(ctx.endowment)
         ),
         _irrationality,
-        lambda w: (w["matching"], (w["agents"][0], w["objects"][1])),
+        lambda w, _: (w["matching"], (w["agents"][0], w["objects"][1])),
     ),
 }
 
@@ -539,9 +536,9 @@ def _is_anonymous(inst: Instance, lotteries) -> bool:
     """True iff relabelling the agents of a profile relabels its lottery alike.
 
     One pass in enumeration order, stopping at the first mismatch, checks
-    that every profile's lottery is the lottery of its sorted profile (agents
-    stably sorted by preference, as RSD sorts them) relabelled back to the
-    original agents, and that every sorted profile's lottery is unchanged
+    that every profile's lottery is the lottery of its sorted profile
+    relabelled back to the original agents (``preferences.sort_agents``, as
+    RSD sorts them), and that every sorted profile's lottery is unchanged
     when two adjacent agents with equal preferences swap.  An on-demand
     table keeps the sorted profiles' lotteries only.
     """
@@ -552,19 +549,14 @@ def _is_anonymous(inst: Instance, lotteries) -> bool:
         swap = identity[:]
         swap[p], swap[p + 1] = p + 1, p
         swaps.append(itemgetter(*swap))
-    position = [0] * inst.n
     for profile in enumerate_profiles(inst):
-        order = sorted(identity, key=profile.__getitem__)
-        if order == identity:
+        sorted_profile, relabel = sort_agents(profile)
+        if relabel is None:
             lottery = lotteries[profile]
             for p, swap in enumerate(swaps):
                 if profile[p] == profile[p + 1] and not lottery.equals_relabelled(lottery, swap):
                     return False
-            continue
-        for p, agent in enumerate(order):
-            position[agent] = p
-        base = lotteries[tuple(profile[agent] for agent in order)]
-        if not read(profile).equals_relabelled(base, itemgetter(*position)):
+        elif not read(profile).equals_relabelled(lotteries[sorted_profile], relabel):
             return False
     return True
 
@@ -700,7 +692,6 @@ def replay_witness(
     definition = _DEFINITIONS[axiom]
     witness = _frozen(witness)
     outcomes = _outcomes(inst, rule, axiom)
-    found = definition.violation(
-        _Context(inst), witness["profile"], outcomes, [definition.recorded(witness)]
-    )
+    recorded = definition.recorded(witness, outcomes)
+    found = definition.violation(_Context(inst), witness["profile"], outcomes, [recorded])
     return found is not None and _frozen(found) == witness

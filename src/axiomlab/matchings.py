@@ -6,10 +6,10 @@ and builds the failure witness; the ex-post axioms, the ``check-matching``
 command and the counterexample search all go through it.  It decides Pareto
 efficiency by the characterization of Abdulkadiroğlu and Sönmez (1998): a
 matching is Pareto efficient iff it is non-wasteful and has no improvement
-cycle; its ``cycle`` witness is the only public form of that cycle.
-``is_pareto_efficient``, a scan of every feasible matching, is the oracle
-the tests hold that decision to.  All tie-breaking is fixed (lowest agent
-ids first) so every witness is reproducible byte for byte.
+cycle; its ``cycle`` witness is the only public form of that cycle.  The
+tests hold that decision to a scan of every feasible matching.  All
+tie-breaking is fixed (lowest agent ids first) so every witness is
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -44,16 +44,6 @@ def find_dominating(
         if pareto_dominates(candidate, matching, profile):
             return candidate
     return None
-
-
-def is_pareto_efficient(
-    inst: Instance,
-    matching: Matching,
-    profile: Profile,
-    universe: list[Matching] | None = None,
-) -> bool:
-    """Brute-force test oracle: no feasible matching dominates this one."""
-    return find_dominating(inst, matching, profile, universe) is None
 
 
 def blocking_pair(matching: Matching, profile: Profile) -> tuple[int, int] | None:

@@ -18,9 +18,10 @@ proof-replay harnesses:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice, permutations, product
+from itertools import combinations_with_replacement, permutations, product
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import DomainViolation, PreconditionViolated, SizeOverflow
 from .model import (
@@ -91,22 +92,13 @@ def count_profiles(inst: Instance) -> int:
     return len(all_preferences(inst)) ** inst.n
 
 
-def enumerate_profiles(
-    inst: Instance, start: int = 0, stop: int | None = None
-) -> Iterator[Profile]:
-    """Stream all profiles in lexicographic order; never materialized.
-
-    ``start``/``stop`` select a slice of the stream by index, which is how
-    parallel workers split the profile space without coordination.
-    """
+def enumerate_profiles(inst: Instance) -> Iterator[Profile]:
+    """Stream all profiles in lexicographic order; never materialized."""
     total = count_profiles(inst)
     bound = enumeration_bound()
     if total > bound:
         raise SizeOverflow(f"{total} profiles exceed the bound of {bound}")
-    stream = product(all_preferences(inst), repeat=inst.n)
-    if start or stop is not None:
-        stream = islice(stream, start, stop)
-    return iter(stream)
+    return product(all_preferences(inst), repeat=inst.n)
 
 
 def sorted_profiles(inst: Instance) -> Iterator[tuple[int, Profile]]:
@@ -127,6 +119,26 @@ def sorted_profiles(inst: Instance) -> Iterator[tuple[int, Profile]]:
         for digit in digits:
             index = index * len(prefs) + digit
         yield index, tuple(prefs[d] for d in digits)
+
+
+def sort_agents(profile: Profile) -> tuple[Profile, Callable[[Matching], Matching] | None]:
+    """The profile with its agents stably sorted by preference, and the way back.
+
+    The sorted profile is the first of the profile's anonymity orbit in
+    ``sorted_profiles``.  The relabelling maps a matching of the sorted
+    profile to the original agents (each agent gets what her position got),
+    and is None when the profile is already sorted.
+
+    >>> sorted_profile, relabel = sort_agents(((1, 0), (0, 1)))
+    >>> sorted_profile, relabel((0, 1))
+    (((0, 1), (1, 0)), (1, 0))
+    """
+    agents = range(len(profile))
+    order = sorted(agents, key=profile.__getitem__)
+    if order == list(agents):
+        return profile, None
+    position = sorted(agents, key=order.__getitem__)  # the inverse: position[order[p]] == p
+    return tuple(profile[agent] for agent in order), itemgetter(*position)
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Mapping, Union
 
 from .errors import PreconditionViolated, SizeOverflow, TableMiss
 from .model import Instance, Matching, enumeration_bound
-from .preferences import Profile, enumerate_profiles, preference_ranks
+from .preferences import Profile, sort_agents
 
 
 class Lottery:
@@ -230,14 +230,11 @@ def random_serial_dictatorship(inst: Instance, profile: Profile) -> Lottery:
     bound = enumeration_bound()
     if total > bound:
         raise SizeOverflow(f"{total} agent orders exceed the bound of {bound}")
-    order = sorted(range(inst.n), key=profile.__getitem__)
-    lottery = _orbit_lottery(inst, tuple(profile[a] for a in order))
-    if order == list(range(inst.n)):
+    sorted_profile, relabel = sort_agents(profile)
+    lottery = _orbit_lottery(inst, sorted_profile)
+    if relabel is None:
         return lottery
-    position = [0] * inst.n
-    for p, agent in enumerate(order):
-        position[agent] = p
-    counts = {tuple(m[p] for p in position): c for m, c in lottery._counts.items()}
+    counts = {relabel(m): c for m, c in lottery._counts.items()}
     return Lottery(counts, lottery._denominator)
 
 
@@ -325,38 +322,3 @@ def evaluate_lottery(inst: Instance, rule: RuleDescriptor, profile: Profile) -> 
     if isinstance(outcome, Lottery):
         return outcome
     return Lottery.point(outcome)
-
-
-def bossy_flip_rule(inst: Instance) -> TabulatedDeterministicRule:
-    """A strategy-proof but bossy showcase rule on 3 agents, 3 unit objects.
-
-    Agent 0 always receives object 0.  Agents 1 and 2 receive objects 1 and 2
-    in an order controlled entirely by agent 0's report: if agent 0 ranks
-    object 1 above object 2 they get (1, 2), otherwise (2, 1).  Nobody can
-    change her own allotment, yet agent 0 flips the other two.
-    """
-    if inst.n != 3 or inst.capacities != (1, 1, 1):
-        raise PreconditionViolated("the showcase bossy rule needs n=3, unit capacities")
-    table: dict[Profile, Matching] = {}
-    for profile in enumerate_profiles(inst):
-        ranks = preference_ranks(profile[0])
-        if ranks[1] < ranks[2]:
-            table[profile] = (0, 1, 2)
-        else:
-            table[profile] = (0, 2, 1)
-    return TabulatedDeterministicRule(table)
-
-
-def random_tabulated_rule(inst: Instance, seed: int) -> TabulatedDeterministicRule:
-    """Seeded random profile-to-matching table over all feasible matchings."""
-    import random
-
-    from .model import enumerate_matchings
-
-    rng = random.Random(seed)
-    matchings = enumerate_matchings(inst)
-    table = {
-        profile: matchings[rng.randrange(len(matchings))]
-        for profile in enumerate_profiles(inst)
-    }
-    return TabulatedDeterministicRule(table)

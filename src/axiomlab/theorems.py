@@ -49,6 +49,7 @@ from .preferences import (
     prefers,
     push_to_top,
     single_trade_cycle,
+    sort_agents,
     sorted_profiles,
 )
 from .rules import (
@@ -524,10 +525,10 @@ def _prescreen(
     equivariant under agent relabelling: m meets one at P iff sigma m meets it
     at sigma P.  So the verdicts are taken on the sorted profiles only, and
     every other profile gets its sorted profile's lists relabelled back to its
-    agents (as ``rules.random_serial_dictatorship`` relabels a lottery) and
-    sorted again.  Swapping two agents with equal preferences fixes the sorted
-    profile and so its lists; the tie-break of the sort cannot matter.  Each
-    relabelled matching is the ``enumerate_matchings`` tuple itself.
+    agents (``preferences.sort_agents``) and sorted again.  Swapping two
+    agents with equal preferences fixes the sorted profile and so its lists;
+    the tie-break of the sort cannot matter.  Each relabelled matching is the
+    ``enumerate_matchings`` tuple itself.
     """
     universe = enumerate_matchings(inst)
     canon = {m: m for m in universe}
@@ -541,20 +542,16 @@ def _prescreen(
         broken = [m for m in pool if break_kind and matching_verdict(inst, m, profile, break_kind)]
         screened[profile] = pool, broken
 
-    def relabelled(matchings, position):
-        return sorted(canon[tuple(m[p] for p in position)] for m in matchings)
+    def relabelled(matchings, relabel):
+        return sorted(canon[relabel(m)] for m in matchings)
 
     allowed: dict[Profile, list[Matching]] = {}
     breakers: dict[Profile, list[Matching]] = {}
-    identity = list(range(inst.n))
-    position = [0] * inst.n
     for profile in profiles:
-        order = sorted(identity, key=profile.__getitem__)
-        pool, broken = screened[tuple(profile[a] for a in order)]
-        if order != identity:
-            for p, agent in enumerate(order):
-                position[agent] = p
-            pool, broken = relabelled(pool, position), relabelled(broken, position)
+        sorted_profile, relabel = sort_agents(profile)
+        pool, broken = screened[sorted_profile]
+        if relabel is not None:
+            pool, broken = relabelled(pool, relabel), relabelled(broken, relabel)
         allowed[profile] = pool
         if break_kind is not None:
             breakers[profile] = broken

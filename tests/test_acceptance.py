@@ -21,11 +21,9 @@ from axiomlab import (
     RandomSerialDictatorshipRule,
     SerialDictatorshipRule,
     TopTradingCyclesRule,
-    bossy_flip_rule,
     enumerate_matchings,
     enumerate_profiles,
     find_dominating,
-    is_pareto_efficient,
     matching_verdict,
     pareto_dominates,
     random_serial_dictatorship,
@@ -41,7 +39,8 @@ from axiomlab.cli import run
 from axiomlab.jsonio import load_rule_file, rule_to_dict
 from axiomlab.model import NULL_BOTTOM
 from axiomlab.preferences import all_preferences, prefers
-from axiomlab.rules import evaluate_lottery, random_tabulated_rule
+from axiomlab.rules import evaluate_lottery
+from helpers import bossy_flip_rule, is_pareto_efficient, random_tabulated_rule
 
 UNIT3 = Instance(3, (1, 1, 1))
 SLACK3 = Instance(3, (2, 1, 1))

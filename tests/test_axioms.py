@@ -16,7 +16,6 @@ from axiomlab import (
     TabulatedDeterministicRule,
     TabulatedLotteryRule,
     TopTradingCyclesRule,
-    bossy_flip_rule,
     check_axiom,
     check_individual_rationality,
     enumerate_matchings,
@@ -34,7 +33,7 @@ from axiomlab.axioms import (
 )
 from axiomlab.matchings import matching_verdict
 from axiomlab.preferences import weakly_prefers
-from axiomlab.rules import random_tabulated_rule
+from helpers import bossy_flip_rule, random_tabulated_rule
 
 SD = SerialDictatorshipRule((0, 1, 2))
 RSD = RandomSerialDictatorshipRule()

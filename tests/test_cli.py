@@ -184,7 +184,7 @@ def test_check_rule_workers_agree(capsys, files, tmp_path):
     from axiomlab import Instance
     from axiomlab.cli import AXIOM_NAMES
     from axiomlab.jsonio import rule_to_dict
-    from axiomlab.rules import random_tabulated_rule
+    from helpers import random_tabulated_rule
 
     inst = Instance(3, (1, 1, 1))
     rule = files("rule.json", rule_to_dict(inst, random_tabulated_rule(inst, 11)))
@@ -204,7 +204,7 @@ def test_maskin_witness_names_the_new_outcome(capsys, files):
     """``new_outcome`` is the rule's matching at ``transformed``, printed by name."""
     from axiomlab import Instance
     from axiomlab.jsonio import rule_to_dict
-    from axiomlab.rules import random_tabulated_rule
+    from helpers import random_tabulated_rule
 
     inst = Instance(3, (1, 1, 1))
     table = rule_to_dict(inst, random_tabulated_rule(inst, 11))
@@ -326,7 +326,8 @@ def test_check_rule_individual_rationality(capsys, files):
 def test_coalition_cap_is_a_usage_error(capsys, files):
     """Group strategy-proofness always scans every coalition size, so a cap that
     reduced it to strategy-proofness, and passed the bossy rule, is not an option."""
-    from axiomlab import Instance, bossy_flip_rule
+    from axiomlab import Instance
+    from helpers import bossy_flip_rule
     from axiomlab.jsonio import rule_to_dict
 
     inst = Instance(3, (1, 1, 1))
@@ -401,7 +402,7 @@ def test_infeasible_matching_is_a_format_error(capsys, files):
 def test_duplicate_rule_table_entry_is_a_format_error(capsys, files):
     from axiomlab import Instance
     from axiomlab.jsonio import rule_to_dict
-    from axiomlab.rules import random_tabulated_rule
+    from helpers import random_tabulated_rule
 
     inst = Instance(3, (1, 1, 1))
     table = rule_to_dict(inst, random_tabulated_rule(inst, 11))
@@ -458,7 +459,7 @@ def test_object_names_and_references_are_json_strings(capsys, files):
 
     from axiomlab import Instance
     from axiomlab.jsonio import rule_to_dict
-    from axiomlab.rules import random_tabulated_rule
+    from helpers import random_tabulated_rule
 
     unit = Instance(3, (1, 1, 1))
     table = rule_to_dict(unit, random_tabulated_rule(unit, 11))
@@ -603,7 +604,7 @@ EVERY_COMMAND = {
 def _random_table(capacities, seed):
     from axiomlab import Instance
     from axiomlab.jsonio import rule_to_dict
-    from axiomlab.rules import random_tabulated_rule
+    from helpers import random_tabulated_rule
 
     inst = Instance(len(capacities), capacities)
     return rule_to_dict(inst, random_tabulated_rule(inst, seed))

@@ -10,7 +10,6 @@ from axiomlab import (
     enumerate_matchings,
     enumerate_profiles,
     is_monotonic_transformation,
-    is_pareto_efficient,
     matching_verdict,
     pareto_dominates,
     reduce_to_single_cycle,
@@ -18,6 +17,7 @@ from axiomlab import (
 )
 from axiomlab.model import object_usage
 from axiomlab.preferences import prefers
+from helpers import is_pareto_efficient
 
 
 def test_pareto_dominates_cycle_example(unit3, cycle_profile):

@@ -18,7 +18,6 @@ from axiomlab import (
     TabulatedDeterministicRule,
     TabulatedLotteryRule,
     TopTradingCyclesRule,
-    bossy_flip_rule,
     check_axiom,
     enumerate_matchings,
     enumerate_profiles,
@@ -28,7 +27,8 @@ from axiomlab import (
 )
 from axiomlab.axioms import Axiom, AxiomNotApplicable, replay_witness
 from axiomlab.model import NULL_BOTTOM
-from axiomlab.rules import is_lottery_rule, random_tabulated_rule
+from axiomlab.rules import is_lottery_rule
+from helpers import bossy_flip_rule, random_tabulated_rule
 
 UNIT3 = Instance(3, (1, 1, 1))
 NULL3 = Instance(3, (1, 1, 1, 1), null_object=0, domain=NULL_BOTTOM)

@@ -22,7 +22,6 @@ from axiomlab import (
     enumerate_profiles,
     evaluate,
     evaluate_lottery,
-    is_pareto_efficient,
     matching_verdict,
     random_serial_dictatorship,
     serial_dictatorship,
@@ -32,6 +31,7 @@ from axiomlab import (
 from axiomlab import rules
 from axiomlab.model import object_usage
 from axiomlab.preferences import weakly_prefers
+from helpers import is_pareto_efficient
 
 
 def rsd_oracle(inst, profile):

@@ -22,7 +22,6 @@ from axiomlab import (
     TabulatedDeterministicRule,
     TabulatedLotteryRule,
     TopTradingCyclesRule,
-    bossy_flip_rule,
     enumerate_profiles,
     evaluate,
     partition_agents,
@@ -39,8 +38,8 @@ from axiomlab.jsonio import rule_from_dict, rule_to_dict
 from axiomlab.matchings import matching_verdict
 from axiomlab.model import NULL_BOTTOM, enumerate_matchings
 from axiomlab.preferences import common_rank_rearrange, push_to_top
-from axiomlab.rules import random_tabulated_rule
 from axiomlab.theorems import RULE_SPACES
+from helpers import bossy_flip_rule, random_tabulated_rule
 
 
 def test_verify_theorem1_rsd_tight(unit3):
