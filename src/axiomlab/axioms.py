@@ -55,7 +55,7 @@ pair of equal reports to a pair of equal reports, a single-agent monotonic
 step at m to one at sigma m).  Individual rationality is not: the endowment
 stays put.  A stable sort of the agents by preference takes P to its sorted
 profile S, the lexicographically first profile of its orbit.  One pass,
-``_is_anonymous``, checks two conditions on the outcomes the scan reads:
+``Outcomes.anonymous``, checks two conditions on the outcomes the scan reads:
 every profile's lottery is its sorted profile's relabelled back to the
 original agents, and every sorted profile's lottery is unchanged when two
 adjacent agents with equal preferences swap.  Without the second, S could
@@ -70,17 +70,17 @@ violating profile and returns the same witness and ``profiles_checked``.  A
 pass reports the whole domain, as the full scan does.  A rule that fails the
 pass gets the plain scan of every profile.
 
-The scan and the replay read outcomes through ``_outcomes``.  A table of the
-axiom's kind (lottery or deterministic) is read in place, and any other rule
-is evaluated at a profile the first time the anonymity pass or a body reads
-it; a table with a gap raises TableMiss, even when the scan would stop early.
-The pass evaluates such a rule everywhere but keeps only the sorted profiles'
-outcomes.  Scans can be partitioned across worker processes; chunks are
-contiguous ranges of the scanned stream (the sorted profiles, or every
-profile), so merging keeps the scan-earliest witness and results are
-independent of the worker count.  The pass runs before the pool starts, so a
-forked worker inherits what it evaluated (RSD's orbit memo); otherwise each
-worker evaluates the rule only where its chunk reads.
+The scan and the replay read outcomes through ``Outcomes``, one table per
+rule and kind, which a harness shares across its checks.  It checks a
+tabulated rule's totality once: a gap raises TableMiss, even when the scan
+would stop early.  A table of the axiom's kind is read in place, any other
+rule is evaluated at a profile when first read, and every read is kept.  The
+anonymity pass runs once per table and keeps the sorted profiles' lotteries;
+once it has passed, an unsorted profile reads its sorted profile's lottery
+relabelled back, which the pass proved equal.  Scans can be split across
+worker processes into contiguous ranges of the scanned stream; merging keeps
+the scan-earliest witness, so results do not depend on the worker count.
+Each worker receives the table with its anonymity verdict and kept outcomes.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, islice, product
 from operator import itemgetter
 from typing import Callable
@@ -504,61 +504,55 @@ _DEFINITIONS = {
 }
 
 
-class _OnDemand(dict):
-    """Outcome table that evaluates the rule at a profile the first time it is read.
+class Outcomes(dict):
+    """One rule's outcomes on one instance, keyed by profile: lotteries, or
+    matchings unless ``lottery``; how they are read and kept is in the module docstring."""
 
-    ``evaluate`` evaluates the rule at a profile without keeping the outcome.
-    """
-
-    def __init__(self, evaluate: Callable[[Profile], object]):
+    def __init__(self, inst: Instance, rule: RuleDescriptor, lottery: bool):
         super().__init__()
-        self.evaluate = evaluate
+        self.inst, self.rule, self.lottery = inst, rule, lottery
+        # _read(profile) is the rule's outcome there, not kept.
+        self._read = partial(evaluate_lottery if lottery else evaluate, inst, rule)
+        if isinstance(rule, (TabulatedDeterministicRule, TabulatedLotteryRule)):
+            for profile in enumerate_profiles(inst):
+                if profile not in rule.table:
+                    raise TableMiss(f"no table entry for profile {profile}")
+            if is_lottery_rule(rule) == lottery:
+                self._read = rule.table.__getitem__
 
-    def __missing__(self, profile):
-        self[profile] = outcome = self.evaluate(profile)
-        return outcome
+    def __missing__(self, profile: Profile):
+        if self.__dict__.get("anonymous"):  # the pass has run and found the rule anonymous
+            sorted_profile, relabel = sort_agents(profile)
+            self[profile] = self[sorted_profile].relabelled(relabel)
+        else:
+            self[profile] = self._read(profile)
+        return self[profile]
 
+    @cached_property
+    def anonymous(self) -> bool:
+        """True iff relabelling the agents of a profile relabels its lottery alike.
 
-def _outcomes(inst: Instance, rule: RuleDescriptor, axiom: Axiom):
-    """The rule's outcomes keyed by profile; TableMiss names a table's first gap."""
-    lottery = axiom not in DETERMINISTIC_ONLY
-    if isinstance(rule, (TabulatedDeterministicRule, TabulatedLotteryRule)):
-        for profile in enumerate_profiles(inst):
-            if profile not in rule.table:
-                raise TableMiss(f"no table entry for profile {profile}")
-        if is_lottery_rule(rule) == lottery:
-            return rule.table
-    evaluate_one = evaluate_lottery if lottery else evaluate
-    return _OnDemand(lambda profile: evaluate_one(inst, rule, profile))
-
-
-def _is_anonymous(inst: Instance, lotteries) -> bool:
-    """True iff relabelling the agents of a profile relabels its lottery alike.
-
-    One pass in enumeration order, stopping at the first mismatch, checks
-    that every profile's lottery is the lottery of its sorted profile
-    relabelled back to the original agents (``preferences.sort_agents``, as
-    RSD sorts them), and that every sorted profile's lottery is unchanged
-    when two adjacent agents with equal preferences swap.  An on-demand
-    table keeps the sorted profiles' lotteries only.
-    """
-    read = lotteries.evaluate if isinstance(lotteries, _OnDemand) else lotteries.__getitem__
-    identity = list(range(inst.n))
-    swaps = []  # swaps[p] exchanges what agents p and p + 1 get
-    for p in identity[:-1]:
-        swap = identity[:]
-        swap[p], swap[p + 1] = p + 1, p
-        swaps.append(itemgetter(*swap))
-    for profile in enumerate_profiles(inst):
-        sorted_profile, relabel = sort_agents(profile)
-        if relabel is None:
-            lottery = lotteries[profile]
-            for p, swap in enumerate(swaps):
-                if profile[p] == profile[p + 1] and not lottery.equals_relabelled(lottery, swap):
-                    return False
-        elif not read(profile).equals_relabelled(lotteries[sorted_profile], relabel):
-            return False
-    return True
+        One pass in enumeration order, stopping at the first mismatch, checks
+        that every profile's lottery is the lottery of its sorted profile
+        relabelled back to the original agents (``preferences.sort_agents``,
+        as RSD sorts them), and that every sorted profile's lottery is
+        unchanged when two adjacent agents with equal preferences swap.  It
+        keeps the sorted profiles' lotteries only.
+        """
+        n = self.inst.n
+        # swaps[p] exchanges what agents p and p + 1 get
+        swaps = [itemgetter(*range(p), p + 1, p, *range(p + 2, n)) for p in range(n - 1)]
+        for profile in enumerate_profiles(self.inst):
+            sorted_profile, relabel = sort_agents(profile)
+            if relabel is None:
+                lottery = self[profile]
+                for p, swap in enumerate(swaps):
+                    tied = profile[p] == profile[p + 1]
+                    if tied and not lottery.equals_relabelled(lottery, swap):
+                        return False
+            elif not self._read(profile).equals_relabelled(self[sorted_profile], relabel):
+                return False
+        return True
 
 
 #: Each scan's stream of ``(index in enumerate_profiles, profile)`` pairs.
@@ -568,18 +562,13 @@ _STREAMS = {
 }
 
 
-def _scan(inst, rule, axiom, endowment, scan, start=0, stop=None, outcomes=None):
+def _scan(outcomes, axiom, endowment, scan, start=0, stop=None):
     """First violation among items ``start:stop`` of the ``scan`` stream as
-    ``(index, witness)``, or None.
-
-    Without ``outcomes``, as in a worker, the rule's outcomes are read afresh.
-    """
-    if outcomes is None:
-        outcomes = _outcomes(inst, rule, axiom)
+    ``(index, witness)``, or None."""
     definition = _DEFINITIONS[axiom]
-    ctx = _Context(inst, endowment)
+    ctx = _Context(outcomes.inst, endowment)
     deviations, violation = definition.deviations, definition.violation
-    for idx, profile in islice(_STREAMS[scan](inst), start, stop):
+    for idx, profile in islice(_STREAMS[scan](outcomes.inst), start, stop):
         witness = violation(ctx, profile, outcomes, deviations(ctx, profile, outcomes))
         if witness is not None:
             return idx, witness
@@ -611,7 +600,7 @@ def require_applicable(
 
 def check_axiom(
     inst: Instance,
-    rule: RuleDescriptor,
+    rule: RuleDescriptor | Outcomes,
     axiom: Axiom,
     endowment: Matching | None = None,
     *,
@@ -620,22 +609,26 @@ def check_axiom(
     """Check one axiom for one rule over the full profile domain.
 
     Pass means the universally quantified definition held everywhere; fail
-    carries the scan-first witness.  For a relabel-invariant axiom, a rule
-    that ``_is_anonymous`` finds anonymous is scanned on its sorted profiles
-    only, with the same report.  ``workers`` splits the scanned stream over
-    that many processes without changing the report.  Lottery rules reject the
-    deterministic-only incentive axioms with AxiomNotApplicable; deterministic
-    rules are checked against lottery axioms as the degenerate weight-1
-    lottery.
+    carries the scan-first witness.  ``rule`` may be the rule's ``Outcomes``
+    of the axiom's kind, which the check reads and extends.  For a
+    relabel-invariant axiom, a rule whose ``Outcomes.anonymous`` holds is
+    scanned on its sorted profiles only, with the same report.  ``workers``
+    splits the scanned stream over that many processes without changing the
+    report.  Lottery rules reject the deterministic-only incentive axioms
+    with AxiomNotApplicable; deterministic rules are checked against lottery
+    axioms as the degenerate weight-1 lottery.
     """
     axiom = Axiom(axiom)
     require_workers(workers)
+    lottery = axiom not in DETERMINISTIC_ONLY
+    given = rule if isinstance(rule, Outcomes) else None
+    rule = rule if given is None else given.rule
     require_applicable(inst, axiom, is_lottery_rule(rule), endowment)
 
     started = time.perf_counter()
     total = count_profiles(inst)
-    outcomes = _outcomes(inst, rule, axiom)
-    if axiom in RELABEL_INVARIANT and _is_anonymous(inst, outcomes):
+    outcomes = Outcomes(inst, rule, lottery) if given is None else given
+    if axiom in RELABEL_INVARIANT and outcomes.anonymous:
         # One sorted profile per multiset of n preferences.
         scan, size = "orbits", math.comb(len(all_preferences(inst)) + inst.n - 1, inst.n)
     else:
@@ -644,13 +637,13 @@ def check_axiom(
         chunk = (size + workers - 1) // workers
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_scan, inst, rule, axiom, endowment, scan, lo, lo + chunk)
+                pool.submit(_scan, outcomes, axiom, endowment, scan, lo, lo + chunk)
                 for lo in range(0, size, chunk)
             ]
             hits = [h for h in (future.result() for future in futures) if h is not None]
         hit = min(hits, key=lambda h: h[0]) if hits else None
     else:
-        hit = _scan(inst, rule, axiom, endowment, scan, outcomes=outcomes)
+        hit = _scan(outcomes, axiom, endowment, scan)
     elapsed = time.perf_counter() - started
     label = rule_label(rule)
     if hit is None:
@@ -691,7 +684,7 @@ def replay_witness(
     axiom = Axiom(axiom)
     definition = _DEFINITIONS[axiom]
     witness = _frozen(witness)
-    outcomes = _outcomes(inst, rule, axiom)
+    outcomes = Outcomes(inst, rule, axiom not in DETERMINISTIC_ONLY)
     recorded = definition.recorded(witness, outcomes)
     found = definition.violation(_Context(inst), witness["profile"], outcomes, [recorded])
     return found is not None and _frozen(found) == witness

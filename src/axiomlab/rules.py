@@ -104,6 +104,21 @@ class Lottery:
         counts = self._counts
         return all(counts.get(relabel(m)) == c for m, c in other._counts.items())
 
+    def relabelled(self, relabel: Callable[[Matching], Matching]) -> "Lottery":
+        """This lottery with each matching ``m`` renamed ``relabel(m)``.
+
+        ``relabel`` must be one to one, such as a relabelling of the agents,
+        so the counts stay reduced and need no check.
+
+        >>> from operator import itemgetter
+        >>> Lottery({(0, 1): 2, (1, 0): 1}, 3).relabelled(itemgetter(1, 0))
+        Lottery({(0, 1): 1/3, (1, 0): 2/3})
+        """
+        lottery = object.__new__(Lottery)
+        lottery._counts = dict(sorted((relabel(m), c) for m, c in self._counts.items()))
+        lottery._denominator = self._denominator
+        return lottery
+
     def __contains__(self, matching: Matching) -> bool:
         """True iff ``matching`` has positive weight; reads the counts only."""
         return matching in self._counts
@@ -232,10 +247,7 @@ def random_serial_dictatorship(inst: Instance, profile: Profile) -> Lottery:
         raise SizeOverflow(f"{total} agent orders exceed the bound of {bound}")
     sorted_profile, relabel = sort_agents(profile)
     lottery = _orbit_lottery(inst, sorted_profile)
-    if relabel is None:
-        return lottery
-    counts = {relabel(m): c for m, c in lottery._counts.items()}
-    return Lottery(counts, lottery._denominator)
+    return lottery if relabel is None else lottery.relabelled(relabel)
 
 
 @lru_cache(maxsize=None)

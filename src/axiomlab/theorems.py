@@ -23,13 +23,14 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from dataclasses import dataclass, field
+from functools import partial
 
 from .axioms import (
     DETERMINISTIC_ONLY,
     EX_POST_KINDS,
     Axiom,
+    Outcomes,
     check_axiom,
     require_applicable,
     require_workers,
@@ -57,7 +58,6 @@ from .rules import (
     RuleDescriptor,
     TabulatedDeterministicRule,
     TabulatedLotteryRule,
-    evaluate,
     is_lottery_rule,
     rule_label,
 )
@@ -148,28 +148,19 @@ def _theorem_label(inst: Instance, rule: RuleDescriptor) -> str:
 
 
 def _checker(inst: Instance, rule: RuleDescriptor, workers: int):
-    """``check_axiom`` on one outcome table of the rule, reported under the rule's own label.
+    """``check_axiom`` on one ``Outcomes`` of the rule per kind, shared by every check.
 
-    The worker count is checked first.  The rule is evaluated here, once,
-    unless it is a table already.  A deterministic table is viewed as
-    weight-1 lotteries once, on the first lottery axiom, so the lottery
-    checks read that view in place.
+    The worker count is checked first.  The rule is evaluated inside the
+    timed checks, and each table's totality and anonymity are settled once.
     """
     require_workers(workers)
-    table = rule
-    if not isinstance(rule, (TabulatedDeterministicRule, TabulatedLotteryRule)):
-        tabulate = TabulatedLotteryRule if is_lottery_rule(rule) else TabulatedDeterministicRule
-        table = tabulate({p: evaluate(inst, rule, p) for p in enumerate_profiles(inst)})
-    label = rule_label(rule)
-
-    @cache
-    def lottery_view():
-        return TabulatedLotteryRule({p: Lottery.point(m) for p, m in table.table.items()})
+    tables = {}
 
     def check(axiom):
-        as_lottery = axiom not in DETERMINISTIC_ONLY and not is_lottery_rule(table)
-        view = lottery_view() if as_lottery else table
-        return replace(check_axiom(inst, view, axiom, workers=workers), rule=label)
+        lottery = axiom not in DETERMINISTIC_ONLY
+        if lottery not in tables:
+            tables[lottery] = Outcomes(inst, rule, lottery)
+        return check_axiom(inst, tables[lottery], axiom, workers=workers)
 
     return check
 
@@ -184,8 +175,8 @@ def verify_theorem1(
     exceeds the number of agents.  Only if they all pass does the harness
     read the conclusion: the rule is ex-post pairwise efficient iff it is
     ex-post Pareto efficient, i.e. the two ex-post checks agree.  When they
-    disagree the witness is the failing check's.  The rule is evaluated once
-    into an outcome table that every check reads.
+    disagree the witness is the failing check's.  The checks share one
+    ``Outcomes`` of the rule per kind (``_checker``).
     """
     label = _theorem_label(inst, rule)
     slack = inst.total_capacity > inst.n
@@ -639,12 +630,13 @@ def search_counterexample(
     while tried < budget:
         candidate = make_candidate(tried)
         tried += 1
-        if not all(check_axiom(inst, candidate, a).passed for a in unenforced):
+        check = _checker(inst, candidate, 1)
+        if not all(check(a).passed for a in unenforced):
             continue
-        violated_report = check_axiom(inst, candidate, violated)
+        violated_report = check(violated)
         if violated_report.passed:
             continue
-        if all(check_axiom(inst, candidate, a).passed for a in enforced):
+        if all(check(a).passed for a in enforced):
             return SearchResult(
                 status="found",
                 rule=candidate,

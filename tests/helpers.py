@@ -1,9 +1,17 @@
 """Rules and oracles that only the tests use: the brute-force Pareto oracle,
-a bossy showcase rule and seeded random tables."""
+a bossy showcase rule, seeded random tables and lottery tables that are
+anonymous or nearly so."""
 
 import random
 
-from axiomlab import PreconditionViolated, TabulatedDeterministicRule, find_dominating
+from axiomlab import (
+    Lottery,
+    PreconditionViolated,
+    TabulatedDeterministicRule,
+    TabulatedLotteryRule,
+    find_dominating,
+    random_serial_dictatorship,
+)
 from axiomlab.model import Instance, Matching, enumerate_matchings
 from axiomlab.preferences import Profile, enumerate_profiles, preference_ranks
 
@@ -47,3 +55,24 @@ def random_tabulated_rule(inst: Instance, seed: int) -> TabulatedDeterministicRu
         for profile in enumerate_profiles(inst)
     }
     return TabulatedDeterministicRule(table)
+
+
+def uniform_over(inst: Instance, keep) -> TabulatedLotteryRule:
+    """Per profile, the uniform lottery over the feasible matchings ``keep`` accepts."""
+    universe = enumerate_matchings(inst)
+
+    def lottery(profile):
+        support = {m: 1 for m in universe if keep(m, profile)}
+        return Lottery(support, len(support))
+
+    return TabulatedLotteryRule({p: lottery(p) for p in enumerate_profiles(inst)})
+
+
+def rsd_with_one_changed_unsorted_entry(inst: Instance) -> TabulatedLotteryRule:
+    """RSD's table, except that its last unsorted profile also draws one more matching."""
+    table = {p: random_serial_dictatorship(inst, p) for p in enumerate_profiles(inst)}
+    profile = next(p for p in reversed(list(table)) if list(p) != sorted(p))
+    other = next(m for m in enumerate_matchings(inst) if m not in table[profile])
+    table[profile] = Lottery({**dict.fromkeys(table[profile].support(), 1), other: 1},
+                             len(table[profile].support()) + 1)
+    return TabulatedLotteryRule(table)

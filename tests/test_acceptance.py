@@ -39,7 +39,6 @@ from axiomlab.cli import run
 from axiomlab.jsonio import load_rule_file, rule_to_dict
 from axiomlab.model import NULL_BOTTOM
 from axiomlab.preferences import all_preferences, prefers
-from axiomlab.rules import evaluate_lottery
 from helpers import bossy_flip_rule, is_pareto_efficient, random_tabulated_rule
 
 UNIT3 = Instance(3, (1, 1, 1))

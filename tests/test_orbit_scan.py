@@ -25,8 +25,9 @@ from axiomlab import (
     matching_verdict,
     random_serial_dictatorship,
 )
-from axiomlab.axioms import RELABEL_INVARIANT, Axiom, _is_anonymous, _outcomes, _scan
+from axiomlab.axioms import RELABEL_INVARIANT, Axiom, Outcomes, _scan
 from axiomlab.preferences import sorted_profiles
+from helpers import rsd_with_one_changed_unsorted_entry, uniform_over
 
 RSD = RandomSerialDictatorshipRule()
 FIVE = sorted(RELABEL_INVARIANT, key=lambda a: a.value)
@@ -42,7 +43,7 @@ INSTANCES = {
 
 def _plain(inst, rule, axiom):
     """The report dict of the plain scan over every profile."""
-    hit = _scan(inst, rule, axiom, None, "profiles")
+    hit = _scan(Outcomes(inst, rule, True), axiom, None, "profiles")
     verdict, witness, checked = (
         ("pass", None, count_profiles(inst)) if hit is None else ("fail", hit[1], hit[0] + 1)
     )
@@ -93,15 +94,16 @@ def _orbit_table(inst, lottery_at_sorted):
     return table
 
 
-def _uniform_over(inst, keep):
-    """Per profile, the uniform lottery over the feasible matchings ``keep`` accepts."""
-    universe = enumerate_matchings(inst)
+class _CountedTable(dict):
+    """A table that records each profile read through ``__getitem__``."""
 
-    def lottery(profile):
-        support = {m: 1 for m in universe if keep(m, profile)}
-        return Lottery(support, len(support))
+    def __init__(self, table):
+        super().__init__(table)
+        self.reads = []
 
-    return TabulatedLotteryRule({p: lottery(p) for p in enumerate_profiles(inst)})
+    def __getitem__(self, profile):
+        self.reads.append(profile)
+        return super().__getitem__(profile)
 
 
 @pytest.mark.parametrize(
@@ -131,14 +133,14 @@ ANONYMOUS_FAILING = {
 @pytest.mark.parametrize("name", ["unit3", "caps211"])
 def test_anonymous_failing_rules_report_the_plain_scans_witness(kind, name):
     inst = INSTANCES[name]
-    rule = _uniform_over(inst, ANONYMOUS_FAILING[kind](inst))
+    rule = uniform_over(inst, ANONYMOUS_FAILING[kind](inst))
     verdicts = [_assert_matches_plain(inst, rule, axiom, "orbits") for axiom in FIVE]
     assert "fail" in verdicts
 
 
 def test_anonymous_failing_rules_include_a_prob_monotonic_fail():
     inst = INSTANCES["unit3"]
-    rule = _uniform_over(inst, ANONYMOUS_FAILING["pairwise"](inst))
+    rule = uniform_over(inst, ANONYMOUS_FAILING["pairwise"](inst))
     report = check_axiom(inst, rule, Axiom.PROB_MONOTONIC)
     assert (report.verdict, report.scan) == ("fail", "orbits")
     assert report.profiles_checked > 1
@@ -147,39 +149,44 @@ def test_anonymous_failing_rules_include_a_prob_monotonic_fail():
 @pytest.mark.parametrize("name", ["unit3", "caps211"])
 def test_one_changed_unsorted_entry_gets_the_plain_scan(name):
     inst = INSTANCES[name]
-    table = {p: random_serial_dictatorship(inst, p) for p in enumerate_profiles(inst)}
-    profile = next(p for p in reversed(list(table)) if list(p) != sorted(p))
-    other = next(m for m in enumerate_matchings(inst) if m not in table[profile])
-    table[profile] = Lottery({**dict.fromkeys(table[profile].support(), 1), other: 1},
-                             len(table[profile].support()) + 1)
-    rule = TabulatedLotteryRule(table)
-    assert not _is_anonymous(inst, table)
+    rule = rsd_with_one_changed_unsorted_entry(inst)
+    assert not Outcomes(inst, rule, True).anonymous
     for axiom in FIVE:
         _assert_matches_plain(inst, rule, axiom, "profiles")
 
 
-@pytest.mark.parametrize(
-    "name, tied, relabelled",
-    [
-        ("unit3", ((0, 1, 2), (0, 1, 2), (1, 0, 2)), ((0, 1, 2), (1, 0, 2), (0, 1, 2))),
-        ("caps211", ((0, 1, 2), (1, 2, 0), (1, 2, 0)), ((1, 2, 0), (0, 1, 2), (1, 2, 0))),
-    ],
-)
-def test_a_sorted_profile_breaking_a_tie_unevenly_gets_the_plain_scan(name, tied, relabelled):
-    """Every profile's lottery is its sorted profile's relabelled back, but the
-    sorted profile ``tied`` gives two agents who report alike different objects."""
-    inst = INSTANCES[name]
+UNEVEN_TIES = {
+    "unit3": (((0, 1, 2), (0, 1, 2), (1, 0, 2)), ((0, 1, 2), (1, 0, 2), (0, 1, 2))),
+    "caps211": (((0, 1, 2), (1, 2, 0), (1, 2, 0)), ((1, 2, 0), (0, 1, 2), (1, 2, 0))),
+}
+
+
+def _uneven_tie_table(name):
+    """RSD's table, except on the orbit of the sorted profile ``tied`` of
+    ``UNEVEN_TIES``: ``tied`` gets a point lottery that gives two agents who
+    report alike different objects, and the rest of the orbit its relabellings."""
+    inst, (tied, _) = INSTANCES[name], UNEVEN_TIES[name]
 
     def lottery_at(profile):
         if profile == tied:
             return Lottery.point((0, 1, 2))
         return random_serial_dictatorship(inst, profile)
 
-    table = _orbit_table(inst, lottery_at)
+    return _orbit_table(inst, lottery_at)
+
+
+@pytest.mark.parametrize(
+    "name, tied, relabelled", [(name, *ties) for name, ties in UNEVEN_TIES.items()]
+)
+def test_a_sorted_profile_breaking_a_tie_unevenly_gets_the_plain_scan(name, tied, relabelled):
+    """Every profile's lottery is its sorted profile's relabelled back, but the
+    sorted profile ``tied`` gives two agents who report alike different objects."""
+    inst = INSTANCES[name]
+    table = _uneven_tie_table(name)
     position, _ = _position(relabelled)
     assert table[relabelled] == Lottery.point(tuple((0, 1, 2)[p] for p in position))
-    assert not _is_anonymous(inst, table)
     rule = TabulatedLotteryRule(table)
+    assert not Outcomes(inst, rule, True).anonymous
     for axiom in FIVE:
         _assert_matches_plain(inst, rule, axiom, "profiles", workers=(1,))
     if name == "caps211":
@@ -191,9 +198,45 @@ def test_a_sorted_profile_breaking_a_tie_unevenly_gets_the_plain_scan(name, tied
 
 def test_the_pass_keeps_only_the_sorted_profiles_lotteries():
     inst = INSTANCES["caps211"]
-    outcomes = _outcomes(inst, RSD, Axiom.EX_POST_PARETO)
-    assert _is_anonymous(inst, outcomes)
-    assert set(outcomes) == {p for _, p in sorted_profiles(inst)}
+    table = {p: random_serial_dictatorship(inst, p) for p in enumerate_profiles(inst)}
+    for rule in (RSD, TabulatedLotteryRule(table)):
+        outcomes = Outcomes(inst, rule, True)
+        assert outcomes.anonymous
+        assert set(outcomes) == {p for _, p in sorted_profiles(inst)}
+
+
+@pytest.mark.parametrize("name", ["unit3", "caps211", "null3"])
+def test_after_a_passed_pass_no_unsorted_profile_is_read_from_the_table(name):
+    """Each profile reads its table entry, and only the pass reads the table."""
+    inst = INSTANCES[name]
+    table = {p: random_serial_dictatorship(inst, p) for p in enumerate_profiles(inst)}
+    table = _CountedTable(table)
+    outcomes = Outcomes(inst, TabulatedLotteryRule(table), True)
+    assert outcomes.anonymous
+    assert len(table.reads) == count_profiles(inst)
+    table.reads.clear()
+    for profile in enumerate_profiles(inst):
+        assert outcomes[profile] == dict.__getitem__(table, profile)
+    assert table.reads == []
+
+
+@pytest.mark.parametrize("failure", ["changed", "unit3-tie", "caps211-tie"])
+def test_after_a_failed_pass_every_read_is_the_tables_entry(failure):
+    """A table that fails the pass is read in place everywhere: each profile
+    reads the table's own entry, and is read from the table once."""
+    if failure == "changed":
+        inst = INSTANCES["caps211"]
+        table = _CountedTable(rsd_with_one_changed_unsorted_entry(inst).table)
+    else:
+        name = failure.removesuffix("-tie")
+        inst, table = INSTANCES[name], _CountedTable(_uneven_tie_table(name))
+    outcomes = Outcomes(inst, TabulatedLotteryRule(table), True)
+    assert not outcomes.anonymous
+    kept = set(outcomes)
+    table.reads.clear()
+    for profile in enumerate_profiles(inst):
+        assert outcomes[profile] is dict.__getitem__(table, profile)
+    assert sorted(table.reads) == sorted(set(enumerate_profiles(inst)) - kept)
 
 
 def test_a_rule_that_is_not_anonymous_gets_the_plain_scan():
@@ -235,7 +278,7 @@ def test_random_anonymous_tables_match_the_plain_scan(name, seed):
         return Lottery.from_weights(weights)
 
     table = _orbit_table(inst, lottery_at)
-    assert _is_anonymous(inst, table)
+    assert Outcomes(inst, TabulatedLotteryRule(table), True).anonymous
     rule = TabulatedLotteryRule(table)
     for axiom in FIVE:
         _assert_matches_plain(inst, rule, axiom, "orbits", workers=(1,))

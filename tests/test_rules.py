@@ -17,7 +17,6 @@ from axiomlab import (
     SizeOverflow,
     TabulatedDeterministicRule,
     TableMiss,
-    TopTradingCyclesRule,
     enumerate_matchings,
     enumerate_profiles,
     evaluate,

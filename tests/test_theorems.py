@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 from dataclasses import replace
+from functools import cache
 
 import pytest
 
@@ -33,13 +34,25 @@ from axiomlab import (
     verify_proposition1,
     verify_theorem1,
 )
-from axiomlab.axioms import DETERMINISTIC_ONLY, EX_POST_KINDS, Axiom, check_axiom
+from axiomlab.axioms import (
+    DETERMINISTIC_ONLY,
+    EX_POST_KINDS,
+    Axiom,
+    check_axiom,
+    require_workers,
+)
 from axiomlab.jsonio import rule_from_dict, rule_to_dict
 from axiomlab.matchings import matching_verdict
 from axiomlab.model import NULL_BOTTOM, enumerate_matchings
 from axiomlab.preferences import common_rank_rearrange, push_to_top
-from axiomlab.theorems import RULE_SPACES
-from helpers import bossy_flip_rule, random_tabulated_rule
+from axiomlab.rules import is_lottery_rule, rule_label
+from axiomlab.theorems import RULE_SPACES, _checker
+from helpers import (
+    bossy_flip_rule,
+    random_tabulated_rule,
+    rsd_with_one_changed_unsorted_entry,
+    uniform_over,
+)
 
 
 def test_verify_theorem1_rsd_tight(unit3):
@@ -180,6 +193,90 @@ def test_cor2_builds_each_weight_one_lottery_once(monkeypatch, slack3):
     ]
     assert verdict.details["ex_post_pairwise"] == direct[Axiom.EX_POST_PAIRWISE].passed
     assert verdict.details["ex_post_pareto"] == direct[Axiom.EX_POST_PARETO].passed
+
+
+def _parent_checker(inst, rule, workers):
+    """The harnesses' checker before they shared one ``Outcomes`` per kind, kept
+    verbatim as the oracle: it tabulates the rule eagerly, views a deterministic
+    table as weight-1 lotteries, and relabels each report with the rule's label."""
+    require_workers(workers)
+    table = rule
+    if not isinstance(rule, (TabulatedDeterministicRule, TabulatedLotteryRule)):
+        tabulate = TabulatedLotteryRule if is_lottery_rule(rule) else TabulatedDeterministicRule
+        table = tabulate({p: evaluate(inst, rule, p) for p in enumerate_profiles(inst)})
+    label = rule_label(rule)
+
+    @cache
+    def lottery_view():
+        return TabulatedLotteryRule({p: Lottery.point(m) for p, m in table.table.items()})
+
+    def check(axiom):
+        as_lottery = axiom not in DETERMINISTIC_ONLY and not is_lottery_rule(table)
+        view = lottery_view() if as_lottery else table
+        return replace(check_axiom(inst, view, axiom, workers=workers), rule=label)
+
+    return check
+
+
+HARNESS_INSTANCES = {
+    "unit3": Instance(3, (1, 1, 1)),
+    "caps221": Instance(3, (2, 2, 1)),
+    "null3": Instance(3, (1, 1, 1, 1), null_object=0, domain=NULL_BOTTOM),
+}
+
+HARNESS_RULES = {
+    "rsd": lambda inst: RandomSerialDictatorshipRule(),
+    "sd": lambda inst: SerialDictatorshipRule((0, 1, 2)),
+    "ttc": lambda inst: TopTradingCyclesRule((1, 2, 0)),
+    "random": lambda inst: random_tabulated_rule(inst, 5),
+    "rsd-changed": rsd_with_one_changed_unsorted_entry,
+    "uniform-pairwise": lambda inst: uniform_over(
+        inst, lambda m, p: matching_verdict(inst, m, p, "pairwise") is None
+    ),
+}
+
+
+def _harness_run(monkeypatch, checker, harness, inst, rule, workers):
+    """The harness's report, stats and every check's report and stats, run on ``checker``."""
+    import axiomlab.theorems as theorems
+
+    reports = []
+
+    def recording(*args):
+        check = checker(*args)
+
+        def recorded(axiom):
+            reports.append(check(axiom))
+            return reports[-1]
+
+        return recorded
+
+    monkeypatch.setattr(theorems, "_checker", recording)
+    verdict = harness(inst, rule, workers=workers)
+    return verdict.to_dict(), verdict.stats, [(r.to_dict(), r.stats()) for r in reports]
+
+
+@pytest.mark.parametrize(
+    "name, rule_name",
+    [
+        (name, rule_name)
+        for name, inst in HARNESS_INSTANCES.items()
+        for rule_name in HARNESS_RULES
+        if rule_name != "ttc" or inst.is_housing_market()
+    ],
+)
+def test_harnesses_report_what_the_eager_table_reported(monkeypatch, name, rule_name):
+    """Both harnesses, at one and two workers, give the bytes, stats and check
+    reports they gave when every check read one eagerly built table."""
+    inst = HARNESS_INSTANCES[name]
+    rule = HARNESS_RULES[rule_name](inst)
+    harnesses = [verify_theorem1] + ([] if is_lottery_rule(rule) else [verify_proposition1])
+    for harness, workers in itertools.product(harnesses, (1, 2)):
+        runs = [
+            json.dumps(_harness_run(monkeypatch, checker, harness, inst, rule, workers))
+            for checker in (_parent_checker, _checker)
+        ]
+        assert runs[0] == runs[1], (harness.__name__, workers)
 
 
 def test_replay_theorem1_on_cycle_toy(unit3, cycle_profile):
@@ -481,9 +578,10 @@ def _searched_candidates(monkeypatch, inst, required, violated, budget, seed):
 
     fresh = {}
 
-    def recording(inst, rule, axiom, *args, **kwargs):
+    def recording(inst, outcomes, axiom, *args, **kwargs):
+        rule = outcomes.rule
         fresh.setdefault(id(rule), (rule, copy.deepcopy(rule)))
-        return check_axiom(inst, rule, axiom, *args, **kwargs)
+        return check_axiom(inst, outcomes, axiom, *args, **kwargs)
 
     monkeypatch.setattr(theorems, "check_axiom", recording)
     search_counterexample(inst, required, violated, budget, seed=seed, rule_space="lottery")
