@@ -43,8 +43,9 @@ the same first witness as scanning every joint report.  Strategy-proofness and
 pairwise and group strategy-proofness share one body, which reports the first
 deviation in which every member of the coalition weakly gains and one strictly
 gains; they differ only in the coalition sizes scanned (1, 2, and 1 to n).
-Menus are built on first use and cached on the scan's context, so each pool
-worker keeps its own.
+Menus are built on first use and kept on the rule's ``Outcomes``, so the
+checks of a harness, which share that table, build each menu once; each pool
+worker builds its own.
 
 Five lottery axioms are scanned over anonymity orbits when the rule is
 anonymous: probabilistic monotonicity, equal treatment and the three ex-post
@@ -199,40 +200,6 @@ class CheckReport:
         }
 
 
-@dataclass
-class _Context:
-    """What a definition needs besides the profile: the instance and the endowment."""
-
-    inst: Instance
-    endowment: Matching | None = None
-    _reports: dict = field(default_factory=dict)
-    _menus: dict = field(default_factory=dict)
-
-    @cached_property
-    def preferences(self) -> list:
-        return all_preferences(self.inst)
-
-    def reports(self, size: int) -> tuple:
-        """Every joint report of ``size`` agents, lexicographically."""
-        if size not in self._reports:
-            self._reports[size] = tuple(product(self.preferences, repeat=size))
-        return self._reports[size]
-
-    def menu(self, profile: Profile, coalition: tuple, outcomes) -> tuple:
-        """The first joint report of ``coalition`` reaching each outcome, with the outcome.
-
-        Everyone outside the coalition reports as at ``profile``.  The menu is
-        built on first use and cached for every profile of the same block.
-        """
-        block = coalition, tuple(r for a, r in enumerate(profile) if a not in coalition)
-        if block not in self._menus:
-            firsts = {}
-            for reports in self.reports(len(coalition)):
-                firsts.setdefault(outcomes[_deviated(profile, coalition, reports)], reports)
-            self._menus[block] = tuple((reports, got) for got, reports in firsts.items())
-        return self._menus[block]
-
-
 def _deviated(profile: Profile, coalition, reports) -> Profile:
     """``profile`` with each agent of ``coalition`` reporting her entry of ``reports``."""
     deviated = list(profile)
@@ -241,16 +208,16 @@ def _deviated(profile: Profile, coalition, reports) -> Profile:
     return tuple(deviated)
 
 
-# Violation bodies.  Each takes ``(ctx, profile, outcomes, deviations)``, where
-# ``outcomes`` maps profiles to the rule's outcome there, and returns the
-# witness of the first deviation that violates the axiom, or None.
+# Violation bodies.  Each takes ``(profile, outcomes, deviations)``, where
+# ``outcomes`` is the rule's ``Outcomes``, and returns the witness of the
+# first deviation that violates the axiom, or None.
 
 
 def _coalition_gain(witness: Callable) -> Callable:
     """The body of the three manipulation axioms: the first deviation in which every
     coalition member weakly gains and one strictly gains, as ``witness`` reports it."""
 
-    def violation(ctx, profile, outcomes, deviations):
+    def violation(profile, outcomes, deviations):
         mine = outcomes[profile]
         ranks = [preference_ranks(pref) for pref in profile]
         held = [rank[obj] for rank, obj in zip(ranks, mine)]
@@ -301,7 +268,7 @@ def _group_witness(profile, mine, coalition, reports, got):
     }
 
 
-def _bossiness(ctx, profile, outcomes, deviations):
+def _bossiness(profile, outcomes, deviations):
     mine = outcomes[profile]
     for (agent,), (misreport,), got in deviations:
         if got[agent] == mine[agent] and got != mine:
@@ -316,7 +283,7 @@ def _bossiness(ctx, profile, outcomes, deviations):
     return None
 
 
-def _non_monotonicity(ctx, profile, outcomes, deviations):
+def _non_monotonicity(profile, outcomes, deviations):
     chosen = outcomes[profile]
     for transformed in deviations:
         if is_monotonic_transformation(profile, transformed, chosen):
@@ -331,7 +298,7 @@ def _non_monotonicity(ctx, profile, outcomes, deviations):
     return None
 
 
-def _prob_non_monotonicity(ctx, profile, lotteries, deviations):
+def _prob_non_monotonicity(profile, lotteries, deviations):
     lottery = lotteries[profile]
     for transformed, matching in deviations:
         if is_monotonic_transformation(profile, transformed, matching):
@@ -350,7 +317,7 @@ def _prob_non_monotonicity(ctx, profile, lotteries, deviations):
     return None
 
 
-def _unequal_treatment(ctx, profile, lotteries, deviations):
+def _unequal_treatment(profile, lotteries, deviations):
     lottery = lotteries[profile]
     for (i, j), matching in deviations:
         if profile[i] != profile[j]:
@@ -372,12 +339,12 @@ def _unequal_treatment(ctx, profile, lotteries, deviations):
 
 
 def _ex_post_failure(kind: str) -> Callable:
-    def violation(ctx, profile, lotteries, deviations):
+    def violation(profile, lotteries, deviations):
         lottery = lotteries[profile]
         for matching in deviations:
             if matching not in lottery:
                 continue
-            witness = matching_verdict(ctx.inst, matching, profile, kind)
+            witness = matching_verdict(lotteries.inst, matching, profile, kind)
             if witness is not None:
                 return {**witness, "profile": profile, "matching": matching}
         return None
@@ -385,7 +352,7 @@ def _ex_post_failure(kind: str) -> Callable:
     return violation
 
 
-def _irrationality(ctx, profile, lotteries, deviations):
+def _irrationality(profile, lotteries, deviations):
     lottery = lotteries[profile]
     for matching, (agent, endowed) in deviations:
         if matching in lottery and not weakly_prefers(
@@ -409,13 +376,14 @@ class _Definition:
     deviation it records, in the shape the generator yields.
     """
 
-    deviations: Callable  # (ctx, profile, outcomes) -> iterable of deviations
-    violation: Callable  # (ctx, profile, outcomes, deviations) -> witness or None
+    deviations: Callable  # (profile, outcomes) -> iterable of deviations
+    violation: Callable  # (profile, outcomes, deviations) -> witness or None
     recorded: Callable  # (witness, outcomes) -> deviation
 
 
-# Deviation generators take ``(ctx, profile, outcomes)`` and ``recorded`` readers
-# ``(witness, outcomes)``; both produce deviations of the shape the body unpacks.
+# Deviation generators take ``(profile, outcomes)`` (individual rationality's
+# takes the endowment first) and ``recorded`` readers ``(witness, outcomes)``;
+# both produce deviations of the shape the body unpacks.
 
 
 def _coalition_menus(*sizes):
@@ -423,13 +391,13 @@ def _coalition_menus(*sizes):
     ``(coalition, reports, outcome)``: coalitions by size then membership,
     then each menu in scan order."""
 
-    def deviations(ctx, profile, outcomes):
-        n = ctx.inst.n
+    def deviations(profile, outcomes):
+        n = outcomes.inst.n
         return (
             (coalition, reports, got)
             for size in sizes or range(1, n + 1)
             for coalition in combinations(range(n), size)
-            for reports, got in ctx.menu(profile, coalition, outcomes)
+            for reports, got in outcomes.menu(profile, coalition)
         )
 
     return deviations
@@ -445,14 +413,14 @@ def _coalition_misreports(witness, outcomes):
     return coalition, reports, outcomes[_deviated(witness["profile"], coalition, reports)]
 
 
-def _support(ctx, profile, lotteries):
+def _support(profile, lotteries):
     return lotteries[profile].support()
 
 
-def _monotonic_steps(ctx, profile, matching):
+def _monotonic_steps(inst, profile, matching):
     """Single-agent monotonic transformations of ``profile`` at ``matching``:
     agents ascend, then each agent's alternatives ascend lexicographically."""
-    steps = monotonic_steps(ctx.inst)
+    steps = monotonic_steps(inst)
     for agent, pref in enumerate(profile):
         for alternative in steps[pref, matching[agent]]:
             yield profile[:agent] + (alternative,) + profile[agent + 1 :]
@@ -470,22 +438,22 @@ _DEFINITIONS = {
     ),
     Axiom.NON_BOSSY: _Definition(_coalition_menus(1), _bossiness, _agent_misreport),
     Axiom.MASKIN_MONOTONIC: _Definition(
-        lambda ctx, profile, outcomes: _monotonic_steps(ctx, profile, outcomes[profile]),
+        lambda profile, outcomes: _monotonic_steps(outcomes.inst, profile, outcomes[profile]),
         _non_monotonicity,
         lambda w, _: w["transformed"],
     ),
     Axiom.PROB_MONOTONIC: _Definition(
-        lambda ctx, profile, lotteries: (
+        lambda profile, lotteries: (
             (transformed, matching)
             for matching in lotteries[profile].support()
-            for transformed in _monotonic_steps(ctx, profile, matching)
+            for transformed in _monotonic_steps(lotteries.inst, profile, matching)
         ),
         _prob_non_monotonicity,
         lambda w, _: (w["transformed"], w["matching"]),
     ),
     Axiom.EQUAL_TREATMENT: _Definition(
-        lambda ctx, profile, lotteries: product(
-            combinations(range(ctx.inst.n), 2), lotteries[profile].support()
+        lambda profile, lotteries: product(
+            combinations(range(lotteries.inst.n), 2), lotteries[profile].support()
         ),
         _unequal_treatment,
         lambda w, _: (w["agents"], w["matching"]),
@@ -495,8 +463,8 @@ _DEFINITIONS = {
         for axiom, kind in EX_POST_KINDS.items()
     },
     Axiom.INDIVIDUAL_RATIONALITY: _Definition(
-        lambda ctx, profile, lotteries: product(
-            lotteries[profile].support(), enumerate(ctx.endowment)
+        lambda endowment, profile, lotteries: product(
+            lotteries[profile].support(), enumerate(endowment)
         ),
         _irrationality,
         lambda w, _: (w["matching"], (w["agents"][0], w["objects"][1])),
@@ -506,11 +474,14 @@ _DEFINITIONS = {
 
 class Outcomes(dict):
     """One rule's outcomes on one instance, keyed by profile: lotteries, or
-    matchings unless ``lottery``; how they are read and kept is in the module docstring."""
+    matchings unless ``lottery``; how they are read and kept is in the module
+    docstring.  It also keeps the incentive axioms' menus (``menu``), so every
+    check that reads the table reads the menus earlier checks built."""
 
     def __init__(self, inst: Instance, rule: RuleDescriptor, lottery: bool):
         super().__init__()
         self.inst, self.rule, self.lottery = inst, rule, lottery
+        self._menus = {}
         # _read(profile) is the rule's outcome there, not kept.
         self._read = partial(evaluate_lottery if lottery else evaluate, inst, rule)
         if isinstance(rule, (TabulatedDeterministicRule, TabulatedLotteryRule)):
@@ -527,6 +498,20 @@ class Outcomes(dict):
         else:
             self[profile] = self._read(profile)
         return self[profile]
+
+    def menu(self, profile: Profile, coalition: tuple) -> tuple:
+        """The first joint report of ``coalition`` reaching each outcome, with the outcome.
+
+        Everyone outside the coalition reports as at ``profile``.  The menu is
+        built on first use and kept for every profile of the same block.
+        """
+        block = coalition, tuple(r for a, r in enumerate(profile) if a not in coalition)
+        if block not in self._menus:
+            firsts = {}
+            for reports in product(all_preferences(self.inst), repeat=len(coalition)):
+                firsts.setdefault(self[_deviated(profile, coalition, reports)], reports)
+            self._menus[block] = tuple((reports, got) for got, reports in firsts.items())
+        return self._menus[block]
 
     @cached_property
     def anonymous(self) -> bool:
@@ -566,10 +551,11 @@ def _scan(outcomes, axiom, endowment, scan, start=0, stop=None):
     """First violation among items ``start:stop`` of the ``scan`` stream as
     ``(index, witness)``, or None."""
     definition = _DEFINITIONS[axiom]
-    ctx = _Context(outcomes.inst, endowment)
     deviations, violation = definition.deviations, definition.violation
+    if axiom is Axiom.INDIVIDUAL_RATIONALITY:
+        deviations = partial(deviations, endowment)
     for idx, profile in islice(_STREAMS[scan](outcomes.inst), start, stop):
-        witness = violation(ctx, profile, outcomes, deviations(ctx, profile, outcomes))
+        witness = violation(profile, outcomes, deviations(profile, outcomes))
         if witness is not None:
             return idx, witness
     return None
@@ -686,5 +672,5 @@ def replay_witness(
     witness = _frozen(witness)
     outcomes = Outcomes(inst, rule, axiom not in DETERMINISTIC_ONLY)
     recorded = definition.recorded(witness, outcomes)
-    found = definition.violation(_Context(inst), witness["profile"], outcomes, [recorded])
+    found = definition.violation(witness["profile"], outcomes, [recorded])
     return found is not None and _frozen(found) == witness

@@ -24,22 +24,23 @@ from .errors import (
 GENERAL = "general"
 NULL_BOTTOM = "null_bottom"
 
-#: Overridable cap on any single enumeration (matchings or profiles).
+#: Overridable cap on any single enumeration (matchings, profiles or agent orders).
 DEFAULT_MAX_ENUMERATION = 2_000_000
 MAX_ENUMERATION_ENV = "AXIOMLAB_MAX_PROFILES"
 
 Matching = tuple[int, ...]
 
 
-def enumeration_bound() -> int:
-    """Resolve the enumeration cap: env var, else default."""
+def require_enumerable(total: int, what: str) -> None:
+    """SizeOverflow if ``total`` items of ``what`` exceed the enumeration cap:
+    the env var, else the default."""
     raw = os.environ.get(MAX_ENUMERATION_ENV)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise BoundsError(f"{MAX_ENUMERATION_ENV} must be an integer, got {raw!r}")
-    return DEFAULT_MAX_ENUMERATION
+    try:
+        bound = DEFAULT_MAX_ENUMERATION if raw is None else int(raw)
+    except ValueError:
+        raise BoundsError(f"{MAX_ENUMERATION_ENV} must be an integer, got {raw!r}")
+    if total > bound:
+        raise SizeOverflow(f"{total} {what} exceed the bound of {bound}")
 
 
 @dataclass(frozen=True)
@@ -166,10 +167,7 @@ def enumerate_matchings(inst: Instance) -> list[Matching]:
     Raises SizeOverflow before materializing anything if the count exceeds
     the enumeration bound.
     """
-    total = count_matchings(inst)
-    bound = enumeration_bound()
-    if total > bound:
-        raise SizeOverflow(f"{total} matchings exceed the bound of {bound}")
+    require_enumerable(count_matchings(inst), "matchings")
     out: list[Matching] = []
     remaining = list(inst.capacities)
     assignment = [0] * inst.n

@@ -23,13 +23,13 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
-from .errors import DomainViolation, PreconditionViolated, SizeOverflow
+from .errors import DomainViolation, PreconditionViolated
 from .model import (
     NULL_BOTTOM,
     Instance,
     Matching,
-    enumeration_bound,
     is_feasible,
+    require_enumerable,
 )
 
 Preference = tuple[int, ...]
@@ -94,10 +94,7 @@ def count_profiles(inst: Instance) -> int:
 
 def enumerate_profiles(inst: Instance) -> Iterator[Profile]:
     """Stream all profiles in lexicographic order; never materialized."""
-    total = count_profiles(inst)
-    bound = enumeration_bound()
-    if total > bound:
-        raise SizeOverflow(f"{total} profiles exceed the bound of {bound}")
+    require_enumerable(count_profiles(inst), "profiles")
     return product(all_preferences(inst), repeat=inst.n)
 
 

@@ -22,8 +22,8 @@ from itertools import permutations
 from numbers import Rational
 from typing import Callable, Iterator, Mapping, Union
 
-from .errors import PreconditionViolated, SizeOverflow, TableMiss
-from .model import Instance, Matching, enumeration_bound
+from .errors import PreconditionViolated, TableMiss
+from .model import Instance, Matching, require_enumerable
 from .preferences import Profile, sort_agents
 
 
@@ -241,10 +241,7 @@ def random_serial_dictatorship(inst: Instance, profile: Profile) -> Lottery:
     There is no sampling mode, because the engine verifies exact claims and
     desk-scale n keeps n! small.
     """
-    total = math.factorial(inst.n)
-    bound = enumeration_bound()
-    if total > bound:
-        raise SizeOverflow(f"{total} agent orders exceed the bound of {bound}")
+    require_enumerable(math.factorial(inst.n), "agent orders")
     sorted_profile, relabel = sort_agents(profile)
     lottery = _orbit_lottery(inst, sorted_profile)
     return lottery if relabel is None else lottery.relabelled(relabel)

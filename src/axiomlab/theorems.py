@@ -39,10 +39,8 @@ from .errors import AxiomNotApplicable, BoundsError, PreconditionViolated
 from .matchings import matching_verdict, pareto_dominates, reduce_to_single_cycle
 from .model import GENERAL, NULL_BOTTOM, Instance, Matching, enumerate_matchings, object_usage
 from .preferences import (
-    CommonRanking,
     Profile,
     appendix_transform_sequence,
-    common_object_ranking,
     common_rank_rearrange,
     enumerate_profiles,
     in_domain,
@@ -229,16 +227,14 @@ def _theorem1_replay_core(
     profile: Profile,
     matching: Matching,
     improved: Matching,
-    ranking: CommonRanking | None = None,
 ) -> dict:
     if not pareto_dominates(improved, matching, profile):
         raise PreconditionViolated("improved matching does not Pareto-dominate the original")
-    ranking = ranking if ranking is not None else common_object_ranking(inst)
     timings: dict[str, float] = {}
     timed = partial(_timed, timings)
 
     pushed = push_to_top(inst, profile, improved)
-    rearranged = common_rank_rearrange(inst, pushed, improved, ranking)
+    rearranged = common_rank_rearrange(inst, pushed, improved)
     push_monotonic = timed(
         "push_is_monotonic_at_original",
         lambda: is_monotonic_transformation(profile, pushed, matching),
@@ -284,7 +280,6 @@ def replay_theorem1_proof(
     profile: Profile,
     matching: Matching,
     improved: Matching,
-    ranking: CommonRanking | None = None,
 ) -> dict:
     """Replay the unrestricted-domain uniqueness argument on concrete inputs.
 
@@ -297,7 +292,7 @@ def replay_theorem1_proof(
     """
     if inst.domain != GENERAL:
         raise PreconditionViolated("the unrestricted replay runs on the general domain")
-    return _theorem1_replay_core(inst, profile, matching, improved, ranking)
+    return _theorem1_replay_core(inst, profile, matching, improved)
 
 
 def replay_theorem3_proof(

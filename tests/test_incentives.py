@@ -21,7 +21,7 @@ from axiomlab import (
     enumerate_profiles,
     evaluate,
 )
-from axiomlab.axioms import _DEFINITIONS, Axiom, _Context, replay_witness
+from axiomlab.axioms import _DEFINITIONS, Axiom, Outcomes, replay_witness
 from axiomlab.model import NULL_BOTTOM
 from axiomlab.preferences import all_preferences, prefers, weakly_prefers
 from axiomlab.rules import rule_label
@@ -328,9 +328,9 @@ def test_every_profile_gets_the_earlier_bodys_witness(name, axiom):
     """At every profile, not only the scan's first violating one, the one body
     over the menus reports what the earlier body reports over every joint report."""
     inst, rule = FAMILY[name]
-    definition, ctx, outcomes = _DEFINITIONS[axiom], _Context(inst), table_of(inst, rule)
+    definition, outcomes = _DEFINITIONS[axiom], Outcomes(inst, rule, False)
     deviations = brute_force_deviations(inst, axiom)
     for profile in enumerate_profiles(inst):
-        menus = definition.deviations(ctx, profile, outcomes)
+        menus = definition.deviations(profile, outcomes)
         expected = EARLIER_BODIES[axiom](None, profile, outcomes, deviations)
-        assert definition.violation(ctx, profile, outcomes, menus) == expected, profile
+        assert definition.violation(profile, outcomes, menus) == expected, profile

@@ -228,6 +228,9 @@ HARNESS_RULES = {
     "rsd": lambda inst: RandomSerialDictatorshipRule(),
     "sd": lambda inst: SerialDictatorshipRule((0, 1, 2)),
     "ttc": lambda inst: TopTradingCyclesRule((1, 2, 0)),
+    # Its group check stops at profile 1, so strategy-proofness reads the few
+    # menus that check built and builds the rest.
+    "bossy": bossy_flip_rule,
     "random": lambda inst: random_tabulated_rule(inst, 5),
     "rsd-changed": rsd_with_one_changed_unsorted_entry,
     "uniform-pairwise": lambda inst: uniform_over(
@@ -262,7 +265,7 @@ def _harness_run(monkeypatch, checker, harness, inst, rule, workers):
         (name, rule_name)
         for name, inst in HARNESS_INSTANCES.items()
         for rule_name in HARNESS_RULES
-        if rule_name != "ttc" or inst.is_housing_market()
+        if {"ttc": inst.is_housing_market(), "bossy": name == "unit3"}.get(rule_name, True)
     ],
 )
 def test_harnesses_report_what_the_eager_table_reported(monkeypatch, name, rule_name):
@@ -277,6 +280,21 @@ def test_harnesses_report_what_the_eager_table_reported(monkeypatch, name, rule_
             for checker in (_parent_checker, _checker)
         ]
         assert runs[0] == runs[1], (harness.__name__, workers)
+
+
+def test_a_harness_builds_each_menu_once(monkeypatch):
+    """Prop1's checks share one table's menus: on SD, which passes every check,
+    the harness builds as many deviated profiles as its group check alone."""
+    import axiomlab.axioms as axioms
+
+    inst, rule = Instance(3, (2, 1, 1)), SerialDictatorshipRule((0, 1, 2))
+    built = []
+    deviated = axioms._deviated
+    monkeypatch.setattr(axioms, "_deviated", lambda *args: built.append(1) or deviated(*args))
+    check_axiom(inst, rule, Axiom.GROUP_STRATEGY_PROOF)
+    group, built[:] = len(built), []
+    verify_proposition1(inst, rule, workers=1)
+    assert len(built) == group == 1512
 
 
 def test_replay_theorem1_on_cycle_toy(unit3, cycle_profile):
