@@ -5,7 +5,7 @@ enumerated completely, lottery weights are rational numbers, and every axiom
 verdict carries a reproducible witness.
 """
 
-from .axioms import Axiom, CheckReport, check_axiom, check_individual_rationality
+from .axioms import Axiom, CheckReport, check_axiom
 from .errors import (
     AxiomLabError,
     AxiomNotApplicable,

@@ -71,17 +71,29 @@ violating profile and returns the same witness and ``profiles_checked``.  A
 pass reports the whole domain, as the full scan does.  A rule that fails the
 pass gets the plain scan of every profile.
 
+RSD, the one built-in rule that is anonymous by definition, meets the first
+condition by construction of its reads (below), so for RSD the pass walks the
+sorted profiles only and checks the tie condition there: still a check, not
+an assumption.  RSD is anonymous: if the sorted profile puts agent
+``order[p]`` at position ``p``, the agent order ``(order[o_1], ...,
+order[o_n])`` gives agent ``order[p]`` what the position order ``(o_1, ...,
+o_n)`` gives position ``p`` there, and this maps the n! orders one to one.
+
 The scan and the replay read outcomes through ``Outcomes``, one table per
 rule and kind, which a harness shares across its checks.  It checks a
 tabulated rule's totality once: a gap raises TableMiss, even when the scan
 would stop early.  A table of the axiom's kind is read in place, any other
-rule is evaluated at a profile when first read, and every read is kept.  The
-anonymity pass runs once per table and keeps the sorted profiles' lotteries;
-once it has passed, an unsorted profile reads its sorted profile's lottery
-relabelled back, which the pass proved equal.  Scans can be split across
-worker processes into contiguous ranges of the scanned stream; merging keeps
-the scan-earliest witness, so results do not depend on the worker count.
-Each worker receives the table with its anonymity verdict and kept outcomes.
+rule is evaluated at a profile when first read (a deterministic rule's
+lotteries can read the kept matchings, ``Outcomes.as_lotteries``), and every
+read is kept.  The anonymity pass runs once per table and keeps the sorted
+profiles' lotteries.  An unsorted profile reads its sorted profile's lottery
+relabelled back: for RSD from construction on, so only sorted profiles run
+its n! orders, and for any other rule once the pass has proved that equal.
+Only ``Outcomes`` relabels, so direct checks of RSD share order enumerations
+only through one ``Outcomes``.  Scans can be split across worker processes
+into contiguous ranges of the scanned stream; merging keeps the scan-earliest
+witness, so results do not depend on the worker count.  Each worker receives
+the table with its anonymity verdict and kept outcomes.
 """
 
 from __future__ import annotations
@@ -96,7 +108,7 @@ from itertools import combinations, islice, product
 from operator import itemgetter
 from typing import Callable
 
-from .errors import AxiomNotApplicable, BoundsError, TableMiss
+from .errors import AxiomNotApplicable, BoundsError, PreconditionViolated, TableMiss
 from .matchings import matching_verdict
 from .model import Instance, Matching
 from .preferences import (
@@ -113,6 +125,8 @@ from .preferences import (
     weakly_prefers,
 )
 from .rules import (
+    Lottery,
+    RandomSerialDictatorshipRule,
     RuleDescriptor,
     TabulatedDeterministicRule,
     TabulatedLotteryRule,
@@ -472,6 +486,10 @@ _DEFINITIONS = {
 }
 
 
+def _point(matchings: "Outcomes", profile: Profile) -> Lottery:
+    return Lottery.point(matchings[profile])
+
+
 class Outcomes(dict):
     """One rule's outcomes on one instance, keyed by profile: lotteries, or
     matchings unless ``lottery``; how they are read and kept is in the module
@@ -484,6 +502,9 @@ class Outcomes(dict):
         self._menus = {}
         # _read(profile) is the rule's outcome there, not kept.
         self._read = partial(evaluate_lottery if lottery else evaluate, inst, rule)
+        # Whether an unsorted profile reads its sorted profile's outcome relabelled
+        # back: for RSD from the start, for any other rule once the pass has passed.
+        self._relabels = isinstance(rule, RandomSerialDictatorshipRule)
         if isinstance(rule, (TabulatedDeterministicRule, TabulatedLotteryRule)):
             for profile in enumerate_profiles(inst):
                 if profile not in rule.table:
@@ -492,12 +513,16 @@ class Outcomes(dict):
                 self._read = rule.table.__getitem__
 
     def __missing__(self, profile: Profile):
-        if self.__dict__.get("anonymous"):  # the pass has run and found the rule anonymous
-            sorted_profile, relabel = sort_agents(profile)
-            self[profile] = self[sorted_profile].relabelled(relabel)
-        else:
-            self[profile] = self._read(profile)
-        return self[profile]
+        sorted_profile, relabel = sort_agents(profile) if self._relabels else (profile, None)
+        read = self._read(profile) if relabel is None else self[sorted_profile].relabelled(relabel)
+        self[profile] = read
+        return read
+
+    def as_lotteries(self) -> "Outcomes":
+        """The lottery table of this deterministic rule, reading the matchings kept here."""
+        lotteries = Outcomes(self.inst, self.rule, True)
+        lotteries._read = partial(_point, self)
+        return lotteries
 
     def menu(self, profile: Profile, coalition: tuple) -> tuple:
         """The first joint report of ``coalition`` reaching each outcome, with the outcome.
@@ -519,15 +544,16 @@ class Outcomes(dict):
 
         One pass in enumeration order, stopping at the first mismatch, checks
         that every profile's lottery is the lottery of its sorted profile
-        relabelled back to the original agents (``preferences.sort_agents``,
-        as RSD sorts them), and that every sorted profile's lottery is
-        unchanged when two adjacent agents with equal preferences swap.  It
-        keeps the sorted profiles' lotteries only.
+        relabelled back to the original agents (``preferences.sort_agents``),
+        and that every sorted profile's lottery is unchanged when two adjacent
+        agents with equal preferences swap.  For RSD, whose reads meet the
+        first condition by construction, it walks the sorted profiles only.
+        It keeps the sorted profiles' lotteries only.
         """
         n = self.inst.n
         # swaps[p] exchanges what agents p and p + 1 get
         swaps = [itemgetter(*range(p), p + 1, p, *range(p + 2, n)) for p in range(n - 1)]
-        for profile in enumerate_profiles(self.inst):
+        for _, profile in _STREAMS["orbits" if self._relabels else "profiles"](self.inst):
             sorted_profile, relabel = sort_agents(profile)
             if relabel is None:
                 lottery = self[profile]
@@ -537,6 +563,7 @@ class Outcomes(dict):
                         return False
             elif not self._read(profile).equals_relabelled(self[sorted_profile], relabel):
                 return False
+        self._relabels = True
         return True
 
 
@@ -596,7 +623,8 @@ def check_axiom(
 
     Pass means the universally quantified definition held everywhere; fail
     carries the scan-first witness.  ``rule`` may be the rule's ``Outcomes``
-    of the axiom's kind, which the check reads and extends.  For a
+    of the axiom's kind on ``inst``, which the check reads and extends; one of
+    another instance or kind is a PreconditionViolated.  For a
     relabel-invariant axiom, a rule whose ``Outcomes.anonymous`` holds is
     scanned on its sorted profiles only, with the same report.  ``workers``
     splits the scanned stream over that many processes without changing the
@@ -610,6 +638,8 @@ def check_axiom(
     given = rule if isinstance(rule, Outcomes) else None
     rule = rule if given is None else given.rule
     require_applicable(inst, axiom, is_lottery_rule(rule), endowment)
+    if given is not None and (given.inst, given.lottery) != (inst, lottery):
+        raise PreconditionViolated("the outcome table is of another instance or kind")
 
     started = time.perf_counter()
     total = count_profiles(inst)
@@ -635,17 +665,6 @@ def check_axiom(
     if hit is None:
         return CheckReport(axiom.value, "pass", None, total, elapsed, label, scan, size)
     return CheckReport(axiom.value, "fail", hit[1], hit[0] + 1, elapsed, label, scan, size)
-
-
-def check_individual_rationality(
-    inst: Instance,
-    rule: RuleDescriptor,
-    endowment: Matching,
-    *,
-    workers: int = 1,
-) -> CheckReport:
-    """Every agent weakly prefers her allotment to her endowment, everywhere."""
-    return check_axiom(inst, rule, Axiom.INDIVIDUAL_RATIONALITY, endowment, workers=workers)
 
 
 def _frozen(value):

@@ -1,15 +1,14 @@
 """Allocation rules and the uniform descriptor the checkers consume.
 
 A lottery holds integer counts over one denominator: RSD counts the agent
-orders reaching each matching out of n!, and the counterexample search puts
-one count on each matching of a candidate's support.  RSD weights are exact,
-with one order enumeration per anonymity orbit: profiles that differ only by
-a relabelling of the agents share one memoised enumeration.  No floating
-point is used anywhere.  The checkers compare weights as integer counts
-and denominators (``Lottery.share``); weight reads return exact
-``fractions.Fraction`` values, which witnesses and file formats print.  A
-deterministic rule can always be viewed as the degenerate lottery putting
-weight 1 on its matching.
+orders reaching each matching out of all n! orders at the profile it is
+given, and the counterexample search puts one count on each matching of a
+candidate's support.  No floating point is used anywhere.  The checkers
+compare weights as integer counts and denominators (``Lottery.share``);
+weight reads return exact ``fractions.Fraction`` values, which witnesses and
+file formats print.  A deterministic rule can always be viewed as the
+degenerate lottery putting weight 1 on its matching.  Only
+``axioms.Outcomes`` uses RSD's anonymity (see the ``axioms`` docstring).
 """
 
 from __future__ import annotations
@@ -17,14 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
 from numbers import Rational
 from typing import Callable, Iterator, Mapping, Union
 
 from .errors import PreconditionViolated, TableMiss
 from .model import Instance, Matching, require_enumerable
-from .preferences import Profile, sort_agents
+from .preferences import Profile
 
 
 class Lottery:
@@ -229,32 +227,11 @@ def serial_dictatorship(inst: Instance, order: tuple[int, ...], profile: Profile
 def random_serial_dictatorship(inst: Instance, profile: Profile) -> Lottery:
     """Exact RSD lottery: weight of a matching = (orders reaching it) / n!.
 
-    The n! orders are enumerated once per anonymity orbit, on the profile
-    with the agents sorted by preference, and each matching is relabelled
-    back to the original agents.  This is exact because RSD is anonymous: if
-    the sorted profile puts agent ``order[p]`` at position ``p``, then the
-    agent order ``(order[o_1], ..., order[o_n])`` gives agent ``order[p]``
-    what the position order ``(o_1, ..., o_n)`` gives position ``p`` on the
-    sorted profile, and this maps the n! orders one to one.  Agents with
-    equal preferences are swapped by a relabelling that fixes the profile,
-    so they get equal counts and the tie-break of the sort cannot matter.
+    Runs serial dictatorship for each of the n! agent orders at ``profile``.
     There is no sampling mode, because the engine verifies exact claims and
     desk-scale n keeps n! small.
     """
     require_enumerable(math.factorial(inst.n), "agent orders")
-    sorted_profile, relabel = sort_agents(profile)
-    lottery = _orbit_lottery(inst, sorted_profile)
-    return lottery if relabel is None else lottery.relabelled(relabel)
-
-
-@lru_cache(maxsize=None)
-def _orbit_lottery(inst: Instance, profile: Profile) -> Lottery:
-    """RSD at a sorted profile: each reached matching counts the agent orders reaching it.
-
-    Memoised for the life of the process: one entry per orbit met, keyed by
-    the instance and the sorted profile.  RSD at the sorted profile itself
-    returns this object, so a table of RSD outcomes shares it.
-    """
     counts: dict[Matching, int] = {}
     for order in permutations(range(inst.n)):
         outcome = serial_dictatorship(inst, order, profile)

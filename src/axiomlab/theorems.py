@@ -150,12 +150,15 @@ def _checker(inst: Instance, rule: RuleDescriptor, workers: int):
 
     The worker count is checked first.  The rule is evaluated inside the
     timed checks, and each table's totality and anonymity are settled once.
+    A deterministic rule's lotteries read the matchings table, if held first.
     """
     require_workers(workers)
     tables = {}
 
     def check(axiom):
         lottery = axiom not in DETERMINISTIC_ONLY
+        if lottery and False in tables and True not in tables:
+            tables[True] = tables[False].as_lotteries()
         if lottery not in tables:
             tables[lottery] = Outcomes(inst, rule, lottery)
         return check_axiom(inst, tables[lottery], axiom, workers=workers)

@@ -10,6 +10,7 @@ from axiomlab import (
     BoundsError,
     Instance,
     Lottery,
+    PreconditionViolated,
     RandomSerialDictatorshipRule,
     SerialDictatorshipRule,
     TableMiss,
@@ -17,7 +18,6 @@ from axiomlab import (
     TabulatedLotteryRule,
     TopTradingCyclesRule,
     check_axiom,
-    check_individual_rationality,
     enumerate_matchings,
     enumerate_profiles,
     evaluate,
@@ -29,6 +29,7 @@ from axiomlab.axioms import (
     DETERMINISTIC_ONLY,
     EX_POST_KINDS,
     Axiom,
+    Outcomes,
     replay_witness,
 )
 from axiomlab.matchings import matching_verdict
@@ -135,7 +136,20 @@ def test_axiom_applicability(unit3):
     with pytest.raises(AxiomNotApplicable):
         check_axiom(unit3, SD, Axiom.INDIVIDUAL_RATIONALITY)  # no endowment
     with pytest.raises(AxiomNotApplicable):
-        check_individual_rationality(Instance(3, (2, 1, 1)), SD, (0, 1, 2))
+        check_axiom(Instance(3, (2, 1, 1)), SD, Axiom.INDIVIDUAL_RATIONALITY, (0, 1, 2))
+
+
+def test_a_passed_table_of_another_instance_or_kind_is_rejected(unit3, slack3):
+    """A table of another instance used to report over that instance's profiles,
+    and a matchings table under a lottery axiom failed with an AttributeError."""
+    with pytest.raises(PreconditionViolated, match="another instance or kind"):
+        check_axiom(slack3, Outcomes(unit3, SD, True), Axiom.EX_POST_PARETO)
+    with pytest.raises(PreconditionViolated, match="another instance or kind"):
+        check_axiom(unit3, Outcomes(unit3, SD, False), Axiom.EX_POST_PARETO)
+    with pytest.raises(PreconditionViolated, match="another instance or kind"):
+        check_axiom(unit3, Outcomes(unit3, SD, True), Axiom.STRATEGY_PROOF)
+    report = check_axiom(unit3, Outcomes(unit3, SD, True), Axiom.EX_POST_PARETO)
+    assert report == check_axiom(unit3, SD, Axiom.EX_POST_PARETO)
 
 
 def test_ttc_individually_rational_for_every_endowment(unit3):
@@ -143,14 +157,14 @@ def test_ttc_individually_rational_for_every_endowment(unit3):
 
     for endowment in permutations(range(3)):
         rule = TopTradingCyclesRule(endowment)
-        report = check_individual_rationality(unit3, rule, endowment)
+        report = check_axiom(unit3, rule, Axiom.INDIVIDUAL_RATIONALITY, endowment)
         assert report.passed
 
 
 def test_sd_violates_individual_rationality(unit3):
     """The last dictator can lose the house she owns and tops."""
     endowment = (1, 2, 0)  # agent 2 owns object 0
-    report = check_individual_rationality(unit3, SD, endowment)
+    report = check_axiom(unit3, SD, Axiom.INDIVIDUAL_RATIONALITY, endowment)
     assert not report.passed
     assert replay_witness(unit3, SD, Axiom.INDIVIDUAL_RATIONALITY, report.witness)
 
@@ -160,7 +174,7 @@ def test_constant_endowment_rule_is_individually_rational(unit3):
     constant = TabulatedDeterministicRule(
         {p: endowment for p in enumerate_profiles(unit3)}
     )
-    assert check_individual_rationality(unit3, constant, endowment).passed
+    assert check_axiom(unit3, constant, Axiom.INDIVIDUAL_RATIONALITY, endowment).passed
 
 
 @pytest.mark.parametrize("workers", [0, -5])

@@ -16,6 +16,7 @@ from axiomlab import (
     SerialDictatorshipRule,
     SizeOverflow,
     TabulatedDeterministicRule,
+    TabulatedLotteryRule,
     TableMiss,
     enumerate_matchings,
     enumerate_profiles,
@@ -28,6 +29,7 @@ from axiomlab import (
     verify_theorem1,
 )
 from axiomlab import rules
+from axiomlab.axioms import Axiom, Outcomes, _scan
 from axiomlab.model import object_usage
 from axiomlab.preferences import weakly_prefers
 from helpers import is_pareto_efficient
@@ -156,15 +158,14 @@ def _relabelled(profile, agents):
     return tuple(profile[a] for a in agents)
 
 
-@pytest.mark.parametrize(
-    "profile",
-    [
-        ((0, 1, 2),) * 5,
-        ((0, 1, 2), (2, 1, 0), (0, 1, 2), (1, 0, 2), (2, 1, 0)),
-        ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1)),
-    ],
-    ids=["all-equal", "two-two-one", "all-distinct"],
-)
+N5_PROFILES = [
+    ((0, 1, 2),) * 5,
+    ((0, 1, 2), (2, 1, 0), (0, 1, 2), (1, 0, 2), (2, 1, 0)),
+    ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("profile", N5_PROFILES, ids=["all-equal", "two-two-one", "all-distinct"])
 def test_orbit_rsd_matches_the_oracle_on_every_relabelling_n5(profile):
     """One profile per tie pattern at n=5, caps (2,2,2): every agent relabelling."""
     inst = Instance(5, (2, 2, 2))
@@ -173,6 +174,58 @@ def test_orbit_rsd_matches_the_oracle_on_every_relabelling_n5(profile):
         assert dict(random_serial_dictatorship(inst, relabelled).items()) == rsd_oracle(
             inst, relabelled
         )
+
+
+RSD_INSTANCES = {
+    "slack3": Instance(3, (2, 1, 1)),
+    "caps211": Instance(4, (2, 1, 1)),
+    "caps221": Instance(4, (2, 2, 1)),
+    "null4": Instance(4, (1, 1, 1, 1), null_object=0, domain=NULL_BOTTOM),
+}
+
+
+def _every_irrational_profile(outcomes):
+    """Every violation the individual-rationality scan finds, each agent endowed
+    with the last object, rescanning after each one to the end of the domain."""
+    endowment = (outcomes.inst.k - 1,) * outcomes.inst.n
+    hits, start = [], 0
+    while hit := _scan(outcomes, Axiom.INDIVIDUAL_RATIONALITY, endowment, "profiles", start):
+        hits.append(hit)
+        start = hit[0] + 1
+    return hits
+
+
+@pytest.mark.parametrize("name", sorted(RSD_INSTANCES))
+def test_rsd_outcomes_equal_rsd_at_every_profile(name):
+    """An RSD ``Outcomes`` relabels its sorted profiles' lotteries from the start.
+
+    Its reads equal RSD run at each profile: through an individual-rationality
+    scan, which runs no anonymity pass, before the pass and after it.
+    """
+    inst = RSD_INSTANCES[name]
+    direct = {p: random_serial_dictatorship(inst, p) for p in enumerate_profiles(inst)}
+    scanned = Outcomes(inst, RandomSerialDictatorshipRule(), True)
+    hits = _every_irrational_profile(scanned)
+    assert hits == _every_irrational_profile(Outcomes(inst, TabulatedLotteryRule(direct), True))
+    assert hits and len(scanned) == len(direct)
+    assert "anonymous" not in scanned.__dict__
+    assert all(scanned[p] == lottery for p, lottery in direct.items())
+    passed = Outcomes(inst, RandomSerialDictatorshipRule(), True)
+    assert passed.anonymous
+    assert all(passed[p] == lottery for p, lottery in direct.items())
+
+
+@pytest.mark.parametrize("profile", N5_PROFILES, ids=["all-equal", "two-two-one", "all-distinct"])
+def test_rsd_outcomes_equal_rsd_on_every_relabelling_n5(profile):
+    """Read before and after the pass, at every agent relabelling."""
+    inst = Instance(5, (2, 2, 2))
+    relabellings = [_relabelled(profile, agents) for agents in permutations(range(5))]
+    before = Outcomes(inst, RandomSerialDictatorshipRule(), True)
+    after = Outcomes(inst, RandomSerialDictatorshipRule(), True)
+    assert after.anonymous
+    for relabelled in relabellings:
+        direct = random_serial_dictatorship(inst, relabelled)
+        assert before[relabelled] == direct and after[relabelled] == direct
 
 
 def _count_sd_runs(monkeypatch):
@@ -187,34 +240,36 @@ def _count_sd_runs(monkeypatch):
     return runs
 
 
-def test_rsd_enumerates_orders_once_per_orbit(monkeypatch, slack3):
-    """slack3 has 216 profiles in 56 orbits; Thm1 runs 3! orders on each orbit."""
-    rules._orbit_lottery.cache_clear()
+def test_rsd_harness_runs_the_orders_once_per_sorted_profile(monkeypatch, slack3):
+    """slack3 has 216 profiles, 56 of them sorted; Thm1 runs 3! orders on each sorted one."""
     runs = _count_sd_runs(monkeypatch)
     assert verify_theorem1(slack3, RandomSerialDictatorshipRule()).conclusion_verified
     assert len(runs) == 56 * 6
 
 
-def test_every_relabelling_of_one_n6_profile_shares_one_enumeration(monkeypatch):
+def test_rsd_outcomes_run_the_orders_once_per_sorted_profile(monkeypatch):
+    """Every relabelling of one n=6 profile reads one sorted profile: 6! runs,
+    and RSD called directly runs its own 6! orders at each profile."""
     inst = Instance(6, (2, 2, 2))
     profile = tuple(permutations(range(3)))  # six agents, six distinct preferences
-    rules._orbit_lottery.cache_clear()
     runs = _count_sd_runs(monkeypatch)
-    base = random_serial_dictatorship(inst, profile)
+    outcomes = Outcomes(inst, RandomSerialDictatorshipRule(), True)
+    base = outcomes[profile]
     for agents in permutations(range(6)):
-        lottery = random_serial_dictatorship(inst, _relabelled(profile, agents))
+        lottery = outcomes[_relabelled(profile, agents)]
         assert lottery == Lottery.from_weights(
             {_relabelled(m, agents): w for m, w in base.items()}
         )
     assert len(runs) == 720
     assert dict(base.items()) == rsd_oracle(inst, profile)
+    swapped = _relabelled(profile, (1, 0, 2, 3, 4, 5))
+    assert random_serial_dictatorship(inst, swapped) == outcomes[swapped]
+    assert len(runs) == 2 * 720  # a direct call shares nothing with the table
 
 
 def test_rsd_checks_the_order_bound_before_any_run(monkeypatch, unit3):
-    """The n! bound is checked on every call, also when the orbit is memoised."""
+    """The n! bound is checked on every call, before any order runs."""
     profile = ((0, 1, 2), (0, 1, 2), (1, 0, 2))
-    random_serial_dictatorship(unit3, profile)
-    rules._orbit_lottery.cache_clear()
     runs = _count_sd_runs(monkeypatch)
     monkeypatch.setenv("AXIOMLAB_MAX_PROFILES", "5")
     with pytest.raises(SizeOverflow, match="6 agent orders exceed the bound of 5"):
@@ -225,6 +280,8 @@ def test_rsd_checks_the_order_bound_before_any_run(monkeypatch, unit3):
     monkeypatch.setenv("AXIOMLAB_MAX_PROFILES", "5")
     with pytest.raises(SizeOverflow):
         random_serial_dictatorship(unit3, profile)
+    with pytest.raises(SizeOverflow):
+        Outcomes(unit3, RandomSerialDictatorshipRule(), True)[profile]
     assert len(runs) == 6
 
 

@@ -147,10 +147,15 @@ def test_harnesses_evaluate_the_rule_once(monkeypatch, unit3, slack3):
 
     rsd_runs = _count_calls(monkeypatch, "random_serial_dictatorship")
     thm1 = verify_theorem1(slack3, RandomSerialDictatorshipRule())
-    assert len(rsd_runs) == 216
+    assert len(rsd_runs) == 56  # the sorted profiles; every other profile relabels one
     assert thm1.conclusion_verified is True
     assert thm1.rule == "rsd"
     assert {h["rule"] for h in thm1.hypotheses_verified} == {"rsd"}
+
+    sd_runs.clear()
+    cor2 = verify_theorem1(slack3, SerialDictatorshipRule((0, 1, 2)))
+    assert len(sd_runs) == 216  # the lottery checks read the Maskin check's matchings
+    assert cor2.theorem == "Cor2"
 
 
 def test_harnesses_check_the_worker_count_before_evaluating(monkeypatch, slack3):
