@@ -21,10 +21,12 @@ every intermediate claim by brute force.
 from __future__ import annotations
 
 import random
+import struct
 import time
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, count
 
 from .axioms import (
     DETERMINISTIC_ONLY,
@@ -477,30 +479,99 @@ RULE_SPACES = ("deterministic", "lottery")
 class _DrawnLotteries(Mapping):
     """A lottery candidate's read-only table: the matchings drawn for each profile.
 
+    ``index`` maps each profile to its position in ``firsts`` and ``extras``,
+    the two matchings drawn there, and every candidate of a search shares it.
     A profile's uniform lottery over its drawn matchings is built the first
     time the profile is read, and that same object is returned on every later
-    read.  Membership, length and iteration read the draws and build nothing.
+    read.  Membership, length and iteration read the index and build nothing.
     """
 
-    def __init__(self, draws: dict[Profile, tuple[Matching, Matching]]):
-        self._draws = draws
+    def __init__(self, index: dict[Profile, int], firsts: list[Matching], extras: list[Matching]):
+        self._index = index
+        self._firsts, self._extras = firsts, extras
         self._built: dict[Profile, Lottery] = {}
 
     def __getitem__(self, profile: Profile) -> Lottery:
         lottery = self._built.get(profile)
         if lottery is None:
-            support = dict.fromkeys(self._draws[profile], 1)
+            i = self._index[profile]
+            support = dict.fromkeys((self._firsts[i], self._extras[i]), 1)
             lottery = self._built[profile] = Lottery(support, len(support))
         return lottery
 
     def __contains__(self, profile) -> bool:
-        return profile in self._draws
+        return profile in self._index
 
     def __len__(self) -> int:
-        return len(self._draws)
+        return len(self._index)
 
     def __iter__(self) -> Iterator[Profile]:
-        return iter(self._draws)
+        return iter(self._index)
+
+
+#: Words ``_rng_words`` reads from the generator at a time.
+_CHUNK = 1024
+
+
+def _rng_words(rng: random.Random) -> Iterator[int]:
+    """The generator's raw 32-bit outputs, in the order its methods consume them.
+
+    ``getrandbits(32 * m)`` holds the next m outputs with the first in its
+    lowest 32 bits, so its little-endian bytes unpack into them in order.
+    """
+    unpack = struct.Struct(f"<{_CHUNK}I").unpack
+    return chain.from_iterable(
+        unpack(rng.getrandbits(32 * _CHUNK).to_bytes(4 * _CHUNK, "little")) for _ in count()
+    )
+
+
+def _pool(matchings: list[Matching]) -> tuple[list[Matching], int, int]:
+    """``matchings``, its length n, and the right shift that turns a word into
+    ``getrandbits(k)``, k being n's bit length."""
+    n = len(matchings)
+    return matchings, n, 32 - n.bit_length()
+
+
+def _draws(
+    rng: random.Random, pools: list[tuple], lottery: bool
+) -> Iterator[tuple[list[Matching], list[Matching]]]:
+    """Each candidate's ``(firsts, extras)``: its matchings, by position in ``pools``.
+
+    ``pools`` holds one ``_pool(allowed) + _pool(breakers)`` per profile.
+    The first candidate is greedy: the first breaker, else the first allowed
+    matching, and the first allowed matching as the extra.  Every later one
+    draws, profile by profile, what this would draw on ``rng``:
+    ``rng.choice(breakers)`` if there are breakers and ``rng.random() <
+    0.75``, else ``rng.choice(allowed)``; then, in a lottery candidate,
+    ``rng.choice(allowed)`` as the extra.  The draws read ``rng``'s
+    words (``_rng_words``), relying on CPython's word layout: ``random()`` is
+    ``((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53``, so it is below 0.75 iff
+    ``w1 < 3 << 30``; ``getrandbits(k)`` for k <= 32 is one word shifted
+    right by ``32 - k``; and ``choice`` is ``_randbelow_with_getrandbits``,
+    which redraws ``getrandbits(k)`` until it is below n, so even a pool of
+    one spends a word.  The pinned searches and the ``randrange`` oracle of
+    the tests hold that layout on every supported Python.
+    """
+    yield [(b or a)[0] for a, _, _, b, _, _ in pools], [a[0] for a, *_ in pools]
+    word = _rng_words(rng).__next__
+    while True:
+        firsts, extras = [], []
+        for allowed, n_allowed, allowed_shift, breakers, n_breakers, breakers_shift in pools:
+            pool, n, shift = allowed, n_allowed, allowed_shift
+            if n_breakers:
+                if word() < 3 << 30:
+                    pool, n, shift = breakers, n_breakers, breakers_shift
+                word()  # the second word of random(), too low to decide the test
+            r = word() >> shift
+            while r >= n:
+                r = word() >> shift
+            firsts.append(pool[r])
+            if lottery:
+                r = word() >> allowed_shift
+                while r >= n_allowed:
+                    r = word() >> allowed_shift
+                extras.append(allowed[r])
+        yield firsts, extras
 
 
 def _prescreen(
@@ -564,8 +635,11 @@ def search_counterexample(
     profile.  Every draw is made when the candidate is made, in profile
     order, so a seed always yields the same candidates; each profile's
     ``Lottery`` is built only when a check first reads it, since the checks
-    of an early-failing candidate read few profiles.  The allowed and
-    breaking matchings are screened on the sorted profiles only and
+    of an early-failing candidate read few profiles.  The draws are those of
+    ``rng.random()`` and ``rng.choice`` on ``random.Random(seed)``, taken
+    from its raw words on per-profile pools built once per search
+    (``_draws``), so the stream relies on CPython's word layout.  The allowed
+    and breaking matchings are screened on the sorted profiles only and
     relabelled onto the others (``_prescreen``).
 
     Each candidate is checked against the required axioms the draws do not
@@ -593,7 +667,6 @@ def search_counterexample(
     violated = Axiom(violated)
     for axiom in (violated, *required):
         require_applicable(inst, axiom, rule_space == "lottery")
-    rng = random.Random(seed)
     profiles = list(enumerate_profiles(inst))
     allowed, breakers = _prescreen(
         inst,
@@ -601,32 +674,18 @@ def search_counterexample(
         [EX_POST_KINDS[a] for a in required if a in EX_POST_KINDS],
         EX_POST_KINDS.get(violated),
     )
-
-    def greedy_choice(profile):
-        if breakers.get(profile):
-            return breakers[profile][0]
-        return allowed[profile][0]
-
-    def random_choice(profile):
-        pool = breakers[profile] if breakers.get(profile) and rng.random() < 0.75 else allowed[profile]
-        return rng.choice(pool)
-
-    def make_candidate(attempt: int) -> RuleDescriptor:
-        pick = greedy_choice if attempt == 0 else random_choice
-        if rule_space == "deterministic":
-            return TabulatedDeterministicRule({p: pick(p) for p in profiles})
-        draws = {}
-        for p in profiles:
-            first = pick(p)
-            extra = rng.choice(allowed[p]) if attempt else allowed[p][0]
-            draws[p] = first, extra
-        return TabulatedLotteryRule(_DrawnLotteries(draws))
-
+    pools = [(*_pool(allowed[p]), *_pool(breakers.get(p, []))) for p in profiles]
+    index = {p: i for i, p in enumerate(profiles)}
+    draws = _draws(random.Random(seed), pools, rule_space == "lottery")
     unenforced = [a for a in required if a not in EX_POST_KINDS]
     enforced = [a for a in required if a in EX_POST_KINDS]
     tried = 0
     while tried < budget:
-        candidate = make_candidate(tried)
+        firsts, extras = next(draws)
+        if rule_space == "deterministic":
+            candidate = TabulatedDeterministicRule(dict(zip(profiles, firsts)))
+        else:
+            candidate = TabulatedLotteryRule(_DrawnLotteries(index, firsts, extras))
         tried += 1
         check = _checker(inst, candidate, 1)
         if not all(check(a).passed for a in unenforced):

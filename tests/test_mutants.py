@@ -1,0 +1,147 @@
+"""Recorded mutants of the engine's fast paths, each caught by its oracle.
+
+Every fast path is held to an independent oracle elsewhere in the suite.
+Each test here applies one recorded mutant of a fast path, a small edit of
+its source, and asserts that the oracle comparison disagrees on a small
+fixed instance, so the oracle stays able to tell the mutant apart.  The
+unmutated comparison is asserted to agree first.
+"""
+
+import inspect
+import random
+import textwrap
+
+import pytest
+
+from axiomlab import Instance, RandomSerialDictatorshipRule, check_axiom, enumerate_profiles
+from axiomlab import axioms, theorems
+from axiomlab.axioms import EX_POST_KINDS, Axiom, Outcomes
+from axiomlab.preferences import sort_agents
+from axiomlab.rules import rule_label
+from helpers import uniform_over
+from test_incentives import FAMILY, oracle_report
+from test_orbit_scan import ANONYMOUS_FAILING, FIVE, _plain
+from test_rules import rsd_oracle
+from test_theorems import _direct_prescreen, _search_matches_the_oracle
+
+
+def _mutate(monkeypatch, function, old, new):
+    """Run ``function`` as its source with ``old``, which occurs once, replaced by ``new``.
+
+    The mutated code replaces the function's ``__code__``, so every caller
+    and every holder of the function runs it, with the module's own globals.
+    """
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, (function.__qualname__, old)
+    compiled = compile(source.replace(old, new), inspect.getsourcefile(function), "exec")
+    (code,) = (c for c in compiled.co_consts if getattr(c, "co_name", None) == function.__name__)
+    monkeypatch.setattr(function, "__code__", code)
+
+
+def _untemper(word):
+    """The Mersenne Twister state word whose tempered output is ``word``."""
+    word ^= word >> 18
+    word ^= (word << 15) & 0xEFC60000
+    state = word
+    for _ in range(5):
+        state = word ^ ((state << 7) & 0x9D2C5680)
+    word = state
+    for _ in range(3):
+        state = word ^ (state >> 11)
+    return state
+
+
+class _BoundaryRandom(random.Random):
+    """A generator whose stream, once seeded, opens with the word ``3 << 30``.
+
+    That word is the least first word for which ``random()`` is not below
+    0.75, so it tells ``<`` from ``<=`` in the search's three-quarters test.
+    """
+
+    def seed(self, *args, **kwargs):
+        super().seed(*args, **kwargs)
+        version, state, gauss = self.getstate()
+        self.setstate((version, (*state[:623], _untemper(3 << 30), 623), gauss))
+
+
+def test_the_boundary_generator_opens_with_the_boundary_word():
+    assert _BoundaryRandom(5).getrandbits(32) == 3 << 30
+    assert 0.75 <= _BoundaryRandom(5).random() < 0.75 + 2**-27
+
+
+# On caps (2,1,1) every profile, the first included, has a wasteful matching,
+# so the first random candidate's first word is the first profile's test.
+# Probabilistic monotonicity rejects the greedy and both random candidates.
+DRAW_QUERY = (Instance(3, (2, 1, 1)), [Axiom.PROB_MONOTONIC], Axiom.EX_POST_NON_WASTEFUL, 3, 5)
+
+DRAW_MUTANTS = {
+    "shift from n - 1": (theorems._pool, "n.bit_length()", "(n - 1).bit_length()"),
+    "three quarters at <=": (theorems._draws, "word() < 3 << 30", "word() <= 3 << 30"),
+    "random() on one word": (
+        theorems._draws, "word()  # the second word", "None  # the second word"
+    ),
+}
+
+
+@pytest.mark.parametrize("rule_space", ["lottery", "deterministic"])
+@pytest.mark.parametrize("mutant", DRAW_MUTANTS)
+def test_the_randrange_oracle_catches_a_mutated_drawer(monkeypatch, mutant, rule_space):
+    monkeypatch.setattr(random, "Random", _BoundaryRandom)
+    assert _search_matches_the_oracle(monkeypatch, *DRAW_QUERY, rule_space)
+    _mutate(monkeypatch, *DRAW_MUTANTS[mutant])
+    assert not _search_matches_the_oracle(monkeypatch, *DRAW_QUERY, rule_space)
+
+
+def _rsd_outcomes_match_the_oracle(inst):
+    outcomes = Outcomes(inst, RandomSerialDictatorshipRule(), True)
+    return all(dict(outcomes[p].items()) == rsd_oracle(inst, p) for p in enumerate_profiles(inst))
+
+
+def _orbit_scans_match_the_plain_scans(inst, rule):
+    label = rule_label(rule)
+    return all(
+        check_axiom(inst, rule, axiom).to_dict() == {**_plain(inst, rule, axiom), "rule": label}
+        for axiom in FIVE
+    )
+
+
+def test_the_oracles_catch_an_unrelabelled_orbit_read(monkeypatch, unit3):
+    """RSD's outcomes against ``rsd_oracle``, and an anonymous table's orbit
+    scans against the plain scans, which read every profile's own entry."""
+    pairwise = uniform_over(unit3, ANONYMOUS_FAILING["pairwise"](unit3))
+    assert _rsd_outcomes_match_the_oracle(unit3)
+    assert _orbit_scans_match_the_plain_scans(unit3, pairwise)
+    relabelled = "self[sorted_profile].relabelled(relabel)"
+    _mutate(monkeypatch, Outcomes.__missing__, relabelled, "self[sorted_profile]")
+    assert not _rsd_outcomes_match_the_oracle(unit3)
+    assert not _orbit_scans_match_the_plain_scans(unit3, pairwise)
+
+
+def _prescreen_matches_the_direct_filter(inst):
+    keep, broken = [EX_POST_KINDS[Axiom.EX_POST_PAIRWISE]], EX_POST_KINDS[Axiom.EX_POST_PARETO]
+    screened = theorems._prescreen(inst, list(enumerate_profiles(inst)), keep, broken)
+    return screened == _direct_prescreen(inst, keep, broken)
+
+
+def test_the_direct_filter_catches_a_prescreen_relabelled_by_the_inverse(monkeypatch, unit3):
+    assert _prescreen_matches_the_direct_filter(unit3)
+    _mutate(monkeypatch, sort_agents, "itemgetter(*position)", "itemgetter(*order)")
+    assert not _prescreen_matches_the_direct_filter(unit3)
+
+
+# Both agents of this rule's first pair manipulation gain strictly, so the
+# strict agent reported depends on which of the two is asked first.
+STRICT_AGENT_RULE = "unit3-sd012-perturbed"
+
+
+def test_the_joint_report_oracle_catches_the_strict_agent_taken_from_j(monkeypatch):
+    inst, rule = FAMILY[STRICT_AGENT_RULE]
+    axiom = Axiom.PAIRWISE_STRATEGY_PROOF
+    assert check_axiom(inst, rule, axiom).to_dict() == oracle_report(inst, rule, axiom)
+    _mutate(
+        monkeypatch,
+        axioms._pair_witness,
+        "i if prefers(profile[i], got[i], mine[i]) else j",
+        "j if prefers(profile[j], got[j], mine[j]) else i",
+    )
+    assert check_axiom(inst, rule, axiom).to_dict() != oracle_report(inst, rule, axiom)

@@ -148,7 +148,7 @@ def test_rsd_matches_oracle_everywhere(unit3):
     ],
     ids=["slack3", "caps211", "caps221", "null4"],
 )
-def test_orbit_rsd_matches_the_oracle_on_every_profile(inst):
+def test_rsd_matches_the_oracle_on_every_profile(inst):
     for profile in enumerate_profiles(inst):
         assert dict(random_serial_dictatorship(inst, profile).items()) == rsd_oracle(inst, profile)
 
@@ -166,7 +166,7 @@ N5_PROFILES = [
 
 
 @pytest.mark.parametrize("profile", N5_PROFILES, ids=["all-equal", "two-two-one", "all-distinct"])
-def test_orbit_rsd_matches_the_oracle_on_every_relabelling_n5(profile):
+def test_rsd_matches_the_oracle_on_every_relabelling_n5(profile):
     """One profile per tie pattern at n=5, caps (2,2,2): every agent relabelling."""
     inst = Instance(5, (2, 2, 2))
     for agents in permutations(range(5)):

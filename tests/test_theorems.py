@@ -46,7 +46,7 @@ from axiomlab.matchings import matching_verdict
 from axiomlab.model import NULL_BOTTOM, enumerate_matchings
 from axiomlab.preferences import common_rank_rearrange, push_to_top
 from axiomlab.rules import is_lottery_rule, rule_label
-from axiomlab.theorems import RULE_SPACES, _checker
+from axiomlab.theorems import _CHUNK, RULE_SPACES, _checker, _draws, _pool, _rng_words
 from helpers import (
     bossy_flip_rule,
     random_tabulated_rule,
@@ -529,6 +529,11 @@ def test_search_round_trips_through_serialization(unit3):
 # rule, recorded from the Fraction-weight Lottery before it held integer
 # counts.  The first query finds the greedy candidate (support choice only);
 # the second finds a seeded random one, so it also pins the rng draw order.
+# The search reads its draws from the generator's raw 32-bit words
+# (``theorems._draws``), so these digests rely on CPython's word layout for
+# ``random()``, ``getrandbits`` and ``_randbelow_with_getrandbits``.  They
+# and the ``randrange`` oracle ``_eager_candidates``, run on every supported
+# Python, hold that assumption.
 PINNED_LOTTERY_SEARCHES = [
     (Axiom.EX_POST_PAIRWISE, Axiom.EX_POST_PARETO, 1, 1,
      "cdb9a22a18c0b1e85f3056e26512d205495fca190447fe4673b2dd1210060382"),
@@ -595,20 +600,36 @@ def _eager_candidates(inst, required, violated, seed, rule_space="lottery"):
         yield table
 
 
-def _searched_candidates(monkeypatch, inst, required, violated, budget, seed):
-    """Run a lottery search; return each candidate it checked, with an unread copy."""
+def _searched_candidates(
+    monkeypatch, inst, required, violated, budget, seed, rule_space="lottery", unread=True
+):
+    """Run a search; return each candidate it checked, with an unread copy if ``unread``."""
     import axiomlab.theorems as theorems
 
     fresh = {}
 
     def recording(inst, outcomes, axiom, *args, **kwargs):
         rule = outcomes.rule
-        fresh.setdefault(id(rule), (rule, copy.deepcopy(rule)))
+        fresh.setdefault(id(rule), (rule, copy.deepcopy(rule) if unread else None))
         return check_axiom(inst, outcomes, axiom, *args, **kwargs)
 
     monkeypatch.setattr(theorems, "check_axiom", recording)
-    search_counterexample(inst, required, violated, budget, seed=seed, rule_space="lottery")
+    search_counterexample(inst, required, violated, budget, seed=seed, rule_space=rule_space)
     return list(fresh.values())
+
+
+def _search_matches_the_oracle(monkeypatch, inst, required, violated, budget, seed, rule_space):
+    """Whether the search checks exactly the oracle's first ``budget`` candidates,
+    entry for entry and in profile order; the search must find no rule."""
+    searched = _searched_candidates(
+        monkeypatch, inst, required, violated, budget, seed, rule_space, unread=False
+    )
+    assert len(searched) == budget
+    oracle = _eager_candidates(inst, required, violated, seed, rule_space)
+    return all(
+        list(rule.table) == list(table) and {p: rule.table[p] for p in rule.table} == table
+        for (rule, _), table in zip(searched, oracle)
+    )
 
 
 def test_lottery_search_builds_each_entry_once_and_only_where_read(monkeypatch, unit3):
@@ -733,6 +754,63 @@ def test_prescreen_on_sorted_profiles_is_the_direct_filter(monkeypatch, name):
                 shared = {id(m) for ms in (*allowed.values(), *breakers.values()) for m in ms}
                 assert len(shared) <= len(universe), (keep, broken)
     assert all(list(p) == sorted(p) for p in screened)
+
+
+@pytest.mark.parametrize("rule_space", RULE_SPACES)
+@pytest.mark.parametrize("name", ["unit3", "slack3-211", "null-bottom3", "tight4-211"])
+def test_search_candidates_are_the_randrange_oracles(monkeypatch, name, rule_space):
+    """Thirty candidates per query hold every entry the ``randrange`` oracle draws.
+
+    The search reads the generator's words ``_CHUNK`` at a time; at 1,296
+    profiles a candidate here reads 2,400 to 6,300 of them, so tight4-211
+    crosses chunk boundaries within and between candidates.
+    """
+    inst = PRESCREEN_INSTANCES[name]
+    monotonic = Axiom.PROB_MONOTONIC if rule_space == "lottery" else Axiom.MASKIN_MONOTONIC
+    queries = [
+        ([monotonic], Axiom.EX_POST_PAIRWISE),
+        ([monotonic, Axiom.EX_POST_NON_WASTEFUL, Axiom.EX_POST_PAIRWISE], Axiom.EX_POST_PARETO),
+    ]
+    for seed, (required, violated) in enumerate(queries):
+        assert _search_matches_the_oracle(
+            monkeypatch, inst, required, violated, 30, seed, rule_space
+        ), (required, violated)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_draws_are_random_and_choice_on_the_same_generator(seed):
+    """``_draws`` makes the draws ``rng.random() < 0.75`` and ``rng.choice`` make.
+
+    Every allowed pool length from 1 to 70 (so 1, the powers of two and the
+    2^k - 1 among them), each once without breakers and once with a breaker
+    pool, itself of every length from 70 down to 1; five candidates in each
+    space, about 340 words each (560 with the extras), so the 1,024-word
+    chunks turn over.
+    """
+    pools = [
+        (*_pool(list(range(n))), *_pool([-1 - i for i in range(b)]))
+        for n in range(1, 71)
+        for b in (0, 71 - n)
+    ]
+    for lottery in (False, True):
+        drawn = _draws(random.Random(seed), pools, lottery)
+        assert next(drawn) == ([(b or a)[0] for a, *_, b, _, _ in pools], [a[0] for a, *_ in pools])
+        rng = random.Random(seed)
+        for _ in range(5):
+            firsts, extras = [], []
+            for allowed, _, _, breakers, _, _ in pools:
+                pool = breakers if breakers and rng.random() < 0.75 else allowed
+                firsts.append(rng.choice(pool))
+                if lottery:
+                    extras.append(rng.choice(allowed))
+            assert next(drawn) == (firsts, extras)
+
+
+def test_rng_words_are_the_generators_32_bit_outputs():
+    for seed in range(3):
+        words = list(itertools.islice(_rng_words(random.Random(seed)), 3 * _CHUNK + 5))
+        rng = random.Random(seed)
+        assert words == [rng.getrandbits(32) for _ in words]
 
 
 def _oracle_search(inst, required, violated, budget, seed, rule_space):
