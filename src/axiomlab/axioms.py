@@ -82,7 +82,9 @@ o_n)`` gives position ``p`` there, and this maps the n! orders one to one.
 The scan and the replay read outcomes through ``Outcomes``, one table per
 rule and kind, which a harness shares across its checks.  It checks a
 tabulated rule's totality once: a gap raises TableMiss, even when the scan
-would stop early.  A table of the axiom's kind is read in place, any other
+would stop early.  The check is one subset test of the table's keys against
+the instance's domain set (``preferences.profile_set``); only a table that
+fails it is walked, to name its first gap in enumeration order.  A table of the axiom's kind is read in place, any other
 rule is evaluated at a profile when first read (a deterministic rule's
 lotteries can read the kept matchings, ``Outcomes.as_lotteries``), and every
 read is kept.  The anonymity pass runs once per table and keeps the sorted
@@ -100,7 +102,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
@@ -120,6 +121,7 @@ from .preferences import (
     monotonic_steps,
     preference_ranks,
     prefers,
+    profile_set,
     sort_agents,
     sorted_profiles,
     weakly_prefers,
@@ -486,6 +488,19 @@ _DEFINITIONS = {
 }
 
 
+def _require_total(inst: Instance, table) -> None:
+    """TableMiss naming the first profile, in enumeration order, missing from ``table``.
+
+    The keys are compared with the shared domain set in one subset test, and
+    only a table that fails it is walked to find the gap.  Extra keys are
+    ignored.
+    """
+    if not table.keys() >= profile_set(inst):
+        for profile in enumerate_profiles(inst):
+            if profile not in table:
+                raise TableMiss(f"no table entry for profile {profile}")
+
+
 def _point(matchings: "Outcomes", profile: Profile) -> Lottery:
     return Lottery.point(matchings[profile])
 
@@ -506,9 +521,7 @@ class Outcomes(dict):
         # back: for RSD from the start, for any other rule once the pass has passed.
         self._relabels = isinstance(rule, RandomSerialDictatorshipRule)
         if isinstance(rule, (TabulatedDeterministicRule, TabulatedLotteryRule)):
-            for profile in enumerate_profiles(inst):
-                if profile not in rule.table:
-                    raise TableMiss(f"no table entry for profile {profile}")
+            _require_total(inst, rule.table)
             if is_lottery_rule(rule) == lottery:
                 self._read = rule.table.__getitem__
 
@@ -650,6 +663,8 @@ def check_axiom(
     else:
         scan, size = "profiles", total
     if workers > 1 and size >= 4 * workers:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool's checks pay its import
+
         chunk = (size + workers - 1) // workers
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [

@@ -17,7 +17,7 @@ from typing import Any
 
 from .errors import FormatError
 from .model import GENERAL, NULL_BOTTOM, Instance, Matching, is_feasible
-from .preferences import Preference, Profile, enumerate_profiles
+from .preferences import Preference, Profile, profile_set
 from .rules import (
     Lottery,
     RuleDescriptor,
@@ -269,8 +269,8 @@ def rule_from_dict(data: dict) -> tuple[Instance, ObjectNames, RuleDescriptor]:
             table[profile] = lottery_from_list(record["lottery"], inst, names)
         else:
             raise FormatError(f"unknown rule kind {kind!r}")
-    expected = set(enumerate_profiles(inst))
-    if set(table) != expected:
+    expected = profile_set(inst)
+    if table.keys() != expected:
         raise FormatError(
             f"table covers {len(table)} profiles but the domain has {len(expected)}"
         )

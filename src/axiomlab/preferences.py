@@ -98,6 +98,16 @@ def enumerate_profiles(inst: Instance) -> Iterator[Profile]:
     return product(all_preferences(inst), repeat=inst.n)
 
 
+@lru_cache(maxsize=4)
+def profile_set(inst: Instance) -> frozenset[Profile]:
+    """Every profile of ``enumerate_profiles``, as one set shared by its callers.
+
+    A tabulated table is total iff its keys contain this set.  Only the last
+    few instances' sets are kept, since each holds the whole domain.
+    """
+    return frozenset(enumerate_profiles(inst))
+
+
 def sorted_profiles(inst: Instance) -> Iterator[tuple[int, Profile]]:
     """Every profile whose preferences ascend, with its index in ``enumerate_profiles``.
 

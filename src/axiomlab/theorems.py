@@ -44,10 +44,10 @@ from .preferences import (
     Profile,
     appendix_transform_sequence,
     common_rank_rearrange,
-    enumerate_profiles,
     in_domain,
     is_monotonic_transformation,
     prefers,
+    profile_set,
     push_to_top,
     single_trade_cycle,
     sort_agents,
@@ -480,14 +480,24 @@ class _DrawnLotteries(Mapping):
     """A lottery candidate's read-only table: the matchings drawn for each profile.
 
     ``index`` maps each profile to its position in ``firsts`` and ``extras``,
-    the two matchings drawn there, and every candidate of a search shares it.
-    A profile's uniform lottery over its drawn matchings is built the first
-    time the profile is read, and that same object is returned on every later
-    read.  Membership, length and iteration read the index and build nothing.
+    the two matchings drawn there, and ``domain`` holds the same profiles;
+    every candidate of a search shares both.  A profile's uniform lottery over
+    its drawn matchings is built the first time the profile is read, and that
+    same object is returned on every later read.  Membership, length and
+    iteration read the index and build nothing.  ``keys()`` is ``domain``
+    itself, so ``Outcomes`` settles a candidate's totality with one set
+    comparison; its order is not the iteration order, and nothing reads it in
+    order (``jsonio.rule_to_dict`` sorts the entries).
     """
 
-    def __init__(self, index: dict[Profile, int], firsts: list[Matching], extras: list[Matching]):
-        self._index = index
+    def __init__(
+        self,
+        index: dict[Profile, int],
+        domain: frozenset[Profile],
+        firsts: list[Matching],
+        extras: list[Matching],
+    ):
+        self._index, self._domain = index, domain
         self._firsts, self._extras = firsts, extras
         self._built: dict[Profile, Lottery] = {}
 
@@ -507,6 +517,9 @@ class _DrawnLotteries(Mapping):
 
     def __iter__(self) -> Iterator[Profile]:
         return iter(self._index)
+
+    def keys(self) -> frozenset[Profile]:
+        return self._domain
 
 
 #: Words ``_rng_words`` reads from the generator at a time.
@@ -667,7 +680,11 @@ def search_counterexample(
     violated = Axiom(violated)
     for axiom in (violated, *required):
         require_applicable(inst, axiom, rule_space == "lottery")
-    profiles = list(enumerate_profiles(inst))
+    # Sorting the domain gives enumeration order, since the enumeration is
+    # lexicographic, and keeps the domain's own tuples: every candidate's keys
+    # are then the very set ``Outcomes`` tests its totality against.
+    domain = profile_set(inst)
+    profiles = sorted(domain)
     allowed, breakers = _prescreen(
         inst,
         profiles,
@@ -685,7 +702,7 @@ def search_counterexample(
         if rule_space == "deterministic":
             candidate = TabulatedDeterministicRule(dict(zip(profiles, firsts)))
         else:
-            candidate = TabulatedLotteryRule(_DrawnLotteries(index, firsts, extras))
+            candidate = TabulatedLotteryRule(_DrawnLotteries(index, domain, firsts, extras))
         tried += 1
         check = _checker(inst, candidate, 1)
         if not all(check(a).passed for a in unenforced):

@@ -1,6 +1,7 @@
 """Axiom checkers: verdicts, witnesses, determinism, and implications."""
 
 import json
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from axiomlab import (
     TabulatedLotteryRule,
     TopTradingCyclesRule,
     check_axiom,
+    count_profiles,
     enumerate_matchings,
     enumerate_profiles,
     evaluate,
@@ -380,3 +382,72 @@ def test_replaying_on_a_table_with_a_gap_raises(unit3, axiom):
         gapped = TabulatedLotteryRule({p: Lottery.point(m) for p, m in table.items()})
     with pytest.raises(TableMiss):
         replay_witness(unit3, gapped, axiom, witness)
+
+
+class _PlainMapping(Mapping):
+    """A table that is not a ``dict``, so its ``keys()`` is the generic ``KeysView``."""
+
+    def __init__(self, table):
+        self._table = table
+
+    def __getitem__(self, profile):
+        return self._table[profile]
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self):
+        return len(self._table)
+
+
+def _walked_gap(inst, table):
+    """The oracle: the first profile of the enumeration missing from ``table``, or None."""
+    return next((p for p in enumerate_profiles(inst) if p not in table), None)
+
+
+def totality_matches_the_walk(inst, table) -> bool:
+    """Whether ``Outcomes`` accepts ``table`` iff the walk finds no gap, and
+    otherwise raises the TableMiss that names the walk's first gap."""
+    gap = _walked_gap(inst, table)
+    try:
+        Outcomes(inst, TabulatedDeterministicRule(table), False)
+    except TableMiss as exc:
+        return gap is not None and str(exc) == f"no table entry for profile {gap}"
+    return gap is None
+
+
+#: A key of no profile of unit3: it has four agents.
+FOREIGN = ((0, 1, 2),) * 4
+
+
+def with_a_foreign_key_for_a_gap(table):
+    """``table`` with its 100th and last profiles replaced by foreign keys: the
+    entry count stays the domain's, and the 100th profile is the first gap."""
+    profiles = sorted(table)
+    swapped = {p: m for p, m in table.items() if p not in (profiles[100], profiles[-1])}
+    return {**swapped, FOREIGN: table[profiles[100]], FOREIGN[:2]: table[profiles[-1]]}
+
+
+def _gapped(table):
+    profiles = sorted(table)
+    return {p: m for p, m in table.items() if p not in (profiles[7], profiles[50])}
+
+
+TOTALITY_TABLES = {
+    "total": lambda table: table,
+    "total with a foreign key": lambda table: {**table, FOREIGN: next(iter(table.values()))},
+    "gapped": _gapped,
+    "a foreign key for a gap": with_a_foreign_key_for_a_gap,
+}
+
+
+@pytest.mark.parametrize("wrap", [dict, _PlainMapping], ids=["dict", "mapping"])
+@pytest.mark.parametrize("case", TOTALITY_TABLES)
+def test_the_totality_check_is_the_walk(unit3, case, wrap):
+    """Gaps raise the TableMiss of the first gap in enumeration order, extra
+    keys are ignored, and a table that is not a ``dict`` is checked alike."""
+    table = wrap(TOTALITY_TABLES[case](random_tabulated_rule(unit3, 11).table))
+    assert totality_matches_the_walk(unit3, table)
+    if case == "a foreign key for a gap":
+        assert len(table) == count_profiles(unit3)
+        assert _walked_gap(unit3, table) == list(enumerate_profiles(unit3))[100]

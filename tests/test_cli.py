@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import axiomlab
 from axiomlab.cli import AXIOM_NAMES, run
 
 INSTANCE_3CYCLE = {
@@ -380,6 +381,23 @@ def test_console_entry_point(tmp_path):
     assert out.returncode == 0
     payload = json.loads(out.stdout)
     assert payload["result"]["instance"]["n"] == 2
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The pool's modules are imported only by a check that starts a pool."""
+    src = os.path.dirname(os.path.dirname(axiomlab.__file__))
+    code = (
+        "import sys, axiomlab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def _error(capsys, *argv):

@@ -18,7 +18,8 @@ from axiomlab import axioms, theorems
 from axiomlab.axioms import EX_POST_KINDS, Axiom, Outcomes
 from axiomlab.preferences import sort_agents
 from axiomlab.rules import rule_label
-from helpers import uniform_over
+from helpers import random_tabulated_rule, uniform_over
+from test_axioms import totality_matches_the_walk, with_a_foreign_key_for_a_gap
 from test_incentives import FAMILY, oracle_report
 from test_orbit_scan import ANONYMOUS_FAILING, FIVE, _plain
 from test_rules import rsd_oracle
@@ -145,3 +146,17 @@ def test_the_joint_report_oracle_catches_the_strict_agent_taken_from_j(monkeypat
         "j if prefers(profile[j], got[j], mine[j]) else i",
     )
     assert check_axiom(inst, rule, axiom).to_dict() != oracle_report(inst, rule, axiom)
+
+
+def test_the_walk_catches_a_totality_test_by_entry_count(monkeypatch, unit3):
+    """A table with the domain's entry count, one of them a foreign key in place
+    of a profile, against the walk over the enumeration."""
+    table = with_a_foreign_key_for_a_gap(random_tabulated_rule(unit3, 11).table)
+    assert totality_matches_the_walk(unit3, table)
+    _mutate(
+        monkeypatch,
+        axioms._require_total,
+        "table.keys() >= profile_set(inst)",
+        "len(table) >= len(profile_set(inst))",
+    )
+    assert not totality_matches_the_walk(unit3, table)

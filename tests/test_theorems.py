@@ -44,7 +44,7 @@ from axiomlab.axioms import (
 from axiomlab.jsonio import rule_from_dict, rule_to_dict
 from axiomlab.matchings import matching_verdict
 from axiomlab.model import NULL_BOTTOM, enumerate_matchings
-from axiomlab.preferences import common_rank_rearrange, push_to_top
+from axiomlab.preferences import common_rank_rearrange, profile_set, push_to_top
 from axiomlab.rules import is_lottery_rule, rule_label
 from axiomlab.theorems import _CHUNK, RULE_SPACES, _checker, _draws, _pool, _rng_words
 from helpers import (
@@ -777,6 +777,29 @@ def test_search_candidates_are_the_randrange_oracles(monkeypatch, name, rule_spa
         ), (required, violated)
 
 
+@pytest.mark.parametrize("rule_space", RULE_SPACES)
+@pytest.mark.parametrize("name", ["unit3", "tight4-211"])
+def test_search_candidates_key_the_domain_in_enumeration_order(monkeypatch, name, rule_space):
+    """Every candidate's table lists the profiles in enumeration order, its keys
+    are the domain set, and the walk finds every profile in it.  The profiles
+    are the domain set's own tuples, and a lottery candidate's keys are that
+    set itself, so the totality test matches each profile by identity."""
+    inst = PRESCREEN_INSTANCES[name]
+    monotonic = Axiom.PROB_MONOTONIC if rule_space == "lottery" else Axiom.MASKIN_MONOTONIC
+    searched = _searched_candidates(
+        monkeypatch, inst, [monotonic], Axiom.EX_POST_PAIRWISE, 10, 0, rule_space, unread=False
+    )
+    profiles, domain = list(enumerate_profiles(inst)), profile_set(inst)
+    assert len(searched) == 10
+    for rule, _ in searched:
+        assert list(rule.table) == profiles
+        assert rule.table.keys() == domain
+        assert all(p in rule.table for p in profiles)
+        assert all(p is q for p, q in zip(rule.table, sorted(domain)))
+        if rule_space == "lottery":
+            assert rule.table.keys() is domain
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_draws_are_random_and_choice_on_the_same_generator(seed):
     """``_draws`` makes the draws ``rng.random() < 0.75`` and ``rng.choice`` make.
@@ -893,7 +916,7 @@ def test_search_rejects_an_unknown_rule_space(monkeypatch, unit3):
     import axiomlab.theorems as theorems
 
     enumerations = []
-    monkeypatch.setattr(theorems, "enumerate_profiles", enumerations.append)
+    monkeypatch.setattr(theorems, "profile_set", enumerations.append)
     for space in ("Deterministic", "lotteries", ""):
         with pytest.raises(PreconditionViolated, match="rule space"):
             search_counterexample(unit3, [], Axiom.EX_POST_PARETO, budget=1, rule_space=space)
