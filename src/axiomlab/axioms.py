@@ -78,6 +78,9 @@ an assumption.  RSD is anonymous: if the sorted profile puts agent
 ``order[p]`` at position ``p``, the agent order ``(order[o_1], ...,
 order[o_n])`` gives agent ``order[p]`` what the position order ``(o_1, ...,
 o_n)`` gives position ``p`` there, and this maps the n! orders one to one.
+``rules.random_serial_dictatorship`` counts the orders layer by layer over
+partial matchings instead of running each, but its counts are exactly the
+number of orders reaching each matching, so the argument holds as stated.
 
 The scan and the replay read outcomes through ``Outcomes``, one table per
 rule and kind, which a harness shares across its checks.  It checks a
@@ -89,12 +92,13 @@ rule is evaluated at a profile when first read (a deterministic rule's
 lotteries can read the kept matchings, ``Outcomes.as_lotteries``), and every
 read is kept.  The anonymity pass runs once per table and keeps the sorted
 profiles' lotteries.  An unsorted profile reads its sorted profile's lottery
-relabelled back: for RSD from construction on, so only sorted profiles run
-its n! orders, and for any other rule once the pass has proved that equal.
-Only ``Outcomes`` relabels, so direct checks of RSD share order enumerations
-only through one ``Outcomes``.  Scans can be split across worker processes
-into contiguous ranges of the scanned stream; merging keeps the scan-earliest
-witness, so results do not depend on the worker count.  Each worker receives
+relabelled back: for RSD from construction on, so RSD is evaluated, its n!
+orders counted, at sorted profiles only, and for any other rule once the
+pass has proved that equal.  Only ``Outcomes`` relabels, so direct checks of
+RSD share its evaluations only through one ``Outcomes``.  Scans can be split
+across worker processes into contiguous ranges of the scanned stream;
+merging keeps the scan-earliest witness, so results do not depend on the
+worker count.  Each worker receives
 the table with its anonymity verdict and kept outcomes.
 """
 

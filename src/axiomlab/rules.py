@@ -2,13 +2,14 @@
 
 A lottery holds integer counts over one denominator: RSD counts the agent
 orders reaching each matching out of all n! orders at the profile it is
-given, and the counterexample search puts one count on each matching of a
-candidate's support.  No floating point is used anywhere.  The checkers
-compare weights as integer counts and denominators (``Lottery.share``);
-weight reads return exact ``fractions.Fraction`` values, which witnesses and
-file formats print.  A deterministic rule can always be viewed as the
-degenerate lottery putting weight 1 on its matching.  Only
-``axioms.Outcomes`` uses RSD's anonymity (see the ``axioms`` docstring).
+given, layer by layer over the partial matchings their prefixes reach
+(``random_serial_dictatorship``), and the counterexample search puts one
+count on each matching of a candidate's support.  No floating point is used
+anywhere.  The checkers compare weights as integer counts and denominators
+(``Lottery.share``); weight reads return exact ``fractions.Fraction``
+values, which witnesses and file formats print.  A deterministic rule can
+always be viewed as the degenerate lottery putting weight 1 on its matching.
+Only ``axioms.Outcomes`` uses RSD's anonymity (see the ``axioms`` docstring).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from numbers import Rational
 from typing import Callable, Iterator, Mapping, Union
 
@@ -227,16 +227,48 @@ def serial_dictatorship(inst: Instance, order: tuple[int, ...], profile: Profile
 def random_serial_dictatorship(inst: Instance, profile: Profile) -> Lottery:
     """Exact RSD lottery: weight of a matching = (orders reaching it) / n!.
 
-    Runs serial dictatorship for each of the n! agent orders at ``profile``.
-    There is no sampling mode, because the engine verifies exact claims and
-    desk-scale n keeps n! small.
+    Counts the n! agent orders layer by layer, without running each one.
+    Layer k maps every partial matching that k agents' picks reach (-1 for
+    an agent not yet served) to the capacities it leaves and to the number
+    of length-k order prefixes reaching it.  Each unserved agent extends it
+    by taking her best object with capacity left.  Prefixes that reach the
+    same partial matching have served the same agents with the same objects,
+    so they leave the same capacities and every continuation picks alike:
+    after n layers, a matching's count is the number of orders whose serial
+    dictatorship reaches it.  Layer k holds at most n!/(n-k)! partial
+    matchings, so the n! bound, checked before any layer is built, caps the
+    work.  There is no sampling mode, because the engine verifies exact
+    claims and desk-scale n keeps n! small.
+
+    >>> random_serial_dictatorship(Instance(2, (1, 1)), ((0, 1), (0, 1)))
+    Lottery({(0, 1): 1/2, (1, 0): 1/2})
     """
-    require_enumerable(math.factorial(inst.n), "agent orders")
-    counts: dict[Matching, int] = {}
-    for order in permutations(range(inst.n)):
-        outcome = serial_dictatorship(inst, order, profile)
-        counts[outcome] = counts.get(outcome, 0) + 1
-    return Lottery(counts, math.factorial(inst.n))
+    orders = math.factorial(inst.n)
+    require_enumerable(orders, "agent orders")
+    layer: dict[Matching, tuple[tuple[int, ...], int]] = {(-1,) * inst.n: (inst.capacities, 1)}
+    for _ in range(inst.n):
+        following: dict[Matching, tuple[tuple[int, ...], int]] = {}
+        for partial, (left, count) in layer.items():
+            for agent, served in enumerate(partial):
+                if served >= 0:
+                    continue
+                for obj in profile[agent]:
+                    if left[obj]:
+                        break
+                else:
+                    raise PreconditionViolated(f"agent {agent} ranks no object with capacity left")
+                picked = list(partial)
+                picked[agent] = obj
+                picked = tuple(picked)
+                reached = following.get(picked)
+                if reached is None:
+                    rest = list(left)
+                    rest[obj] -= 1
+                    following[picked] = (tuple(rest), count)
+                else:
+                    following[picked] = (reached[0], reached[1] + count)
+        layer = following
+    return Lottery({matching: count for matching, (_, count) in layer.items()}, orders)
 
 
 def top_trading_cycles(

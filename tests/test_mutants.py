@@ -14,7 +14,7 @@ import textwrap
 import pytest
 
 from axiomlab import Instance, RandomSerialDictatorshipRule, check_axiom, enumerate_profiles
-from axiomlab import axioms, theorems
+from axiomlab import axioms, rules, theorems
 from axiomlab.axioms import EX_POST_KINDS, Axiom, Outcomes
 from axiomlab.preferences import sort_agents
 from axiomlab.rules import rule_label
@@ -104,6 +104,23 @@ def _orbit_scans_match_the_plain_scans(inst, rule):
         check_axiom(inst, rule, axiom).to_dict() == {**_plain(inst, rule, axiom), "rule": label}
         for axiom in FIVE
     )
+
+
+def _rsd_matches_the_oracle(inst):
+    return all(
+        dict(rules.random_serial_dictatorship(inst, p).items()) == rsd_oracle(inst, p)
+        for p in enumerate_profiles(inst)
+    )
+
+
+@pytest.mark.parametrize("name", ["unit3", "slack3"])
+def test_the_order_oracle_catches_a_layer_that_keeps_the_picked_copy(monkeypatch, name, request):
+    """RSD's layered count against ``rsd_oracle``, which runs every agent order,
+    with the picked object's capacity left undecremented."""
+    inst = request.getfixturevalue(name)
+    assert _rsd_matches_the_oracle(inst)
+    _mutate(monkeypatch, rules.random_serial_dictatorship, "rest[obj] -= 1", "rest[obj] -= 0")
+    assert not _rsd_matches_the_oracle(inst)
 
 
 def test_the_oracles_catch_an_unrelabelled_orbit_read(monkeypatch, unit3):

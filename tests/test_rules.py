@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axiomlab import (
     NULL_BOTTOM,
@@ -31,7 +33,7 @@ from axiomlab import (
 from axiomlab import rules
 from axiomlab.axioms import Axiom, Outcomes, _scan
 from axiomlab.model import object_usage
-from axiomlab.preferences import weakly_prefers
+from axiomlab.preferences import all_preferences, weakly_prefers
 from helpers import is_pareto_efficient
 
 
@@ -176,6 +178,46 @@ def test_rsd_matches_the_oracle_on_every_relabelling_n5(profile):
         )
 
 
+@st.composite
+def rsd_instances_and_profiles(draw):
+    """n <= 5 agents, 2-4 objects, capacities totalling n (tight) or up to n + 2
+    (slack), zeros allowed; either domain, and a random profile in it."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 4))
+    total = n + draw(st.integers(0, 2))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=k - 1, max_size=k - 1)))
+    capacities = tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+    if draw(st.booleans()):
+        inst = Instance(n, capacities, null_object=0, domain=NULL_BOTTOM)
+    else:
+        inst = Instance(n, capacities)
+    preferences = st.sampled_from(all_preferences(inst))
+    return inst, tuple(draw(st.lists(preferences, min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rsd_instances_and_profiles())
+def test_rsd_matches_the_oracle_on_random_instances(case):
+    inst, profile = case
+    assert dict(random_serial_dictatorship(inst, profile).items()) == rsd_oracle(inst, profile)
+
+
+@pytest.mark.parametrize(
+    "inst, profile",
+    [
+        (Instance(6, (2, 2, 2)), tuple(permutations(range(3)))),
+        (Instance(6, (2, 2, 2)), ((0, 1, 2),) * 3 + ((1, 0, 2),) * 2 + ((2, 0, 1),)),
+        (Instance(7, (2, 2, 2, 1)), tuple(permutations(range(4)))[::3][:7]),
+        (Instance(7, (3, 2, 2)), ((0, 1, 2),) * 3 + ((1, 0, 2),) * 2 + ((2, 1, 0), (0, 2, 1))),
+    ],
+    ids=["n6-all-distinct", "n6-mixed-ties", "n7-all-distinct", "n7-mixed-ties"],
+)
+def test_rsd_matches_the_oracle_at_n6_and_n7(inst, profile):
+    """The oracle runs 720 orders at n=6 and 5,040 at n=7."""
+    assert len(profile) == inst.n
+    assert dict(random_serial_dictatorship(inst, profile).items()) == rsd_oracle(inst, profile)
+
+
 RSD_INSTANCES = {
     "slack3": Instance(3, (2, 1, 1)),
     "caps211": Instance(4, (2, 1, 1)),
@@ -228,31 +270,31 @@ def test_rsd_outcomes_equal_rsd_on_every_relabelling_n5(profile):
         assert before[relabelled] == direct and after[relabelled] == direct
 
 
-def _count_sd_runs(monkeypatch):
-    runs = []
-    original = rules.serial_dictatorship
+def _count_rsd_evaluations(monkeypatch):
+    evaluations = []
+    original = rules.random_serial_dictatorship
 
     def counted(*args):
-        runs.append(args)
+        evaluations.append(args)
         return original(*args)
 
-    monkeypatch.setattr(rules, "serial_dictatorship", counted)
-    return runs
+    monkeypatch.setattr(rules, "random_serial_dictatorship", counted)
+    return evaluations
 
 
 def test_rsd_harness_runs_the_orders_once_per_sorted_profile(monkeypatch, slack3):
-    """slack3 has 216 profiles, 56 of them sorted; Thm1 runs 3! orders on each sorted one."""
-    runs = _count_sd_runs(monkeypatch)
+    """slack3 has 216 profiles, 56 of them sorted; Thm1 evaluates RSD once on each sorted one."""
+    evaluations = _count_rsd_evaluations(monkeypatch)
     assert verify_theorem1(slack3, RandomSerialDictatorshipRule()).conclusion_verified
-    assert len(runs) == 56 * 6
+    assert len(evaluations) == 56
 
 
 def test_rsd_outcomes_run_the_orders_once_per_sorted_profile(monkeypatch):
-    """Every relabelling of one n=6 profile reads one sorted profile: 6! runs,
-    and RSD called directly runs its own 6! orders at each profile."""
+    """Every relabelling of one n=6 profile reads one sorted profile: one RSD
+    evaluation, and RSD called directly makes its own at each profile."""
     inst = Instance(6, (2, 2, 2))
     profile = tuple(permutations(range(3)))  # six agents, six distinct preferences
-    runs = _count_sd_runs(monkeypatch)
+    evaluations = _count_rsd_evaluations(monkeypatch)
     outcomes = Outcomes(inst, RandomSerialDictatorshipRule(), True)
     base = outcomes[profile]
     for agents in permutations(range(6)):
@@ -260,29 +302,44 @@ def test_rsd_outcomes_run_the_orders_once_per_sorted_profile(monkeypatch):
         assert lottery == Lottery.from_weights(
             {_relabelled(m, agents): w for m, w in base.items()}
         )
-    assert len(runs) == 720
+    assert len(evaluations) == 1
     assert dict(base.items()) == rsd_oracle(inst, profile)
     swapped = _relabelled(profile, (1, 0, 2, 3, 4, 5))
-    assert random_serial_dictatorship(inst, swapped) == outcomes[swapped]
-    assert len(runs) == 2 * 720  # a direct call shares nothing with the table
+    assert rules.random_serial_dictatorship(inst, swapped) == outcomes[swapped]
+    assert len(evaluations) == 2  # a direct call shares nothing with the table
+
+
+class _Unreadable(tuple):
+    """A profile whose preferences fail the test when read, as building a layer reads them."""
+
+    def __getitem__(self, agent):
+        raise AssertionError("a layer was built")
 
 
 def test_rsd_checks_the_order_bound_before_any_run(monkeypatch, unit3):
-    """The n! bound is checked on every call, before any order runs."""
+    """The n! bound is checked on every call, before any layer is built."""
     profile = ((0, 1, 2), (0, 1, 2), (1, 0, 2))
-    runs = _count_sd_runs(monkeypatch)
     monkeypatch.setenv("AXIOMLAB_MAX_PROFILES", "5")
     with pytest.raises(SizeOverflow, match="6 agent orders exceed the bound of 5"):
-        random_serial_dictatorship(unit3, profile)
-    assert runs == []
+        random_serial_dictatorship(unit3, _Unreadable(profile))
     monkeypatch.delenv("AXIOMLAB_MAX_PROFILES")
+    with pytest.raises(AssertionError, match="a layer was built"):
+        random_serial_dictatorship(unit3, _Unreadable(profile))
     random_serial_dictatorship(unit3, profile)
     monkeypatch.setenv("AXIOMLAB_MAX_PROFILES", "5")
-    with pytest.raises(SizeOverflow):
-        random_serial_dictatorship(unit3, profile)
-    with pytest.raises(SizeOverflow):
+    with pytest.raises(SizeOverflow, match="6 agent orders"):
+        random_serial_dictatorship(unit3, _Unreadable(profile))
+    original = rules.random_serial_dictatorship
+    monkeypatch.setattr(
+        rules, "random_serial_dictatorship", lambda inst, p: original(inst, _Unreadable(p))
+    )
+    with pytest.raises(SizeOverflow, match="6 agent orders"):
         Outcomes(unit3, RandomSerialDictatorshipRule(), True)[profile]
-    assert len(runs) == 6
+
+
+def test_rsd_rejects_a_profile_that_leaves_an_agent_unserved():
+    with pytest.raises(PreconditionViolated, match="agent 1 ranks no object with capacity left"):
+        random_serial_dictatorship(Instance(2, (1, 1)), ((0,), (0,)))
 
 
 def test_rsd_support_is_ex_post_pareto_efficient():
