@@ -24,9 +24,11 @@ weight of x never falls, so x stays in the support at every step.  Hence both
 axioms hold iff they hold for single-agent deviations, read from
 ``preferences.monotonic_steps``: Maskin monotonicity walks agents ascending,
 then each agent's alternatives lexicographically; probabilistic monotonicity
-walks support matchings, then agents, then alternatives.  The bodies still
-test ``is_monotonic_transformation``, so witnesses transforming several agents
-replay too.
+walks support matchings, then agents, then alternatives.  The bodies take
+each deviation to be a monotonic transformation, as every step is; the
+``recorded`` readers test ``is_monotonic_transformation`` on a witness's
+transformed profile, over all agents, so witnesses transforming several agents
+replay and a transformation that is not monotonic does not.
 
 The four incentive axioms (strategy-proofness, non-bossiness, pairwise and
 group strategy-proofness) are scanned over menus.  A block is a coalition C
@@ -82,6 +84,34 @@ o_n)`` gives position ``p`` there, and this maps the n! orders one to one.
 partial matchings instead of running each, but its counts are exactly the
 number of orders reaching each matching, so the argument holds as stated.
 
+Every axiom but individual rationality is also unchanged when the objects are
+relabelled: a relabelling tau permutes objects of equal capacity and fixes the
+null object (``preferences.object_classes``), so it maps admissible
+preferences and feasible matchings to admissible preferences and feasible
+matchings, rankings to rankings, lower contour sets to lower contour sets and
+capacities to themselves.  If f(tau P) = tau f(P) for every tau, a violation
+at P maps to one at tau P.  Individual rationality is not: the endowment stays
+put.  One pass, ``Outcomes.neutral``, checks f(tau P) = tau f(P) for the
+generators tau of ``preferences.object_generators`` only, which suffices:
+every relabelling is a product of generators, and the equation for tau and for
+sigma at every profile gives it for tau sigma, since f(tau sigma P) = tau
+f(sigma P) = tau sigma f(P).  On a matchings table the pass walks every
+profile.  On a lottery table it runs only once the anonymity pass holds, and
+walks the sorted profiles: agent and object relabellings commute, so if P =
+sigma S for a sorted S, then f(tau P) = sigma f(tau S) = sigma tau f(S) = tau
+f(P).  The group of agent and object relabellings together then maps
+violations to violations too.  Unlike the anonymity pass, this one needs no
+tie condition: it checks each generator at every profile of its stream, not
+one relabelling per profile, so the relabellings that fix a profile are
+covered.  So the argument above carries over to these groups: the first
+violating profile of the full scan comes first in its orbit, since every
+profile of the orbit violates, and scanning the profiles that come first in
+their orbits (``preferences.object_orbit_profiles``, and
+``preferences.sorted_orbit_profiles`` for both groups together) in enumeration
+order, each under its index in the full enumeration, returns the same witness
+and ``profiles_checked``.  The streams yield those full indices, so pool
+workers split them into ranges as they split the others.
+
 The scan and the replay read outcomes through ``Outcomes``, one table per
 rule and kind, which a harness shares across its checks.  It checks a
 tabulated rule's totality once: a gap raises TableMiss, even when the scan
@@ -91,15 +121,17 @@ fails it is walked, to name its first gap in enumeration order.  A table of the 
 rule is evaluated at a profile when first read (a deterministic rule's
 lotteries can read the kept matchings, ``Outcomes.as_lotteries``), and every
 read is kept.  The anonymity pass runs once per table and keeps the sorted
-profiles' lotteries.  An unsorted profile reads its sorted profile's lottery
-relabelled back: for RSD from construction on, so RSD is evaluated, its n!
-orders counted, at sorted profiles only, and for any other rule once the
-pass has proved that equal.  Only ``Outcomes`` relabels, so direct checks of
+profiles' lotteries.  The neutrality pass runs once per table too, and keeps
+the same on a lottery table and every profile's matching on a matchings
+table; no read goes through an object relabelling.  An unsorted profile
+reads its sorted profile's lottery relabelled back: for RSD from construction
+on, so RSD is evaluated, its n! orders counted, at sorted profiles only, and
+for any other rule once the pass has proved that equal.  Only ``Outcomes`` relabels, so direct checks of
 RSD share its evaluations only through one ``Outcomes``.  Scans can be split
 across worker processes into contiguous ranges of the scanned stream;
 merging keeps the scan-earliest witness, so results do not depend on the
-worker count.  Each worker receives
-the table with its anonymity verdict and kept outcomes.
+worker count.  Both passes run in the parent, and each worker receives the
+table with their verdicts and kept outcomes.
 """
 
 from __future__ import annotations
@@ -123,10 +155,14 @@ from .preferences import (
     enumerate_profiles,
     is_monotonic_transformation,
     monotonic_steps,
+    object_generators,
+    object_group_order,
+    object_orbit_profiles,
     preference_ranks,
     prefers,
     profile_set,
     sort_agents,
+    sorted_orbit_profiles,
     sorted_profiles,
     weakly_prefers,
 )
@@ -187,10 +223,13 @@ class CheckReport:
 
     ``profiles_checked`` counts outer-loop profiles up to and including the
     witness profile (or the whole domain on a pass), so it does not depend on
-    the worker count.  ``scan`` names the stream the scan walked, ``"orbits"``
-    (the sorted profiles of an anonymous rule) or ``"profiles"`` (the whole
-    domain), and ``scan_size`` is its length.  Those two and ``wall_time``
-    are informational only and excluded from report comparisons.
+    the worker count.  ``scan`` names the stream the scan walked: the whole
+    domain (``"profiles"``), or the first profile of each orbit under the
+    agent relabellings (``"agent_orbits"``, the sorted profiles of an
+    anonymous rule), the object relabellings (``"object_orbits"``, of a
+    neutral rule) or both together (``"agent_object_orbits"``).
+    ``scan_size`` is the stream's length.  Those two and ``wall_time`` are
+    informational only and excluded from report comparisons.
     """
 
     axiom: str
@@ -207,7 +246,8 @@ class CheckReport:
         return self.verdict == "pass"
 
     def stats(self) -> dict:
-        """Which scan ran and how many profiles it streams; not part of ``to_dict``."""
+        """Which scan ran, named by the relabellings whose orbits it kept one
+        profile of, and how many profiles it streams; not part of ``to_dict``."""
         return {"scan": self.scan, "scan_size": self.scan_size}
 
     def to_dict(self) -> dict:
@@ -303,37 +343,40 @@ def _bossiness(profile, outcomes, deviations):
     return None
 
 
+# The two monotonicity bodies take every deviation to be a monotonic
+# transformation at its matching: the scan's come from ``monotonic_steps``,
+# and the ``recorded`` readers test a witness's.
+
+
 def _non_monotonicity(profile, outcomes, deviations):
     chosen = outcomes[profile]
     for transformed in deviations:
-        if is_monotonic_transformation(profile, transformed, chosen):
-            if outcomes[transformed] != chosen:
-                return {
-                    "kind": "monotonicity",
-                    "profile": profile,
-                    "transformed": transformed,
-                    "matching": chosen,
-                    "new_outcome": outcomes[transformed],
-                }
+        if outcomes[transformed] != chosen:
+            return {
+                "kind": "monotonicity",
+                "profile": profile,
+                "transformed": transformed,
+                "matching": chosen,
+                "new_outcome": outcomes[transformed],
+            }
     return None
 
 
 def _prob_non_monotonicity(profile, lotteries, deviations):
     lottery = lotteries[profile]
     for transformed, matching in deviations:
-        if is_monotonic_transformation(profile, transformed, matching):
-            moved = lotteries[transformed]
-            count, denominator = lottery.share(matching)
-            moved_count, moved_denominator = moved.share(matching)
-            if moved_count * denominator < count * moved_denominator:
-                return {
-                    "kind": "prob_monotonicity",
-                    "profile": profile,
-                    "transformed": transformed,
-                    "matching": matching,
-                    "weight_before": str(lottery.weight(matching)),
-                    "weight_after": str(moved.weight(matching)),
-                }
+        moved = lotteries[transformed]
+        count, denominator = lottery.share(matching)
+        moved_count, moved_denominator = moved.share(matching)
+        if moved_count * denominator < count * moved_denominator:
+            return {
+                "kind": "prob_monotonicity",
+                "profile": profile,
+                "transformed": transformed,
+                "matching": matching,
+                "weight_before": str(lottery.weight(matching)),
+                "weight_after": str(moved.weight(matching)),
+            }
     return None
 
 
@@ -393,12 +436,13 @@ class _Definition:
     """One axiom: its deviations at a profile, in scan order, and its violation body.
 
     ``recorded`` reads back from a witness, with the rule's outcomes, the
-    deviation it records, in the shape the generator yields.
+    deviation it records, in the shape the generator yields, or None if the
+    axiom does not quantify over it.
     """
 
     deviations: Callable  # (profile, outcomes) -> iterable of deviations
     violation: Callable  # (profile, outcomes, deviations) -> witness or None
-    recorded: Callable  # (witness, outcomes) -> deviation
+    recorded: Callable  # (witness, outcomes) -> deviation or None
 
 
 # Deviation generators take ``(profile, outcomes)`` (individual rationality's
@@ -437,6 +481,15 @@ def _support(profile, lotteries):
     return lotteries[profile].support()
 
 
+def _recorded_step(witness, matching, deviation):
+    """``deviation`` if the witness's ``transformed`` is a monotonic
+    transformation of its profile at ``matching``, in any number of agents;
+    else None."""
+    if is_monotonic_transformation(witness["profile"], witness["transformed"], matching):
+        return deviation
+    return None
+
+
 def _monotonic_steps(inst, profile, matching):
     """Single-agent monotonic transformations of ``profile`` at ``matching``:
     agents ascend, then each agent's alternatives ascend lexicographically."""
@@ -460,7 +513,7 @@ _DEFINITIONS = {
     Axiom.MASKIN_MONOTONIC: _Definition(
         lambda profile, outcomes: _monotonic_steps(outcomes.inst, profile, outcomes[profile]),
         _non_monotonicity,
-        lambda w, _: w["transformed"],
+        lambda w, outcomes: _recorded_step(w, outcomes[w["profile"]], w["transformed"]),
     ),
     Axiom.PROB_MONOTONIC: _Definition(
         lambda profile, lotteries: (
@@ -469,7 +522,7 @@ _DEFINITIONS = {
             for transformed in _monotonic_steps(lotteries.inst, profile, matching)
         ),
         _prob_non_monotonicity,
-        lambda w, _: (w["transformed"], w["matching"]),
+        lambda w, _: _recorded_step(w, w["matching"], (w["transformed"], w["matching"])),
     ),
     Axiom.EQUAL_TREATMENT: _Definition(
         lambda profile, lotteries: product(
@@ -570,7 +623,7 @@ class Outcomes(dict):
         n = self.inst.n
         # swaps[p] exchanges what agents p and p + 1 get
         swaps = [itemgetter(*range(p), p + 1, p, *range(p + 2, n)) for p in range(n - 1)]
-        for _, profile in _STREAMS["orbits" if self._relabels else "profiles"](self.inst):
+        for _, profile in _STREAMS["agent_orbits" if self._relabels else "profiles"](self.inst):
             sorted_profile, relabel = sort_agents(profile)
             if relabel is None:
                 lottery = self[profile]
@@ -583,11 +636,94 @@ class Outcomes(dict):
         self._relabels = True
         return True
 
+    @cached_property
+    def neutral(self) -> bool:
+        """True iff relabelling the objects of a profile relabels its outcome alike.
 
-#: Each scan's stream of ``(index in enumerate_profiles, profile)`` pairs.
+        The relabellings permute objects of equal capacity and fix the null
+        object (``preferences.object_classes``).  One pass, stopping at the
+        first mismatch, checks f(tau P) = tau f(P) for each generator tau
+        (``preferences.object_generators``) and each profile P of the
+        table's stream: every profile of a matchings table, where it checks
+        each pair P, tau P once, and the sorted profiles of a lottery table.
+        It reads through this table; a matchings table keeps every read, a
+        lottery table only the sorted profiles' lotteries.  A lottery table is
+        tested only once ``anonymous`` holds, so that a table failing that
+        pass, such as a deterministic rule's point lotteries or a search
+        candidate, is not evaluated at every profile before a scan that may
+        stop at its first.  False when no two real objects share a capacity,
+        since then there is no relabelling to use.
+        """
+        generators = object_generators(self.inst)
+        if not generators or (self.lottery and not self.anonymous):
+            return False
+        prefs = all_preferences(self.inst)
+        # (each preference renamed, each matching renamed) per generator
+        moves = [
+            ({pref: tuple(map(tau.__getitem__, pref)) for pref in prefs}.__getitem__,
+             partial(_renamed, tau))
+            for tau in generators
+        ]
+        if self.lottery:
+            stream, same, read = "agent_orbits", Lottery.equals_relabelled, self._unkept
+            moves_at = dict.fromkeys(prefs, moves)
+        else:
+            # A generator swaps two objects, so its equations at P and at tau P
+            # are one equation, checked at the earlier of the two: the profile
+            # whose agent 0's report tau moves later.
+            stream, same, read = "profiles", _equals_renamed, self.__getitem__
+            moves_at = {pref: [m for m in moves if m[0](pref) > pref] for pref in prefs}
+        for _, profile in _STREAMS[stream](self.inst):
+            outcome = self[profile]
+            for rename, relabel in moves_at[profile[0]]:
+                if not same(read(tuple(map(rename, profile))), outcome, relabel):
+                    return False
+        return True
+
+    def _unkept(self, profile: Profile) -> Lottery:
+        """The lottery of an anonymous table at ``profile``, read as
+        ``__missing__`` reads it, keeping only its sorted profile's."""
+        sorted_profile, relabel = sort_agents(profile)
+        lottery = self[sorted_profile]
+        return lottery if relabel is None else lottery.relabelled(relabel)
+
+
+def _renamed(tau: tuple[int, ...], matching: Matching) -> Matching:
+    """``matching`` with each object ``o`` renamed ``tau[o]``."""
+    return tuple(map(tau.__getitem__, matching))
+
+
+def _equals_renamed(moved: Matching, matching: Matching, relabel: Callable) -> bool:
+    """``Lottery.equals_relabelled`` for matchings."""
+    return moved == relabel(matching)
+
+
+#: Each scan's stream of ``(index in enumerate_profiles, profile)`` pairs, in
+#: enumeration order.  A scan is named by the relabellings whose orbits it
+#: keeps the first profile of.
 _STREAMS = {
     "profiles": lambda inst: enumerate(enumerate_profiles(inst)),
-    "orbits": sorted_profiles,
+    "agent_orbits": sorted_profiles,
+    "object_orbits": object_orbit_profiles,
+    "agent_object_orbits": sorted_orbit_profiles,
+}
+
+#: Each scan's stream length.
+_SIZES = {
+    "profiles": count_profiles,
+    # one sorted profile per multiset of n preferences
+    "agent_orbits": lambda inst: math.comb(len(all_preferences(inst)) + inst.n - 1, inst.n),
+    # each object orbit holds one profile per relabelling
+    "object_orbits": lambda inst: count_profiles(inst) // object_group_order(inst),
+    "agent_object_orbits": lambda inst: sum(1 for _ in sorted_orbit_profiles(inst)),
+}
+
+#: The scan for (agent orbits, object orbits).
+_SCANS = {
+    (False, False): "profiles",
+    (True, False): "agent_orbits",
+    (False, True): "object_orbits",
+    (True, True): "agent_object_orbits",
 }
 
 
@@ -641,9 +777,12 @@ def check_axiom(
     Pass means the universally quantified definition held everywhere; fail
     carries the scan-first witness.  ``rule`` may be the rule's ``Outcomes``
     of the axiom's kind on ``inst``, which the check reads and extends; one of
-    another instance or kind is a PreconditionViolated.  For a
-    relabel-invariant axiom, a rule whose ``Outcomes.anonymous`` holds is
-    scanned on its sorted profiles only, with the same report.  ``workers``
+    another instance or kind is a PreconditionViolated.  The scan keeps the
+    first profile of each orbit, with the same report: of the agent orbits
+    for a relabel-invariant axiom when ``Outcomes.anonymous`` holds, of the
+    object orbits for any axiom but individual rationality when
+    ``Outcomes.neutral`` holds, and of the orbits under both when both do.
+    ``workers``
     splits the scanned stream over that many processes without changing the
     report.  Lottery rules reject the deterministic-only incentive axioms
     with AxiomNotApplicable; deterministic rules are checked against lottery
@@ -661,11 +800,10 @@ def check_axiom(
     started = time.perf_counter()
     total = count_profiles(inst)
     outcomes = Outcomes(inst, rule, lottery) if given is None else given
-    if axiom in RELABEL_INVARIANT and outcomes.anonymous:
-        # One sorted profile per multiset of n preferences.
-        scan, size = "orbits", math.comb(len(all_preferences(inst)) + inst.n - 1, inst.n)
-    else:
-        scan, size = "profiles", total
+    agents = axiom in RELABEL_INVARIANT and outcomes.anonymous
+    objects = axiom is not Axiom.INDIVIDUAL_RATIONALITY and outcomes.neutral
+    scan = _SCANS[agents, objects]
+    size = _SIZES[scan](inst)
     if workers > 1 and size >= 4 * workers:
         from concurrent.futures import ProcessPoolExecutor  # only a pool's checks pay its import
 
@@ -710,5 +848,7 @@ def replay_witness(
     witness = _frozen(witness)
     outcomes = Outcomes(inst, rule, axiom not in DETERMINISTIC_ONLY)
     recorded = definition.recorded(witness, outcomes)
+    if recorded is None:
+        return False
     found = definition.violation(witness["profile"], outcomes, [recorded])
     return found is not None and _frozen(found) == witness

@@ -17,6 +17,7 @@ proof-replay harnesses:
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from operator import itemgetter
@@ -121,11 +122,132 @@ def sorted_profiles(inst: Instance) -> Iterator[tuple[int, Profile]]:
     [(0, ((0, 1), (0, 1))), (1, ((0, 1), (1, 0))), (3, ((1, 0), (1, 0)))]
     """
     prefs = all_preferences(inst)
-    for digits in combinations_with_replacement(range(len(prefs)), inst.n):
+    for index, digits in _sorted_digits(len(prefs), inst.n):
+        yield index, tuple(prefs[d] for d in digits)
+
+
+def _sorted_digits(radix: int, n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every ascending digit vector of length ``n``, with its mixed-radix number."""
+    for digits in combinations_with_replacement(range(radix), n):
         index = 0
         for digit in digits:
-            index = index * len(prefs) + digit
-        yield index, tuple(prefs[d] for d in digits)
+            index = index * radix + digit
+        yield index, digits
+
+
+@lru_cache(maxsize=None)
+def object_classes(inst: Instance) -> tuple[tuple[int, ...], ...]:
+    """The real objects of equal capacity, each class of two or more ascending.
+
+    An object relabelling permutes the objects within each class and fixes
+    the rest, the null object included.  It maps every admissible preference
+    and every feasible matching to one again.  A relabelling ``tau`` renames
+    object ``o`` to ``tau[o]``: a preference or matching ``x`` becomes
+    ``tuple(tau[o] for o in x)``, and a profile each of its preferences.
+
+    >>> object_classes(Instance(4, (2, 1, 1)))
+    ((1, 2),)
+    """
+    classes = {}
+    for obj in inst.real_objects():
+        classes.setdefault(inst.capacities[obj], []).append(obj)
+    return tuple(tuple(c) for c in classes.values() if len(c) > 1)
+
+
+def object_generators(inst: Instance) -> tuple[tuple[int, ...], ...]:
+    """Object relabellings that generate them all: each swaps two objects
+    adjacent in one class of ``object_classes``.
+
+    >>> object_generators(Instance(3, (1, 1, 1)))
+    ((1, 0, 2), (0, 2, 1))
+    """
+    generators = []
+    for objects in object_classes(inst):
+        for a, b in zip(objects, objects[1:]):
+            tau = list(range(inst.k))
+            tau[a], tau[b] = b, a
+            generators.append(tuple(tau))
+    return tuple(generators)
+
+
+def object_group_order(inst: Instance) -> int:
+    """How many object relabellings there are, the identity included."""
+    return math.prod(math.factorial(len(objects)) for objects in object_classes(inst))
+
+
+def _first_of_object_orbit(inst: Instance, pref: Preference) -> tuple[int, ...] | None:
+    """None if ``pref`` comes first in its object orbit, else the relabelling
+    that takes it to the first.
+
+    The first preference of an orbit ranks the objects of each class in
+    ascending order: the relabelling renames each class's objects, in the
+    order ``pref`` ranks them, to that class's objects ascending.
+    """
+    ranks = preference_ranks(pref)
+    tau = list(range(inst.k))
+    for objects in object_classes(inst):
+        for obj, ranked in zip(objects, sorted(objects, key=ranks.__getitem__)):
+            tau[ranked] = obj
+    return None if all(tau[o] == o for o in pref) else tuple(tau)
+
+
+def object_orbit_profiles(inst: Instance) -> Iterator[tuple[int, Profile]]:
+    """Every profile that comes first in its object orbit, with its index in
+    ``enumerate_profiles``, in enumeration order.
+
+    Profiles compare lexicographically, agent 0 first.  A relabelling other
+    than the identity moves every preference, so only the identity fixes
+    agent 0's report: the profile comes first iff that report comes first in
+    its own orbit, and the other agents report freely.  At unit capacities and
+    n=4 agent 0 must report the identity, which leaves 13,824 of the 331,776
+    profiles.
+
+    >>> [index for index, _ in object_orbit_profiles(Instance(2, (1, 1)))]
+    [0, 1]
+    """
+    prefs = all_preferences(inst)
+    stride = len(prefs) ** (inst.n - 1)
+    for digit, first in enumerate(prefs):
+        if _first_of_object_orbit(inst, first) is None:
+            for offset, rest in enumerate(product(prefs, repeat=inst.n - 1)):
+                yield digit * stride + offset, (first, *rest)
+
+
+def sorted_orbit_profiles(inst: Instance) -> Iterator[tuple[int, Profile]]:
+    """Every profile that comes first in its orbit under agent and object
+    relabellings together, with its index in ``enumerate_profiles``.
+
+    Such a profile P is sorted, and no object relabelling tau makes the
+    sorted tau P come earlier.  So agent 0 reports the first preference of
+    its object orbit, and no agent's report has an orbit starting before it:
+    else the relabelling that takes that report to its orbit's first gives
+    an earlier profile.  Given both, the sorted tau P can come earlier only
+    if it starts with agent 0's report, that is, only if tau takes some
+    agent's report to it.  One relabelling does that per report, so only
+    those are tried, not every relabelling.
+
+    >>> [index for index, _ in sorted_orbit_profiles(Instance(2, (1, 1)))]
+    [0, 1]
+    """
+    prefs = all_preferences(inst)
+    digit_of = {pref: d for d, pref in enumerate(prefs)}
+    firsts, taus = [], []
+    for pref in prefs:
+        tau = _first_of_object_orbit(inst, pref)
+        taus.append(tau)
+        firsts.append(digit_of[pref if tau is None else tuple(tau[o] for o in pref)])
+    for index, digits in _sorted_digits(len(prefs), inst.n):
+        head = digits[0]
+        if firsts[head] != head or any(firsts[d] < head for d in digits):
+            continue
+        for d in set(digits):
+            tau = taus[d]
+            if tau is not None and firsts[d] == head:
+                moved = sorted(digit_of[tuple(tau[o] for o in prefs[e])] for e in digits)
+                if tuple(moved) < digits:
+                    break
+        else:
+            yield index, tuple(prefs[d] for d in digits)
 
 
 def sort_agents(profile: Profile) -> tuple[Profile, Callable[[Matching], Matching] | None]:

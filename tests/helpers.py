@@ -1,8 +1,11 @@
 """Rules and oracles that only the tests use: the brute-force Pareto oracle,
-a bossy showcase rule, seeded random tables and lottery tables that are
-anonymous or nearly so."""
+the plain scan of every profile, a bossy showcase rule, seeded random tables,
+lottery tables that are anonymous or nearly so, and tables that are neutral
+under a set of object relabellings."""
 
 import random
+from fractions import Fraction
+from itertools import permutations, product
 
 from axiomlab import (
     Lottery,
@@ -12,8 +15,16 @@ from axiomlab import (
     find_dominating,
     random_serial_dictatorship,
 )
+from axiomlab.axioms import DETERMINISTIC_ONLY, Axiom, Outcomes, _scan
 from axiomlab.model import Instance, Matching, enumerate_matchings
-from axiomlab.preferences import Profile, enumerate_profiles, preference_ranks
+from axiomlab.preferences import (
+    Profile,
+    count_profiles,
+    enumerate_profiles,
+    object_classes,
+    preference_ranks,
+)
+from axiomlab.rules import rule_label
 
 
 def is_pareto_efficient(
@@ -76,3 +87,74 @@ def rsd_with_one_changed_unsorted_entry(inst: Instance) -> TabulatedLotteryRule:
     table[profile] = Lottery({**dict.fromkeys(table[profile].support(), 1), other: 1},
                              len(table[profile].support()) + 1)
     return TabulatedLotteryRule(table)
+
+
+def plain_report(inst: Instance, rule, axiom, endowment=None) -> dict:
+    """The report dict of the plain scan of every profile, which reads each
+    profile's own outcome and uses no relabelling."""
+    axiom = Axiom(axiom)
+    hit = _scan(Outcomes(inst, rule, axiom not in DETERMINISTIC_ONLY), axiom, endowment, "profiles")
+    verdict, witness, checked = (
+        ("pass", None, count_profiles(inst)) if hit is None else ("fail", hit[1], hit[0] + 1)
+    )
+    return {
+        "axiom": axiom.value,
+        "rule": rule_label(rule),
+        "verdict": verdict,
+        "witness": witness,
+        "profiles_checked": checked,
+    }
+
+
+def object_relabellings(inst: Instance) -> list[tuple[int, ...]]:
+    """Every object relabelling, the identity first, enumerated directly: each
+    class of ``object_classes`` permuted among itself."""
+    classes = object_classes(inst)
+    relabellings = []
+    for images in product(*(permutations(c) for c in classes)):
+        tau = list(range(inst.k))
+        for objects, image in zip(classes, images):
+            for obj, target in zip(objects, image):
+                tau[obj] = target
+        relabellings.append(tuple(tau))
+    return relabellings
+
+
+def renamed(tau, value):
+    """A preference, matching or profile with each object ``o`` renamed ``tau[o]``."""
+    if value and isinstance(value[0], tuple):
+        return tuple(renamed(tau, v) for v in value)
+    return tuple(tau[o] for o in value)
+
+
+def inverse(tau):
+    back = [0] * len(tau)
+    for obj, image in enumerate(tau):
+        back[image] = obj
+    return tuple(back)
+
+
+def symmetrised(inst: Instance, table: dict, relabellings) -> dict:
+    """A table f with f(tau P) = tau f(P) for every ``tau`` of ``relabellings``,
+    which must be a group of object relabellings.
+
+    A matchings table keeps the entry of each orbit's first profile and
+    renames it onto the rest of the orbit.  A lottery table averages, at P,
+    the entries at every tau P renamed back by the inverse of tau.
+    """
+    out = {}
+    for profile in enumerate_profiles(inst):
+        if isinstance(table[profile], Lottery):
+            weights = {}
+            for tau in relabellings:
+                back = inverse(tau)
+                for m, w in table[renamed(tau, profile)].items():
+                    m = renamed(back, m)
+                    weights[m] = weights.get(m, 0) + w
+            out[profile] = Lottery.from_weights(
+                {m: Fraction(w, len(relabellings)) for m, w in weights.items()}
+            )
+        elif profile not in out:
+            for tau in relabellings:
+                out[renamed(tau, profile)] = renamed(tau, table[profile])
+    return out

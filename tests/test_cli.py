@@ -236,9 +236,12 @@ def test_verify_commands(capsys, files):
 
 
 def test_stats_name_each_checks_scan_outside_the_result(capsys, files):
-    """RSD is scanned on its 56 sorted profiles, SD on all 216; other commands print no stats."""
+    """RSD is scanned on the 10 profiles that come first in their orbits under agent
+    and object relabellings, SD's lotteries on all 216 profiles and its matchings
+    on the 36 that come first in their object orbits; other commands print no stats."""
     inst = files("i.json", INSTANCE_3CYCLE)
-    orbits, profiles = {"scan": "orbits", "scan_size": 56}, {"scan": "profiles", "scan_size": 216}
+    orbits = {"scan": "agent_object_orbits", "scan_size": 10}
+    profiles = {"scan": "profiles", "scan_size": 216}
     for rule, stats in (("rsd", orbits), ("sd", profiles)):
         code, payload = invoke(
             capsys, "check-rule", "--instance", inst, "--rule", rule,
@@ -255,7 +258,8 @@ def test_stats_name_each_checks_scan_outside_the_result(capsys, files):
         capsys, "verify-prop1", "--instance", inst, "--rule", "sd", "--workers", "1"
     )
     axioms = [h["axiom"] for h in payload["result"]["hypotheses_verified"]]
-    assert code == 0 and payload["stats"] == dict.fromkeys(axioms, profiles)
+    objects = {"scan": "object_orbits", "scan_size": 36}
+    assert code == 0 and payload["stats"] == dict.fromkeys(axioms, objects)
     code, payload = invoke(capsys, "gen-instance", "--n", "2", "--k", "2")
     assert code == 0 and list(payload) == ["command", "result", "timing"]
 

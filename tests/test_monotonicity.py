@@ -27,10 +27,10 @@ from axiomlab import (
     verify_proposition1,
     verify_theorem1,
 )
-from axiomlab.axioms import Axiom, AxiomNotApplicable, replay_witness
+from axiomlab.axioms import _DEFINITIONS, Axiom, AxiomNotApplicable, Outcomes, replay_witness
 from axiomlab.model import NULL_BOTTOM
 from axiomlab.rules import is_lottery_rule
-from helpers import bossy_flip_rule, random_tabulated_rule
+from helpers import bossy_flip_rule, plain_report, random_tabulated_rule
 
 UNIT3 = Instance(3, (1, 1, 1))
 NULL3 = Instance(3, (1, 1, 1, 1), null_object=0, domain=NULL_BOTTOM)
@@ -199,13 +199,45 @@ FOUR_AGENT_CASES = {
 
 @pytest.mark.parametrize("name", list(FOUR_AGENT_CASES))
 def test_four_agent_steps_agree_with_the_all_pairs_oracle(name):
+    inst, rule = four_agent_rule(name)
+    change = FOUR_AGENT_CASES[name][2]
+    assert check_axiom(inst, rule, Axiom.MASKIN_MONOTONIC).passed == (change is None)
+    assert_agrees_with_oracle(inst, rule)
+
+
+def four_agent_rule(name):
     inst, order, change = FOUR_AGENT_CASES[name]
     rule = SerialDictatorshipRule(order)
     if change is not None:
         index, matching = change
         rule = perturbed(inst, rule, index, matching, matching)
-    assert check_axiom(inst, rule, Axiom.MASKIN_MONOTONIC).passed == (change is None)
-    assert_agrees_with_oracle(inst, rule)
+    return inst, rule
+
+
+@pytest.mark.parametrize("name", [*FAMILY, *FOUR_AGENT_CASES])
+def test_monotonicity_reports_are_the_plain_scans(name):
+    """The bodies take every step to be monotonic; whichever stream the check
+    scans, its reports are the plain scan's of every profile."""
+    inst, rule = FAMILY[name] if name in FAMILY else four_agent_rule(name)
+    for axiom in applicable(rule):
+        assert check_axiom(inst, rule, axiom).to_dict() == plain_report(inst, rule, axiom), axiom
+
+
+def test_a_witness_whose_transformation_is_not_monotonic_does_not_replay():
+    """Agent 0 moves object 1 above object 0, the object she holds.  The outcome
+    changes and the weight of the matching falls, so each body alone reports
+    the forged witness; the ``recorded`` readers reject it."""
+    inst, profile = UNIT3, ((0, 1, 2),) * 3
+    transformed = ((1, 0, 2),) + profile[1:]
+    for axiom, rule in ((Axiom.MASKIN_MONOTONIC, SD), (Axiom.PROB_MONOTONIC, RSD)):
+        outcomes = Outcomes(inst, rule, axiom is Axiom.PROB_MONOTONIC)
+        matching = (0, 1, 2)
+        assert not is_monotonic_transformation(profile, transformed, matching)
+        deviation = transformed if axiom is Axiom.MASKIN_MONOTONIC else (transformed, matching)
+        witness = _DEFINITIONS[axiom].violation(profile, outcomes, [deviation])
+        assert witness is not None and witness["matching"] == matching, axiom
+        assert check_axiom(inst, rule, axiom).passed, axiom
+        assert not replay_witness(inst, rule, axiom, witness), axiom
 
 
 def test_family_has_passing_and_failing_rules():

@@ -13,15 +13,23 @@ import textwrap
 
 import pytest
 
-from axiomlab import Instance, RandomSerialDictatorshipRule, check_axiom, enumerate_profiles
+from axiomlab import (
+    Instance,
+    RandomSerialDictatorshipRule,
+    SerialDictatorshipRule,
+    TabulatedDeterministicRule,
+    check_axiom,
+    enumerate_profiles,
+    evaluate,
+)
 from axiomlab import axioms, rules, theorems
 from axiomlab.axioms import EX_POST_KINDS, Axiom, Outcomes
+from axiomlab import preferences
 from axiomlab.preferences import sort_agents
-from axiomlab.rules import rule_label
-from helpers import random_tabulated_rule, uniform_over
+from helpers import object_relabellings, plain_report, random_tabulated_rule, renamed, uniform_over
 from test_axioms import totality_matches_the_walk, with_a_foreign_key_for_a_gap
 from test_incentives import FAMILY, oracle_report
-from test_orbit_scan import ANONYMOUS_FAILING, FIVE, _plain
+from test_orbit_scan import ANONYMOUS_FAILING, FIVE
 from test_rules import rsd_oracle
 from test_theorems import _direct_prescreen, _search_matches_the_oracle
 
@@ -98,12 +106,9 @@ def _rsd_outcomes_match_the_oracle(inst):
     return all(dict(outcomes[p].items()) == rsd_oracle(inst, p) for p in enumerate_profiles(inst))
 
 
-def _orbit_scans_match_the_plain_scans(inst, rule):
-    label = rule_label(rule)
-    return all(
-        check_axiom(inst, rule, axiom).to_dict() == {**_plain(inst, rule, axiom), "rule": label}
-        for axiom in FIVE
-    )
+def _orbit_scans_match_the_plain_scans(inst, rule, axioms=FIVE):
+    return all(check_axiom(inst, rule, axiom).to_dict() == plain_report(inst, rule, axiom)
+               for axiom in axioms)
 
 
 def _rsd_matches_the_oracle(inst):
@@ -177,3 +182,60 @@ def test_the_walk_catches_a_totality_test_by_entry_count(monkeypatch, unit3):
         "len(table) >= len(profile_set(inst))",
     )
     assert not totality_matches_the_walk(unit3, table)
+
+
+# Agents 1 and 2 swap what SD(0,1,2) gives them at this unit3 profile, which
+# lets agent 1 manipulate there; agent 0 keeps object 2.
+CHANGED_PROFILE = ((2, 0, 1), (0, 1, 2), (0, 1, 2))
+CHANGED_MATCHING = (2, 1, 0)
+INCENTIVES = (Axiom.STRATEGY_PROOF, Axiom.NON_BOSSY, Axiom.MASKIN_MONOTONIC)
+
+
+def _sd_with_one_orbit_changed(inst, relabellings):
+    """SD(0,1,2) tabulated, with ``CHANGED_MATCHING`` at ``CHANGED_PROFILE``
+    renamed onto its image under each of ``relabellings``, a group: neutral
+    under those relabellings only."""
+    sd = SerialDictatorshipRule((0, 1, 2))
+    table = {p: evaluate(inst, sd, p) for p in enumerate_profiles(inst)}
+    for tau in relabellings:
+        table[renamed(tau, CHANGED_PROFILE)] = renamed(tau, CHANGED_MATCHING)
+    return TabulatedDeterministicRule(table)
+
+
+def test_the_plain_scan_catches_a_neutrality_pass_of_the_first_generator_only(
+    monkeypatch, unit3
+):
+    """A table neutral under the swap of objects 0 and 1 but not under that of
+    1 and 2.  The first generator alone passes it, and its object-orbit scan
+    sees only the profiles whose agent 0 reports (0, 1, 2), none of which
+    violates: it reports a pass where the plain scan fails."""
+    rule = _sd_with_one_orbit_changed(unit3, [(0, 1, 2), (1, 0, 2)])
+    assert preferences.object_generators(unit3)[0] == (1, 0, 2)
+    assert not Outcomes(unit3, rule, False).neutral
+    assert _orbit_scans_match_the_plain_scans(unit3, rule, INCENTIVES)
+    _mutate(
+        monkeypatch,
+        Outcomes.neutral.func,
+        "generators = object_generators(self.inst)",
+        "generators = object_generators(self.inst)[:1]",
+    )
+    assert Outcomes(unit3, rule, False).neutral
+    assert not _orbit_scans_match_the_plain_scans(unit3, rule, INCENTIVES)
+
+
+def test_the_plain_scan_catches_a_stream_of_the_last_profile_of_each_orbit(
+    monkeypatch, unit3
+):
+    """SD with one whole object orbit changed is neutral and fails all three
+    checks; the profiles that come last in their orbits violate later."""
+    rule = _sd_with_one_orbit_changed(unit3, object_relabellings(unit3))
+    assert Outcomes(unit3, rule, False).neutral
+    assert all(plain_report(unit3, rule, a)["verdict"] == "fail" for a in INCENTIVES)
+    assert _orbit_scans_match_the_plain_scans(unit3, rule, INCENTIVES)
+    _mutate(
+        monkeypatch,
+        preferences._first_of_object_orbit,
+        "zip(objects, sorted(",
+        "zip(objects[::-1], sorted(",
+    )
+    assert not _orbit_scans_match_the_plain_scans(unit3, rule, INCENTIVES)

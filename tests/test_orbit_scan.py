@@ -1,4 +1,6 @@
-"""The orbit scan: anonymous rules are scanned on their sorted profiles only.
+"""The orbit scans: an anonymous rule is scanned on its sorted profiles, a
+neutral one on the profiles that come first in their object orbits, and a rule
+that is both on the profiles that come first under both relabellings.
 
 Every report is held to the plain scan of every profile, called directly.
 """
@@ -17,17 +19,34 @@ from axiomlab import (
     Lottery,
     RandomSerialDictatorshipRule,
     SerialDictatorshipRule,
+    TabulatedDeterministicRule,
     TabulatedLotteryRule,
+    TopTradingCyclesRule,
     check_axiom,
     count_profiles,
     enumerate_matchings,
     enumerate_profiles,
+    evaluate,
     matching_verdict,
     random_serial_dictatorship,
 )
-from axiomlab.axioms import RELABEL_INVARIANT, Axiom, Outcomes, _scan
-from axiomlab.preferences import sorted_profiles
-from helpers import rsd_with_one_changed_unsorted_entry, uniform_over
+from axiomlab.axioms import _SIZES, _STREAMS, DETERMINISTIC_ONLY, RELABEL_INVARIANT, Axiom, Outcomes
+from axiomlab.preferences import (
+    object_generators,
+    object_orbit_profiles,
+    sorted_orbit_profiles,
+    sorted_profiles,
+)
+from axiomlab.rules import is_lottery_rule
+from helpers import (
+    object_relabellings,
+    plain_report,
+    random_tabulated_rule,
+    renamed,
+    rsd_with_one_changed_unsorted_entry,
+    symmetrised,
+    uniform_over,
+)
 
 RSD = RandomSerialDictatorshipRule()
 FIVE = sorted(RELABEL_INVARIANT, key=lambda a: a.value)
@@ -41,32 +60,16 @@ INSTANCES = {
 }
 
 
-def _plain(inst, rule, axiom):
-    """The report dict of the plain scan over every profile."""
-    hit = _scan(Outcomes(inst, rule, True), axiom, None, "profiles")
-    verdict, witness, checked = (
-        ("pass", None, count_profiles(inst)) if hit is None else ("fail", hit[1], hit[0] + 1)
-    )
-    return {
-        "axiom": axiom.value,
-        "rule": "",
-        "verdict": verdict,
-        "witness": witness,
-        "profiles_checked": checked,
-    }
-
-
 def _assert_matches_plain(inst, rule, axiom, scan, workers=(1, 2)):
     """At each worker count, the report has the plain scan's bytes and ran ``scan``.
 
     Returns the plain scan's verdict.
     """
-    plain = _plain(inst, rule, axiom)
+    plain = plain_report(inst, rule, axiom)
     for count in workers:
         report = check_axiom(inst, rule, axiom, workers=count)
         assert report.scan == scan, (axiom, count)
-        expected = {**plain, "rule": report.rule}
-        assert json.dumps(report.to_dict()) == json.dumps(expected), (axiom, count)
+        assert json.dumps(report.to_dict()) == json.dumps(plain), (axiom, count)
     return plain["verdict"]
 
 
@@ -119,7 +122,7 @@ def test_sorted_profiles_are_the_ascending_ones_with_their_full_index(inst):
 @pytest.mark.parametrize("name", list(INSTANCES))
 @pytest.mark.parametrize("axiom", FIVE, ids=lambda a: a.value)
 def test_rsd_reports_match_the_plain_scan(name, axiom):
-    _assert_matches_plain(INSTANCES[name], RSD, axiom, "orbits")
+    _assert_matches_plain(INSTANCES[name], RSD, axiom, "agent_object_orbits")
 
 
 ANONYMOUS_FAILING = {
@@ -134,7 +137,7 @@ ANONYMOUS_FAILING = {
 def test_anonymous_failing_rules_report_the_plain_scans_witness(kind, name):
     inst = INSTANCES[name]
     rule = uniform_over(inst, ANONYMOUS_FAILING[kind](inst))
-    verdicts = [_assert_matches_plain(inst, rule, axiom, "orbits") for axiom in FIVE]
+    verdicts = [_assert_matches_plain(inst, rule, axiom, "agent_object_orbits") for axiom in FIVE]
     assert "fail" in verdicts
 
 
@@ -142,7 +145,7 @@ def test_anonymous_failing_rules_include_a_prob_monotonic_fail():
     inst = INSTANCES["unit3"]
     rule = uniform_over(inst, ANONYMOUS_FAILING["pairwise"](inst))
     report = check_axiom(inst, rule, Axiom.PROB_MONOTONIC)
-    assert (report.verdict, report.scan) == ("fail", "orbits")
+    assert (report.verdict, report.scan) == ("fail", "agent_object_orbits")
     assert report.profiles_checked > 1
 
 
@@ -192,7 +195,7 @@ def test_a_sorted_profile_breaking_a_tie_unevenly_gets_the_plain_scan(name, tied
     if name == "caps211":
         # The first violation is at a profile that is not sorted: on the
         # sorted profiles alone the scan would report a later one.
-        witness = _plain(inst, rule, Axiom.PROB_MONOTONIC)["witness"]
+        witness = plain_report(inst, rule, Axiom.PROB_MONOTONIC)["witness"]
         assert list(witness["profile"]) != sorted(witness["profile"])
 
 
@@ -244,7 +247,9 @@ def test_a_rule_that_is_not_anonymous_gets_the_plain_scan():
     report = check_axiom(inst, SerialDictatorshipRule((0, 1, 2)), Axiom.EX_POST_PARETO)
     assert (report.scan, report.scan_size, report.verdict) == ("profiles", 216, "pass")
     report = check_axiom(inst, RSD, Axiom.EX_POST_PARETO)
-    assert (report.scan, report.scan_size, report.profiles_checked) == ("orbits", 56, 216)
+    assert (report.scan, report.scan_size, report.profiles_checked) == (
+        "agent_object_orbits", 10, 216
+    )
 
 
 def _stabiliser(profile):
@@ -281,4 +286,180 @@ def test_random_anonymous_tables_match_the_plain_scan(name, seed):
     assert Outcomes(inst, TabulatedLotteryRule(table), True).anonymous
     rule = TabulatedLotteryRule(table)
     for axiom in FIVE:
-        _assert_matches_plain(inst, rule, axiom, "orbits", workers=(1,))
+        _assert_matches_plain(inst, rule, axiom, "agent_orbits", workers=(1,))
+
+
+ORBIT_INSTANCES = {
+    **INSTANCES,
+    "unit2": Instance(2, (1, 1)),
+    "caps211-n4": Instance(4, (2, 1, 1)),
+    "caps2211-n2": Instance(2, (2, 2, 1, 1)),
+    "caps21-n2": Instance(2, (2, 1)),
+}
+
+
+def _first_in_orbit(profile, relabellings, agents):
+    """The profile comes first among its relabellings, sorted too if ``agents``."""
+    arrange = sorted if agents else list
+    return all(tuple(arrange(profile)) <= tuple(arrange(renamed(tau, profile)))
+               for tau in relabellings)
+
+
+@pytest.mark.parametrize("agents", [False, True], ids=["objects", "agents-and-objects"])
+@pytest.mark.parametrize("name", list(ORBIT_INSTANCES))
+def test_orbit_streams_are_the_first_profiles_of_their_orbits_with_their_full_index(
+    name, agents
+):
+    """Against every object relabelling, enumerated directly."""
+    inst = ORBIT_INSTANCES[name]
+    relabellings = object_relabellings(inst)
+    expected = [
+        (i, p)
+        for i, p in enumerate(enumerate_profiles(inst))
+        if (not agents or list(p) == sorted(p)) and _first_in_orbit(p, relabellings, agents)
+    ]
+    scan = "agent_object_orbits" if agents else "object_orbits"
+    assert list(_STREAMS[scan](inst)) == expected
+    assert _SIZES[scan](inst) == len(expected)
+
+
+@pytest.mark.parametrize(
+    "inst, objects, both",
+    [
+        (Instance(4, (1, 1, 1, 1)), 13_824, 762),
+        (Instance(6, (2, 2, 2)), 46_656 // 6, 83),
+        (Instance(7, (3, 2, 2)), 279_936 // 2, 396),
+    ],
+    ids=["unit4", "caps222-n6", "caps322-n7"],
+)
+def test_orbit_stream_sizes(inst, objects, both):
+    assert _SIZES["object_orbits"](inst) == objects
+    assert _SIZES["agent_object_orbits"](inst) == both
+    assert sum(1 for _ in sorted_orbit_profiles(inst)) == both
+    if inst.n == 4:
+        assert sum(1 for _ in object_orbit_profiles(inst)) == objects
+
+
+def _anonymised(inst, table):
+    """The lottery table averaging, at P, the entries at every relabelling of
+    P's agents, each relabelled back."""
+    orders = list(permutations(range(inst.n)))
+    out = {}
+    for profile in enumerate_profiles(inst):
+        weights = {}
+        for order in orders:
+            for m, w in table[tuple(profile[a] for a in order)].items():
+                back = [None] * inst.n
+                for p, a in enumerate(order):
+                    back[a] = m[p]
+                weights[tuple(back)] = weights.get(tuple(back), 0) + w / len(orders)
+        out[profile] = Lottery.from_weights(weights)
+    return out
+
+
+def _random_lottery_table(inst, rng):
+    universe = enumerate_matchings(inst)
+    table = {}
+    for profile in enumerate_profiles(inst):
+        drawn = {m: rng.randint(1, 3) for m in rng.sample(universe, rng.randint(1, 2))}
+        table[profile] = Lottery(drawn, sum(drawn.values()))
+    return table
+
+
+def _with_one_entry_changed(inst, table, rng):
+    """The table with the entry at one random profile replaced by another
+    matching's point lottery, or another matching."""
+    table = dict(table)
+    profile = rng.choice(list(table))
+    kept = table[profile]
+    universe = [m for m in enumerate_matchings(inst) if Lottery.point(m) != kept and m != kept]
+    other = rng.choice(universe)
+    table[profile] = Lottery.point(other) if isinstance(kept, Lottery) else other
+    return table
+
+
+def _expected_scan(rule, axiom, neutral):
+    """The scan ``check_axiom`` runs: object orbits on a neutral matchings table,
+    and on a lottery table that is anonymous and neutral, both together."""
+    if not neutral:
+        return "profiles"
+    if axiom in DETERMINISTIC_ONLY:
+        return "object_orbits"
+    return "agent_object_orbits" if is_lottery_rule(rule) else "profiles"
+
+
+def _assert_every_axiom_matches_plain(inst, rule, neutral):
+    """Every applicable axiom but individual rationality, at 1 and 2 workers."""
+    axioms = [a for a in Axiom if a is not Axiom.INDIVIDUAL_RATIONALITY]
+    if is_lottery_rule(rule):
+        axioms = [a for a in axioms if a not in DETERMINISTIC_ONLY]
+    elif inst.n > 3:
+        axioms.remove(Axiom.GROUP_STRATEGY_PROOF)
+    return [
+        _assert_matches_plain(inst, rule, axiom, _expected_scan(rule, axiom, neutral))
+        for axiom in axioms
+    ]
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    st.sampled_from(["unit3", "caps211", "caps221", "null3"]),
+    st.sampled_from(["deterministic", "lottery", "anonymous lottery"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_random_neutral_tables_match_the_plain_scan(name, kind, seed):
+    """A random table symmetrised over the object relabellings (and, for the
+    anonymous lottery, the agent relabellings too) is scanned on its orbits;
+    the same table with one entry changed is not neutral and gets the plain
+    scan.  A lottery table that is neutral but not anonymous gets the plain
+    scan too: its neutrality is tested only after its anonymity."""
+    inst, rng = INSTANCES[name], random.Random(seed)
+    if kind == "deterministic":
+        table = random_tabulated_rule(inst, seed).table
+    else:
+        table = _random_lottery_table(inst, rng)
+    table = symmetrised(inst, table, object_relabellings(inst))
+    if kind == "anonymous lottery":
+        table = _anonymised(inst, table)
+    make = TabulatedDeterministicRule if kind == "deterministic" else TabulatedLotteryRule
+    rule = make(table)
+    outcomes = Outcomes(inst, rule, kind != "deterministic")
+    assert outcomes.neutral == (kind != "lottery")
+    _assert_every_axiom_matches_plain(inst, rule, outcomes.neutral)
+    changed = make(_with_one_entry_changed(inst, table, rng))
+    assert not Outcomes(inst, changed, kind != "deterministic").neutral
+    _assert_every_axiom_matches_plain(inst, changed, False)
+
+
+def test_ttc_with_an_endowment_is_not_neutral_and_gets_the_plain_scan():
+    inst = INSTANCES["unit3"]
+    rule = TopTradingCyclesRule((0, 1, 2))
+    assert not Outcomes(inst, rule, False).neutral
+    verdicts = _assert_every_axiom_matches_plain(inst, rule, False)
+    assert "fail" in verdicts and "pass" in verdicts
+
+
+@pytest.mark.parametrize("rule", [RSD, SerialDictatorshipRule((0, 1, 2))], ids=["rsd", "sd"])
+def test_individual_rationality_gets_the_plain_scan(rule):
+    inst = INSTANCES["unit3"]
+    report = check_axiom(inst, rule, Axiom.INDIVIDUAL_RATIONALITY, (1, 2, 0))
+    assert (report.scan, report.scan_size, report.verdict) == ("profiles", 216, "fail")
+    assert report.to_dict() == plain_report(inst, rule, Axiom.INDIVIDUAL_RATIONALITY, (1, 2, 0))
+
+
+def test_no_two_objects_of_equal_capacity_means_no_object_orbits():
+    inst = Instance(3, (3, 2, 1))
+    assert object_generators(inst) == ()
+    assert not Outcomes(inst, SerialDictatorshipRule((0, 1, 2)), False).neutral
+    report = check_axiom(inst, SerialDictatorshipRule((0, 1, 2)), Axiom.STRATEGY_PROOF)
+    assert (report.scan, report.scan_size) == ("profiles", 216)
+
+
+def test_sd_is_scanned_on_its_object_orbits():
+    inst = INSTANCES["caps211"]
+    sd = SerialDictatorshipRule((2, 0, 1))
+    table = {p: evaluate(inst, sd, p) for p in enumerate_profiles(inst)}
+    for rule in (sd, TabulatedDeterministicRule(table)):
+        for axiom in (Axiom.STRATEGY_PROOF, Axiom.NON_BOSSY, Axiom.MASKIN_MONOTONIC):
+            _assert_matches_plain(inst, rule, axiom, "object_orbits")
+        assert check_axiom(inst, rule, Axiom.MASKIN_MONOTONIC).scan_size == 108
