@@ -46,8 +46,7 @@ pairwise and group strategy-proofness share one body, which reports the first
 deviation in which every member of the coalition weakly gains and one strictly
 gains; they differ only in the coalition sizes scanned (1, 2, and 1 to n).
 Menus are built on first use and kept on the rule's ``Outcomes``, so the
-checks of a harness, which share that table, build each menu once; each pool
-worker builds its own.
+checks of a harness, which share that table, build each menu once.
 
 Five lottery axioms are scanned over anonymity orbits when the rule is
 anonymous: probabilistic monotonicity, equal treatment and the three ex-post
@@ -109,8 +108,7 @@ profile of the orbit violates, and scanning the profiles that come first in
 their orbits (``preferences.object_orbit_profiles``, and
 ``preferences.sorted_orbit_profiles`` for both groups together) in enumeration
 order, each under its index in the full enumeration, returns the same witness
-and ``profiles_checked``.  The streams yield those full indices, so pool
-workers split them into ranges as they split the others.
+and ``profiles_checked``.
 
 The scan and the replay read outcomes through ``Outcomes``, one table per
 rule and kind, which a harness shares across its checks.  It checks a
@@ -126,12 +124,9 @@ the same on a lottery table and every profile's matching on a matchings
 table; no read goes through an object relabelling.  An unsorted profile
 reads its sorted profile's lottery relabelled back: for RSD from construction
 on, so RSD is evaluated, its n! orders counted, at sorted profiles only, and
-for any other rule once the pass has proved that equal.  Only ``Outcomes`` relabels, so direct checks of
-RSD share its evaluations only through one ``Outcomes``.  Scans can be split
-across worker processes into contiguous ranges of the scanned stream;
-merging keeps the scan-earliest witness, so results do not depend on the
-worker count.  Both passes run in the parent, and each worker receives the
-table with their verdicts and kept outcomes.
+for any other rule once the pass has proved that equal.  Only ``Outcomes``
+relabels, so direct checks of RSD share its evaluations only through one
+``Outcomes``.
 """
 
 from __future__ import annotations
@@ -141,13 +136,13 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from operator import itemgetter
 from typing import Callable
 
-from .errors import AxiomNotApplicable, BoundsError, PreconditionViolated, TableMiss
+from .errors import AxiomNotApplicable, PreconditionViolated, TableMiss
 from .matchings import matching_verdict
-from .model import Instance, Matching
+from .model import Instance, Matching, is_feasible
 from .preferences import (
     Profile,
     all_preferences,
@@ -222,12 +217,12 @@ class CheckReport:
     """Outcome of one axiom check.
 
     ``profiles_checked`` counts outer-loop profiles up to and including the
-    witness profile (or the whole domain on a pass), so it does not depend on
-    the worker count.  ``scan`` names the stream the scan walked: the whole
-    domain (``"profiles"``), or the first profile of each orbit under the
-    agent relabellings (``"agent_orbits"``, the sorted profiles of an
-    anonymous rule), the object relabellings (``"object_orbits"``, of a
-    neutral rule) or both together (``"agent_object_orbits"``).
+    witness profile (or the whole domain on a pass).  ``scan`` names the
+    stream the scan walked: the whole domain (``"profiles"``), or the first
+    profile of each orbit under the agent relabellings (``"agent_orbits"``,
+    the sorted profiles of an anonymous rule), the object relabellings
+    (``"object_orbits"``, of a neutral rule) or both together
+    (``"agent_object_orbits"``).
     ``scan_size`` is the stream's length.  Those two and ``wall_time`` are
     informational only and excluded from report comparisons.
     """
@@ -727,24 +722,17 @@ _SCANS = {
 }
 
 
-def _scan(outcomes, axiom, endowment, scan, start=0, stop=None):
-    """First violation among items ``start:stop`` of the ``scan`` stream as
-    ``(index, witness)``, or None."""
+def _scan(outcomes, axiom, endowment, scan):
+    """First violation in the ``scan`` stream as ``(index, witness)``, or None."""
     definition = _DEFINITIONS[axiom]
     deviations, violation = definition.deviations, definition.violation
     if axiom is Axiom.INDIVIDUAL_RATIONALITY:
         deviations = partial(deviations, endowment)
-    for idx, profile in islice(_STREAMS[scan](outcomes.inst), start, stop):
+    for idx, profile in _STREAMS[scan](outcomes.inst):
         witness = violation(profile, outcomes, deviations(profile, outcomes))
         if witness is not None:
             return idx, witness
     return None
-
-
-def require_workers(workers: int) -> None:
-    """A worker count below 1 is a BoundsError."""
-    if workers < 1:
-        raise BoundsError(f"a worker count of {workers} is below 1")
 
 
 def require_applicable(
@@ -753,7 +741,8 @@ def require_applicable(
     """AxiomNotApplicable unless ``axiom`` can be checked for a rule of this kind.
 
     Lottery rules meet no deterministic-only axiom, and individual
-    rationality needs an endowment on a housing market.
+    rationality needs an endowment on a housing market; an endowment that is
+    not a feasible matching of ``inst`` is a PreconditionViolated.
     """
     if axiom in DETERMINISTIC_ONLY and lottery:
         raise AxiomNotApplicable(f"{axiom.value} is defined for deterministic rules only")
@@ -762,6 +751,8 @@ def require_applicable(
             raise AxiomNotApplicable("individual rationality needs an endowment")
         if not inst.is_housing_market():
             raise AxiomNotApplicable("individual rationality is checked on housing markets")
+        if not is_feasible(inst, endowment):
+            raise PreconditionViolated(f"endowment {endowment} is not a feasible matching")
 
 
 def check_axiom(
@@ -769,8 +760,6 @@ def check_axiom(
     rule: RuleDescriptor | Outcomes,
     axiom: Axiom,
     endowment: Matching | None = None,
-    *,
-    workers: int = 1,
 ) -> CheckReport:
     """Check one axiom for one rule over the full profile domain.
 
@@ -782,14 +771,11 @@ def check_axiom(
     for a relabel-invariant axiom when ``Outcomes.anonymous`` holds, of the
     object orbits for any axiom but individual rationality when
     ``Outcomes.neutral`` holds, and of the orbits under both when both do.
-    ``workers``
-    splits the scanned stream over that many processes without changing the
-    report.  Lottery rules reject the deterministic-only incentive axioms
-    with AxiomNotApplicable; deterministic rules are checked against lottery
+    Lottery rules reject the deterministic-only incentive axioms with
+    AxiomNotApplicable; deterministic rules are checked against lottery
     axioms as the degenerate weight-1 lottery.
     """
     axiom = Axiom(axiom)
-    require_workers(workers)
     lottery = axiom not in DETERMINISTIC_ONLY
     given = rule if isinstance(rule, Outcomes) else None
     rule = rule if given is None else given.rule
@@ -804,19 +790,7 @@ def check_axiom(
     objects = axiom is not Axiom.INDIVIDUAL_RATIONALITY and outcomes.neutral
     scan = _SCANS[agents, objects]
     size = _SIZES[scan](inst)
-    if workers > 1 and size >= 4 * workers:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool's checks pay its import
-
-        chunk = (size + workers - 1) // workers
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_scan, outcomes, axiom, endowment, scan, lo, lo + chunk)
-                for lo in range(0, size, chunk)
-            ]
-            hits = [h for h in (future.result() for future in futures) if h is not None]
-        hit = min(hits, key=lambda h: h[0]) if hits else None
-    else:
-        hit = _scan(outcomes, axiom, endowment, scan)
+    hit = _scan(outcomes, axiom, endowment, scan)
     elapsed = time.perf_counter() - started
     label = rule_label(rule)
     if hit is None:

@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--axiom", choices=sorted(AXIOM_NAMES), required=True)
         p.add_argument("--order")
         p.add_argument("--endowment")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        # Accepted so that existing command lines run; every check scans in process.
+        p.add_argument("--workers", type=int, default=1)
 
     for name in ("replay-proof", "replay-appendix"):
         p = add(name, help="replay a proof construction on a concrete input")
@@ -137,6 +138,12 @@ def _load_rule(args):
     if inst is not None and (inst, names) != (file_inst, file_names):
         raise PreconditionViolated("--instance disagrees with the rule file's instance")
     return file_inst, file_names, rule
+
+
+def _validate_workers(workers: int) -> None:
+    """A --workers count below 1 is a BoundsError; any other count changes nothing."""
+    if workers < 1:
+        raise BoundsError(f"a worker count of {workers} is below 1")
 
 
 def gen_instance(seed: int, n: int, k: int, capacity_style: str, domain: str = GENERAL):
@@ -206,7 +213,8 @@ def _cmd_check_rule(args):
             endowment = rule.endowment
         if getattr(args, "endowment", None):
             endowment = jsonio.load_matching(args.endowment, inst, names)
-    report = check_axiom(inst, rule, axiom, endowment, workers=args.workers)
+    _validate_workers(args.workers)
+    report = check_axiom(inst, rule, axiom, endowment)
     timing = {"check_wall_time_s": round(report.wall_time, 6)}
     result = jsonio.with_names(report.to_dict(), names)
     return (0 if report.passed else 1), result, timing, report.stats()
@@ -215,7 +223,8 @@ def _cmd_check_rule(args):
 def _cmd_verify(args):
     inst, names, rule = _load_rule(args)
     harness = verify_theorem1 if args.command == "verify-thm1" else verify_proposition1
-    verdict = harness(inst, rule, workers=args.workers)
+    _validate_workers(args.workers)
+    verdict = harness(inst, rule)
     payload = jsonio.with_names(verdict.to_dict(), names)
     return (0 if verdict.passed else 1), payload, dict(verdict.timings), verdict.stats
 

@@ -35,7 +35,6 @@ from .axioms import (
     Outcomes,
     check_axiom,
     require_applicable,
-    require_workers,
 )
 from .errors import AxiomNotApplicable, BoundsError, PreconditionViolated
 from .matchings import matching_verdict, pareto_dominates, reduce_to_single_cycle
@@ -147,14 +146,13 @@ def _theorem_label(inst: Instance, rule: RuleDescriptor) -> str:
     return "Cor2"
 
 
-def _checker(inst: Instance, rule: RuleDescriptor, workers: int):
+def _checker(inst: Instance, rule: RuleDescriptor):
     """``check_axiom`` on one ``Outcomes`` of the rule per kind, shared by every check.
 
-    The worker count is checked first.  The rule is evaluated inside the
-    timed checks, and each table's totality and anonymity are settled once.
-    A deterministic rule's lotteries read the matchings table, if held first.
+    The rule is evaluated inside the timed checks, and each table's totality
+    and anonymity are settled once.  A deterministic rule's lotteries read the
+    matchings table, if held first.
     """
-    require_workers(workers)
     tables = {}
 
     def check(axiom):
@@ -163,14 +161,12 @@ def _checker(inst: Instance, rule: RuleDescriptor, workers: int):
             tables[True] = tables[False].as_lotteries()
         if lottery not in tables:
             tables[lottery] = Outcomes(inst, rule, lottery)
-        return check_axiom(inst, tables[lottery], axiom, workers=workers)
+        return check_axiom(inst, tables[lottery], axiom)
 
     return check
 
 
-def verify_theorem1(
-    inst: Instance, rule: RuleDescriptor, *, workers: int = 1
-) -> TheoremVerdict:
+def verify_theorem1(inst: Instance, rule: RuleDescriptor) -> TheoremVerdict:
     """Check the pairwise/Pareto equivalence claim for one rule.
 
     Hypotheses first: probabilistic monotonicity (Maskin monotonicity for
@@ -188,7 +184,7 @@ def verify_theorem1(
     ]
     if slack:
         hypothesis_axioms.append(Axiom.EX_POST_NON_WASTEFUL)
-    check = _checker(inst, rule, workers)
+    check = _checker(inst, rule)
     hypothesis_reports = [check(axiom) for axiom in hypothesis_axioms]
     hypotheses = [r.to_dict() for r in hypothesis_reports]
     timings = {f"hypothesis_{r.axiom}": round(r.wall_time, 6) for r in hypothesis_reports}
@@ -409,9 +405,7 @@ def replay_theorem3_proof(
     }
 
 
-def verify_proposition1(
-    inst: Instance, rule: RuleDescriptor, *, workers: int = 1
-) -> TheoremVerdict:
+def verify_proposition1(inst: Instance, rule: RuleDescriptor) -> TheoremVerdict:
     """Check that the four incentive properties agree for a deterministic rule.
 
     Computes group strategy-proofness, pairwise strategy-proofness,
@@ -420,7 +414,7 @@ def verify_proposition1(
     """
     if is_lottery_rule(rule):
         raise AxiomNotApplicable("the four-way equivalence is about deterministic rules")
-    check = _checker(inst, rule, workers)
+    check = _checker(inst, rule)
     reports = {
         axiom: check(axiom)
         for axiom in (
@@ -704,7 +698,7 @@ def search_counterexample(
         else:
             candidate = TabulatedLotteryRule(_DrawnLotteries(index, domain, firsts, extras))
         tried += 1
-        check = _checker(inst, candidate, 1)
+        check = _checker(inst, candidate)
         if not all(check(a).passed for a in unenforced):
             continue
         violated_report = check(violated)

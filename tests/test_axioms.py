@@ -8,7 +8,6 @@ import pytest
 
 from axiomlab import (
     AxiomNotApplicable,
-    BoundsError,
     Instance,
     Lottery,
     PreconditionViolated,
@@ -124,14 +123,6 @@ def test_reports_are_deterministic(unit3):
     assert first.witness == second.witness
 
 
-def test_worker_count_does_not_change_reports(unit3):
-    bossy = bossy_flip_rule(unit3)
-    for axiom in (Axiom.STRATEGY_PROOF, Axiom.NON_BOSSY, Axiom.EX_POST_PARETO):
-        serial = check_axiom(unit3, bossy, axiom, workers=1)
-        parallel = check_axiom(unit3, bossy, axiom, workers=2)
-        assert serial == parallel
-
-
 def test_axiom_applicability(unit3):
     with pytest.raises(AxiomNotApplicable):
         check_axiom(unit3, RSD, Axiom.STRATEGY_PROOF)
@@ -139,6 +130,17 @@ def test_axiom_applicability(unit3):
         check_axiom(unit3, SD, Axiom.INDIVIDUAL_RATIONALITY)  # no endowment
     with pytest.raises(AxiomNotApplicable):
         check_axiom(Instance(3, (2, 1, 1)), SD, Axiom.INDIVIDUAL_RATIONALITY, (0, 1, 2))
+
+
+@pytest.mark.parametrize("endowment", [(0,), (0, 1), (0, 1, 7), (0, 0, 0)])
+def test_an_endowment_that_is_not_a_feasible_matching_is_rejected(unit3, endowment):
+    """A short endowment would check only the agents it names, passing SD
+    where the full ``(0, 1, 2)`` fails at profile 8, and an object id out of
+    range would index past the objects."""
+    with pytest.raises(PreconditionViolated, match="not a feasible matching"):
+        check_axiom(unit3, SD, Axiom.INDIVIDUAL_RATIONALITY, endowment)
+    report = check_axiom(unit3, SD, Axiom.INDIVIDUAL_RATIONALITY, (0, 1, 2))
+    assert (report.verdict, report.profiles_checked) == ("fail", 8)
 
 
 def test_a_passed_table_of_another_instance_or_kind_is_rejected(unit3, slack3):
@@ -177,16 +179,6 @@ def test_constant_endowment_rule_is_individually_rational(unit3):
         {p: endowment for p in enumerate_profiles(unit3)}
     )
     assert check_axiom(unit3, constant, Axiom.INDIVIDUAL_RATIONALITY, endowment).passed
-
-
-@pytest.mark.parametrize("workers", [0, -5])
-def test_worker_count_below_one_is_rejected(unit3, workers):
-    """A worker count below 1 used to run silently in one process."""
-    with pytest.raises(BoundsError):
-        check_axiom(
-            unit3, SerialDictatorshipRule((0, 1, 2)), Axiom.STRATEGY_PROOF,
-            workers=workers,
-        )
 
 
 def test_ex_post_axioms_on_degenerate_rules(unit3):

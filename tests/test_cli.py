@@ -387,21 +387,41 @@ def test_console_entry_point(tmp_path):
     assert payload["result"]["instance"]["n"] == 2
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    """The pool's modules are imported only by a check that starts a pool."""
+def test_importing_the_cli_loads_no_process_pool(files):
+    """Neither importing the CLI nor running a check at ``--workers 2`` imports a
+    process pool's modules, and each such run reports the ``--workers 1`` bytes."""
     src = os.path.dirname(os.path.dirname(axiomlab.__file__))
+    inst = files("i.json", INSTANCE_3CYCLE)
+    commands = [
+        ["check-rule", "--instance", inst, "--rule", "sd", "--axiom", "strategy-proof"],
+        ["verify-thm1", "--instance", inst, "--rule", "rsd"],
+    ]
+    argvs = [command + ["--workers", workers] for command in commands for workers in "12"]
     code = (
-        "import sys, axiomlab.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        "import contextlib, io, json, sys, axiomlab.cli\n"
+        "def pool():\n"
+        "    return sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('concurrent', 'multiprocessing'))\n"
+        "imported, runs = pool(), []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        exit_code = axiomlab.cli.run(argv)\n"
+        "    runs.append([exit_code, json.loads(out.getvalue())['result']])\n"
+        "print(json.dumps({'imported': imported, 'runs': runs, 'after': pool()}))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-S", "-c", code],
+        [sys.executable, "-S", "-c", code, json.dumps(argvs)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n"
+    report = json.loads(out.stdout)
+    assert report["imported"] == report["after"] == []
+    runs = report["runs"]
+    for one, two in zip(runs[::2], runs[1::2]):
+        assert one[0] == 0 and json.dumps(two) == json.dumps(one)
 
 
 def _error(capsys, *argv):

@@ -274,19 +274,17 @@ FAMILY = {
 }
 
 
-def assert_agrees_with_oracle(inst, rule, axiom, workers=(1,)):
-    expected = oracle_report(inst, rule, axiom)
-    for count in workers:
-        report = check_axiom(inst, rule, axiom, workers=count)
-        assert report.to_dict() == expected, (axiom, count)
-        if not report.passed:
-            assert replay_witness(inst, rule, axiom, report.witness), axiom
+def assert_agrees_with_oracle(inst, rule, axiom):
+    report = check_axiom(inst, rule, axiom)
+    assert report.to_dict() == oracle_report(inst, rule, axiom), axiom
+    if not report.passed:
+        assert replay_witness(inst, rule, axiom, report.witness), axiom
 
 
 @pytest.mark.parametrize("axiom", CASES)
 @pytest.mark.parametrize("name", list(FAMILY))
 def test_menus_agree_with_the_brute_force_oracle(name, axiom):
-    assert_agrees_with_oracle(*FAMILY[name], axiom, workers=(1, 2))
+    assert_agrees_with_oracle(*FAMILY[name], axiom)
 
 
 def test_family_has_passing_and_failing_rules():

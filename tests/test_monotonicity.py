@@ -1,5 +1,4 @@
-"""The single-agent monotonicity scan against a brute-force all-pairs oracle,
-and the worker split of rule evaluation against the one-worker scan."""
+"""The single-agent monotonicity scan against a brute-force all-pairs oracle."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +26,7 @@ from axiomlab import (
     verify_proposition1,
     verify_theorem1,
 )
-from axiomlab.axioms import _DEFINITIONS, Axiom, AxiomNotApplicable, Outcomes, replay_witness
+from axiomlab.axioms import _DEFINITIONS, Axiom, Outcomes, replay_witness
 from axiomlab.model import NULL_BOTTOM
 from axiomlab.rules import is_lottery_rule
 from helpers import bossy_flip_rule, plain_report, random_tabulated_rule
@@ -280,27 +279,9 @@ def test_perturbations_agree_with_the_oracle_and_replay(args):
             assert replay_witness(inst, rule, axiom, witness)
 
 
-@settings(max_examples=6, deadline=None)
-@given(perturbations)
-def test_perturbation_reports_do_not_depend_on_the_worker_count(args):
-    inst = args[0]
-    rule = perturbed(*args)
-    endowment = (1, 2, 0) if inst.is_housing_market() else None
-    for axiom in Axiom:
-        reports = []
-        for workers in (1, 2):
-            try:
-                report = check_axiom(inst, rule, axiom, endowment, workers=workers)
-                reports.append(report.to_dict())
-            except AxiomNotApplicable as error:
-                reports.append(str(error))
-        assert reports[0] == reports[1], axiom
-
-
 HARNESSES = {"thm1": verify_theorem1, "prop1": verify_proposition1}
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
     "axiom, base",
     [
@@ -310,7 +291,7 @@ HARNESSES = {"thm1": verify_theorem1, "prop1": verify_proposition1}
         *product(("prop1",), ("sd", "random")),
     ],
 )
-def test_a_table_missing_its_last_profile_raises(axiom, base, workers):
+def test_a_table_missing_its_last_profile_raises(axiom, base):
     """Every scan and harness checks that a table is total before reading it, so
     a gap is never skipped, even when the scan stops at an early violation."""
     rule = {"sd": SD, "rsd": RSD}.get(base) or random_tabulated_rule(UNIT3, 11)
@@ -322,6 +303,6 @@ def test_a_table_missing_its_last_profile_raises(axiom, base, workers):
         rule = TabulatedLotteryRule({p: evaluate_lottery(UNIT3, rule, p) for p in table})
     with pytest.raises(TableMiss):
         if axiom in HARNESSES:
-            HARNESSES[axiom](UNIT3, rule, workers=workers)
+            HARNESSES[axiom](UNIT3, rule)
         else:
-            check_axiom(UNIT3, rule, axiom, workers=workers)
+            check_axiom(UNIT3, rule, axiom)

@@ -31,7 +31,7 @@ from axiomlab import (
     verify_theorem1,
 )
 from axiomlab import rules
-from axiomlab.axioms import Axiom, Outcomes, _scan
+from axiomlab.axioms import _DEFINITIONS, Axiom, Outcomes
 from axiomlab.model import object_usage
 from axiomlab.preferences import all_preferences, weakly_prefers
 from helpers import is_pareto_efficient
@@ -227,13 +227,16 @@ RSD_INSTANCES = {
 
 
 def _every_irrational_profile(outcomes):
-    """Every violation the individual-rationality scan finds, each agent endowed
-    with the last object, rescanning after each one to the end of the domain."""
+    """Every violation of individual rationality as ``(index, witness)``, each
+    agent endowed with the last object: the axiom's body run on the table's
+    read at each profile, in enumeration order."""
+    definition = _DEFINITIONS[Axiom.INDIVIDUAL_RATIONALITY]
     endowment = (outcomes.inst.k - 1,) * outcomes.inst.n
-    hits, start = [], 0
-    while hit := _scan(outcomes, Axiom.INDIVIDUAL_RATIONALITY, endowment, "profiles", start):
-        hits.append(hit)
-        start = hit[0] + 1
+    hits = []
+    for idx, profile in enumerate(enumerate_profiles(outcomes.inst)):
+        deviations = definition.deviations(endowment, profile, outcomes)
+        if witness := definition.violation(profile, outcomes, deviations):
+            hits.append((idx, witness))
     return hits
 
 
@@ -241,8 +244,8 @@ def _every_irrational_profile(outcomes):
 def test_rsd_outcomes_equal_rsd_at_every_profile(name):
     """An RSD ``Outcomes`` relabels its sorted profiles' lotteries from the start.
 
-    Its reads equal RSD run at each profile: through an individual-rationality
-    scan, which runs no anonymity pass, before the pass and after it.
+    Its reads equal RSD run at each profile: read by the individual-rationality
+    body at every profile, with no anonymity pass, before the pass and after it.
     """
     inst = RSD_INSTANCES[name]
     direct = {p: random_serial_dictatorship(inst, p) for p in enumerate_profiles(inst)}

@@ -39,7 +39,6 @@ from axiomlab.axioms import (
     EX_POST_KINDS,
     Axiom,
     check_axiom,
-    require_workers,
 )
 from axiomlab.jsonio import rule_from_dict, rule_to_dict
 from axiomlab.matchings import matching_verdict
@@ -158,17 +157,6 @@ def test_harnesses_evaluate_the_rule_once(monkeypatch, unit3, slack3):
     assert cor2.theorem == "Cor2"
 
 
-def test_harnesses_check_the_worker_count_before_evaluating(monkeypatch, slack3):
-    """A worker count below 1 fails at once, before the rule's outcome table is built."""
-    rsd_runs = _count_calls(monkeypatch, "random_serial_dictatorship")
-    sd_runs = _count_calls(monkeypatch, "serial_dictatorship")
-    with pytest.raises(BoundsError, match="worker"):
-        verify_theorem1(slack3, RandomSerialDictatorshipRule(), workers=0)
-    with pytest.raises(BoundsError, match="worker"):
-        verify_proposition1(slack3, SerialDictatorshipRule((0, 1, 2)), workers=0)
-    assert rsd_runs == [] and sd_runs == []
-
-
 def test_cor2_builds_each_weight_one_lottery_once(monkeypatch, slack3):
     """The three ex-post checks share one lottery view of the deterministic table."""
     rule = SerialDictatorshipRule((0, 1, 2))
@@ -200,11 +188,10 @@ def test_cor2_builds_each_weight_one_lottery_once(monkeypatch, slack3):
     assert verdict.details["ex_post_pareto"] == direct[Axiom.EX_POST_PARETO].passed
 
 
-def _parent_checker(inst, rule, workers):
+def _parent_checker(inst, rule):
     """The harnesses' checker before they shared one ``Outcomes`` per kind, kept
     verbatim as the oracle: it tabulates the rule eagerly, views a deterministic
     table as weight-1 lotteries, and relabels each report with the rule's label."""
-    require_workers(workers)
     table = rule
     if not isinstance(rule, (TabulatedDeterministicRule, TabulatedLotteryRule)):
         tabulate = TabulatedLotteryRule if is_lottery_rule(rule) else TabulatedDeterministicRule
@@ -218,7 +205,7 @@ def _parent_checker(inst, rule, workers):
     def check(axiom):
         as_lottery = axiom not in DETERMINISTIC_ONLY and not is_lottery_rule(table)
         view = lottery_view() if as_lottery else table
-        return replace(check_axiom(inst, view, axiom, workers=workers), rule=label)
+        return replace(check_axiom(inst, view, axiom), rule=label)
 
     return check
 
@@ -244,7 +231,7 @@ HARNESS_RULES = {
 }
 
 
-def _harness_run(monkeypatch, checker, harness, inst, rule, workers):
+def _harness_run(monkeypatch, checker, harness, inst, rule):
     """The harness's report, stats and every check's report and stats, run on ``checker``."""
     import axiomlab.theorems as theorems
 
@@ -260,7 +247,7 @@ def _harness_run(monkeypatch, checker, harness, inst, rule, workers):
         return recorded
 
     monkeypatch.setattr(theorems, "_checker", recording)
-    verdict = harness(inst, rule, workers=workers)
+    verdict = harness(inst, rule)
     return verdict.to_dict(), verdict.stats, [(r.to_dict(), r.stats()) for r in reports]
 
 
@@ -274,17 +261,17 @@ def _harness_run(monkeypatch, checker, harness, inst, rule, workers):
     ],
 )
 def test_harnesses_report_what_the_eager_table_reported(monkeypatch, name, rule_name):
-    """Both harnesses, at one and two workers, give the bytes, stats and check
-    reports they gave when every check read one eagerly built table."""
+    """Both harnesses give the bytes, stats and check reports they gave when
+    every check read one eagerly built table."""
     inst = HARNESS_INSTANCES[name]
     rule = HARNESS_RULES[rule_name](inst)
     harnesses = [verify_theorem1] + ([] if is_lottery_rule(rule) else [verify_proposition1])
-    for harness, workers in itertools.product(harnesses, (1, 2)):
+    for harness in harnesses:
         runs = [
-            json.dumps(_harness_run(monkeypatch, checker, harness, inst, rule, workers))
+            json.dumps(_harness_run(monkeypatch, checker, harness, inst, rule))
             for checker in (_parent_checker, _checker)
         ]
-        assert runs[0] == runs[1], (harness.__name__, workers)
+        assert runs[0] == runs[1], harness.__name__
 
 
 def test_a_harness_builds_each_menu_once(monkeypatch):
@@ -304,7 +291,7 @@ def test_a_harness_builds_each_menu_once(monkeypatch):
     monkeypatch.setattr(axioms, "_deviated", lambda *args: built.append(1) or deviated(*args))
     check_axiom(inst, rule, Axiom.GROUP_STRATEGY_PROOF)
     group, built[:] = len(built), []
-    verify_proposition1(inst, rule, workers=1)
+    verify_proposition1(inst, rule)
     assert len(built) == group == 1188
 
 
@@ -671,8 +658,7 @@ LAZY_TABLE_QUERIES = [
 def test_lazy_lottery_candidates_check_as_eager_tables(monkeypatch, unit3, required, violated, seed):
     """Reports and files of a lazy candidate are those of its eagerly built table.
 
-    Each query tries the greedy candidate and at least one random one; two
-    workers pickle the unread table.
+    Each query tries the greedy candidate and at least one random one.
     """
     searched = _searched_candidates(monkeypatch, unit3, required, violated, 3, seed)
     candidates = [unread for _, unread in searched]
@@ -681,13 +667,12 @@ def test_lazy_lottery_candidates_check_as_eager_tables(monkeypatch, unit3, requi
     lottery_axioms = [a for a in Axiom if a not in DETERMINISTIC_ONLY]
     for candidate, table in zip(candidates, eager_tables):
         eager = TabulatedLotteryRule(table)
-        for workers in (1, 2):
-            lazy = copy.deepcopy(candidate)
-            for axiom in lottery_axioms:
-                assert (
-                    check_axiom(unit3, lazy, axiom, (0, 1, 2), workers=workers).to_dict()
-                    == check_axiom(unit3, eager, axiom, (0, 1, 2)).to_dict()
-                )
+        lazy = copy.deepcopy(candidate)
+        for axiom in lottery_axioms:
+            assert (
+                check_axiom(unit3, lazy, axiom, (0, 1, 2)).to_dict()
+                == check_axiom(unit3, eager, axiom, (0, 1, 2)).to_dict()
+            )
         lazy = copy.deepcopy(candidate)
         assert json.dumps(rule_to_dict(unit3, lazy)) == json.dumps(rule_to_dict(unit3, eager))
         assert {p: lazy.table[p] for p in lazy.table} == table
