@@ -291,18 +291,20 @@ HARNESSES = {"thm1": verify_theorem1, "prop1": verify_proposition1}
         *product(("prop1",), ("sd", "random")),
     ],
 )
-def test_a_table_missing_its_last_profile_raises(axiom, base):
+@pytest.mark.parametrize("inst", [UNIT3, NULL3], ids=["unit3", "null3"])
+def test_a_table_missing_its_last_profile_raises(axiom, base, inst):
     """Every scan and harness checks that a table is total before reading it, so
-    a gap is never skipped, even when the scan stops at an early violation."""
-    rule = {"sd": SD, "rsd": RSD}.get(base) or random_tabulated_rule(UNIT3, 11)
-    table = dict(table_of(UNIT3, rule))
+    a gap is never skipped, even when the scan stops at an early violation, on
+    the general domain and on the null-bottom one."""
+    rule = {"sd": SD, "rsd": RSD}.get(base) or random_tabulated_rule(inst, 11)
+    table = dict(table_of(inst, rule))
     table.popitem()
     if base in ("sd", "random"):
         rule = TabulatedDeterministicRule(table)
     else:
-        rule = TabulatedLotteryRule({p: evaluate_lottery(UNIT3, rule, p) for p in table})
+        rule = TabulatedLotteryRule({p: evaluate_lottery(inst, rule, p) for p in table})
     with pytest.raises(TableMiss):
         if axiom in HARNESSES:
-            HARNESSES[axiom](UNIT3, rule)
+            HARNESSES[axiom](inst, rule)
         else:
-            check_axiom(UNIT3, rule, axiom)
+            check_axiom(inst, rule, axiom)

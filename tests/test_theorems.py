@@ -157,6 +157,24 @@ def test_harnesses_evaluate_the_rule_once(monkeypatch, unit3, slack3):
     assert cor2.theorem == "Cor2"
 
 
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_harnesses_check_the_worker_count_before_evaluating(monkeypatch, capsys, tmp_path, workers):
+    """On the command line, a worker count below 1 fails at once, before the
+    rule's outcome table is built."""
+    from axiomlab.cli import run
+    from axiomlab.jsonio import instance_to_dict
+
+    rsd_runs = _count_calls(monkeypatch, "random_serial_dictatorship")
+    sd_runs = _count_calls(monkeypatch, "serial_dictatorship")
+    inst = tmp_path / "i.json"
+    inst.write_text(json.dumps(instance_to_dict(Instance(3, (2, 1, 1)))))
+    for command, rule in (("verify-thm1", "rsd"), ("verify-prop1", "sd")):
+        code = run([command, "--instance", str(inst), "--rule", rule, "--workers", workers])
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2 and error["type"] == "BoundsError" and "worker" in error["message"]
+    assert rsd_runs == [] and sd_runs == []
+
+
 def test_cor2_builds_each_weight_one_lottery_once(monkeypatch, slack3):
     """The three ex-post checks share one lottery view of the deterministic table."""
     rule = SerialDictatorshipRule((0, 1, 2))
