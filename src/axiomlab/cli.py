@@ -267,7 +267,8 @@ def _cmd_search_cex(args):
     if result.found and args.rule_out:
         jsonio.dump_json_file(args.rule_out, jsonio.rule_to_dict(inst, result.rule, names))
         payload["rule_file"] = args.rule_out
-    return (1 if result.found else 0), jsonio.with_names(payload, names)
+    code = 1 if result.found else 0
+    return code, jsonio.with_names(payload, names), result.timings, result.stats
 
 
 #: Each handler returns ``(exit code, result)``, optionally followed by extra
@@ -312,8 +313,7 @@ def run(argv=None) -> int:
         }
         text = json.dumps(report, indent=2)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+            jsonio.write_text_file(args.out, text + "\n")
     except Exception as exc:
         if not isinstance(exc, AxiomLabError):
             traceback.print_exc()

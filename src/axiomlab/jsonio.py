@@ -76,10 +76,17 @@ def _schema(what: str):
     return decorate
 
 
+def write_text_file(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a FormatError."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}")
+
+
 def dump_json_file(path: str, payload: Any) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    write_text_file(path, json.dumps(payload, indent=2) + "\n")
 
 
 def instance_to_dict(inst: Instance, names: ObjectNames | None = None) -> dict:

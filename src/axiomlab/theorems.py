@@ -21,12 +21,13 @@ every intermediate claim by brute force.
 from __future__ import annotations
 
 import random
+import re
 import struct
 import time
+from bisect import bisect_right
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, count
 
 from .axioms import (
     DETERMINISTIC_ONLY,
@@ -41,6 +42,7 @@ from .matchings import matching_verdict, pareto_dominates, reduce_to_single_cycl
 from .model import GENERAL, NULL_BOTTOM, Instance, Matching, enumerate_matchings, object_usage
 from .preferences import (
     Profile,
+    all_preferences,
     appendix_transform_sequence,
     common_rank_rearrange,
     in_domain,
@@ -451,7 +453,9 @@ class SearchResult:
     """Outcome of a counterexample search.
 
     ``budget_exhausted`` means "none found within budget"; it never claims
-    impossibility.
+    impossibility.  ``timings`` holds the pre-screen's and the candidates'
+    wall times, and ``stats`` how much the candidates drew and built; neither
+    takes part in comparisons.
     """
 
     status: str
@@ -460,6 +464,8 @@ class SearchResult:
     candidates_tried: int
     required: list[str]
     violated: str
+    timings: dict = field(default_factory=dict, compare=False)
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def found(self) -> bool:
@@ -470,115 +476,213 @@ class SearchResult:
 RULE_SPACES = ("deterministic", "lottery")
 
 
-class _DrawnLotteries(Mapping):
-    """A lottery candidate's read-only table: the matchings drawn for each profile.
+#: ``random() < 0.75`` iff the first of the two words it reads is below this.
+_THREE_QUARTERS = 3 << 30
 
-    ``index`` maps each profile to its position in ``firsts`` and ``extras``,
-    the two matchings drawn there, and ``domain`` holds the same profiles;
-    every candidate of a search shares both.  A profile's uniform lottery over
-    its drawn matchings is built the first time the profile is read, and that
-    same object is returned on every later read.  Membership, length and
-    iteration read the index and build nothing.  ``keys()`` is ``domain``
-    itself, so ``Outcomes`` settles a candidate's totality with one set
-    comparison; its order is not the iteration order, and nothing reads it in
-    order (``jsonio.rule_to_dict`` sorts the entries).
+#: ``_word(raw, offset)[0]`` is the little-endian 32-bit word at that byte offset.
+_word = struct.Struct("<I").unpack_from
+
+
+def _shift(n: int) -> int:
+    """The right shift that turns a word into ``getrandbits(k)``, k being n's bit length."""
+    return 32 - n.bit_length()
+
+
+def _choice(pool, raw: bytes, at: int) -> tuple:
+    """``choice(pool)`` on the words of ``raw`` from word ``at``, and the word after."""
+    shift = _shift(len(pool))
+    limit = len(pool) << shift
+    while (word := _word(raw, 4 * at)[0]) >= limit:
+        at += 1
+    return pool[word >> shift], at + 1
+
+
+def _class(first: int, last: int) -> str:
+    """The character class of the symbols from ``first`` to ``last``."""
+    return f"[{re.escape(chr(first))}-{re.escape(chr(last))}]"
+
+
+class _Drawer:
+    """The search's candidate draws on ``rng``, placed by one regular-expression
+    match per block of profiles.
+
+    ``pools`` maps each profile of ``domain``, in profile order, to its
+    ``(allowed, breakers)``.  The first candidate is greedy: the first breaker,
+    else the first allowed matching, and the first allowed matching as the
+    extra.  Every later one draws, profile by profile, what this would draw on
+    ``rng``: ``rng.choice(breakers)`` if there are breakers and ``rng.random()
+    < 0.75``, else ``rng.choice(allowed)``; then, if ``lottery``,
+    ``rng.choice(allowed)`` as the extra.
+
+    Each test these draws make is ``word < t`` on one of ``rng``'s raw 32-bit
+    words, by CPython's word layout: ``random()`` is ``((w1 >> 5) * 2**26 +
+    (w2 >> 6)) / 2**53``, below 0.75 iff ``w1 < 3 << 30``; ``getrandbits(k)``
+    for k <= 32 is one word shifted right by ``32 - k``; and ``choice`` is
+    ``_randbelow_with_getrandbits``, which redraws ``getrandbits(k)`` until
+    it is below n, that is until the word is below ``n << (32 - k)``, so even
+    a pool of one spends a word.  The pinned searches and the ``randrange``
+    oracle of the tests hold that layout on every supported Python.
+
+    So each word is read as a symbol, the number of ``thresholds`` at or
+    below it, and ``word < t`` is a character class.  A ``choice`` is
+    ``[not below t]*[below t]``, the rejection loop itself, since the classes
+    are disjoint, and the three-quarters test puts ``[below 3 << 30].`` or
+    ``[not below].`` before the first.  One group holds each profile's words.
+    One match of a block's pattern places ``block`` consecutive profiles;
+    blocks with the same pools share a pattern.  A profile's picks are
+    decoded from its words only when its entry is read (``picks``).
     """
 
     def __init__(
-        self,
-        index: dict[Profile, int],
-        domain: frozenset[Profile],
-        firsts: list[Matching],
-        extras: list[Matching],
+        self, rng: random.Random, domain: frozenset, pools: dict, block: int, lottery: bool
     ):
-        self._index, self._domain = index, domain
-        self._firsts, self._extras = firsts, extras
-        self._built: dict[Profile, Lottery] = {}
+        self.domain, self.index = domain, {p: i for i, p in enumerate(pools)}
+        self._rng, self._block, self._lottery = rng, block, lottery
+        self._pools = list(pools.values())
+        sizes = {len(pool) for pair in self._pools for pool in pair if pool}
+        self.thresholds = sorted({_THREE_QUARTERS, *(n << _shift(n) for n in sizes)})
+        if len(self.thresholds) > 0xFFFF:
+            raise BoundsError(
+                f"{len(self.thresholds)} distinct draw thresholds exceed the bound of {0xFFFF}"
+            )
+        # A word's top byte decides its symbol, one byte of the symbol per
+        # table, unless a threshold with nonzero low bits has that top byte:
+        # such a loose byte's words are fixed up from the whole word.
+        width = 1 if len(self.thresholds) < 256 else 2
+        firm = [bisect_right(self.thresholds, top << 24) for top in range(256)]
+        self._tables = [bytes(s >> 8 * plane & 255 for s in firm) for plane in range(width)]
+        self._codec = "latin-1" if width == 1 else "utf-16-le"
+        loose = b"".join(b"\\x%02x" % (t >> 24) for t in self.thresholds if t & 0xFFFFFF)
+        self._loose = re.compile(b"[%s]" % loose) if loose else None
+        self._per_read = 4 * len(self._pools)
+        self.raw, self.symbols = b"", ""
+        texts = [
+            "".join(map(self._fragment, self._pools[start:start + block]))
+            for start in range(0, len(self._pools), block)
+        ]
+        compiled = {text: re.compile(text, re.DOTALL) for text in dict.fromkeys(texts)}
+        self._patterns = [compiled[text] for text in texts]
+        self.patterns_compiled, self.words_drawn, self.entries_built = len(compiled), 0, 0
 
-    def __getitem__(self, profile: Profile) -> Lottery:
-        lottery = self._built.get(profile)
-        if lottery is None:
-            i = self._index[profile]
-            support = dict.fromkeys((self._firsts[i], self._extras[i]), 1)
-            lottery = self._built[profile] = Lottery(support, len(support))
-        return lottery
+    def _classes(self, threshold: int) -> tuple[str, str]:
+        """The classes of the symbols of words below ``threshold``, and of the rest."""
+        rank = self.thresholds.index(threshold)
+        return _class(0, rank), _class(rank + 1, len(self.thresholds))
+
+    def _draw_pattern(self, n: int) -> str:
+        below, rest = self._classes(n << _shift(n))
+        return f"{rest}*{below}"
+
+    def _fragment(self, pools: tuple) -> str:
+        """One profile's draws as a pattern, in one group."""
+        allowed, breakers = pools
+        first = self._draw_pattern(len(allowed))
+        if breakers:
+            below, rest = self._classes(_THREE_QUARTERS)
+            first = f"(?:{below}.{self._draw_pattern(len(breakers))}|{rest}.{first})"
+        return f"({first}{self._draw_pattern(len(allowed)) if self._lottery else ''})"
+
+    def read(self) -> str:
+        """Read ``4 * len(pools)`` more words from ``rng``; return all unplaced symbols.
+
+        ``getrandbits(32 * m)`` holds the next m words with the first in its
+        lowest 32 bits, so its little-endian bytes are the words in order, and
+        every fourth byte from the fourth is a word's top byte.  A symbol is
+        one Latin-1 character below 256 thresholds, else one UTF-16 one.
+        """
+        count = self._per_read
+        raw = self._rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+        tops = raw[3::4]
+        width = len(self._tables)
+        symbols = bytearray(width * count)
+        for plane, table in enumerate(self._tables):
+            symbols[plane::width] = tops.translate(table)
+        if self._loose:
+            for hit in self._loose.finditer(tops):
+                at = hit.start()
+                symbol = bisect_right(self.thresholds, _word(raw, 4 * at)[0])
+                symbols[width * at:width * at + width] = symbol.to_bytes(width, "little")
+        self.raw += raw
+        self.symbols += symbols.decode(self._codec, "surrogatepass")
+        return self.symbols
+
+    def tables(self) -> Iterator[_DrawnTable]:
+        """Every candidate's table, in order: the greedy one, then one per placement."""
+        yield _DrawnTable(self, None)
+        while True:
+            symbols, at, matches = self.symbols, 0, []
+            for pattern in self._patterns:
+                while (match := pattern.match(symbols, at)) is None:
+                    symbols = self.read()
+                matches.append(match)
+                at = match.end()
+            placed = matches, self.raw
+            self.raw, self.symbols = self.raw[4 * at:], symbols[at:]
+            self.words_drawn += at
+            yield _DrawnTable(self, placed)
+
+    def picks(self, i: int, placed: tuple | None) -> tuple:
+        """Profile ``i``'s first matching and, in a lottery candidate, its extra (else None)."""
+        allowed, breakers = self._pools[i]
+        if placed is None:
+            return (breakers or allowed)[0], allowed[0] if self._lottery else None
+        matches, raw = placed
+        block, group = divmod(i, self._block)
+        at, pool = matches[block].start(group + 1), allowed
+        if breakers:
+            if _word(raw, 4 * at)[0] < _THREE_QUARTERS:
+                pool = breakers
+            at += 2
+        first, at = _choice(pool, raw, at)
+        return first, _choice(allowed, raw, at)[0] if self._lottery else None
+
+
+class _DrawnTable(Mapping):
+    """A candidate's read-only table: each profile's first drawn matching, or in
+    the lottery space the uniform lottery over its two drawn matchings.
+
+    ``placed`` holds the candidate's matches and words (``_Drawer.tables``);
+    it is None for the greedy candidate.  An entry is decoded and built the
+    first time its profile is read, and that same object is returned on every
+    later read.  Membership, length and iteration read the drawer's index and
+    build nothing.  ``keys()`` is the drawer's domain set itself, so
+    ``Outcomes`` settles a candidate's totality with one set comparison; its
+    order is not the iteration order, and nothing reads it in order
+    (``jsonio.rule_to_dict`` sorts the entries).
+    """
+
+    def __init__(self, drawer: _Drawer, placed: tuple | None):
+        self._drawer, self._placed = drawer, placed
+        self._built: dict = {}
+
+    def picks(self, profile) -> tuple:
+        """The first matching drawn at ``profile``; the extra, or None outside the lottery space."""
+        return self._drawer.picks(self._drawer.index[profile], self._placed)
+
+    def __getitem__(self, profile):
+        entry = self._built.get(profile)
+        if entry is None:
+            first, extra = self.picks(profile)
+            if extra is None:
+                entry = first
+            else:
+                support = dict.fromkeys((first, extra), 1)
+                entry = Lottery(support, len(support))
+            self._built[profile] = entry
+            self._drawer.entries_built += 1
+        return entry
 
     def __contains__(self, profile) -> bool:
-        return profile in self._index
+        return profile in self._drawer.index
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._drawer.index)
 
-    def __iter__(self) -> Iterator[Profile]:
-        return iter(self._index)
+    def __iter__(self) -> Iterator:
+        return iter(self._drawer.index)
 
-    def keys(self) -> frozenset[Profile]:
-        return self._domain
-
-
-#: Words ``_rng_words`` reads from the generator at a time.
-_CHUNK = 1024
-
-
-def _rng_words(rng: random.Random) -> Iterator[int]:
-    """The generator's raw 32-bit outputs, in the order its methods consume them.
-
-    ``getrandbits(32 * m)`` holds the next m outputs with the first in its
-    lowest 32 bits, so its little-endian bytes unpack into them in order.
-    """
-    unpack = struct.Struct(f"<{_CHUNK}I").unpack
-    return chain.from_iterable(
-        unpack(rng.getrandbits(32 * _CHUNK).to_bytes(4 * _CHUNK, "little")) for _ in count()
-    )
-
-
-def _pool(matchings: list[Matching]) -> tuple[list[Matching], int, int]:
-    """``matchings``, its length n, and the right shift that turns a word into
-    ``getrandbits(k)``, k being n's bit length."""
-    n = len(matchings)
-    return matchings, n, 32 - n.bit_length()
-
-
-def _draws(
-    rng: random.Random, pools: list[tuple], lottery: bool
-) -> Iterator[tuple[list[Matching], list[Matching]]]:
-    """Each candidate's ``(firsts, extras)``: its matchings, by position in ``pools``.
-
-    ``pools`` holds one ``_pool(allowed) + _pool(breakers)`` per profile.
-    The first candidate is greedy: the first breaker, else the first allowed
-    matching, and the first allowed matching as the extra.  Every later one
-    draws, profile by profile, what this would draw on ``rng``:
-    ``rng.choice(breakers)`` if there are breakers and ``rng.random() <
-    0.75``, else ``rng.choice(allowed)``; then, in a lottery candidate,
-    ``rng.choice(allowed)`` as the extra.  The draws read ``rng``'s
-    words (``_rng_words``), relying on CPython's word layout: ``random()`` is
-    ``((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53``, so it is below 0.75 iff
-    ``w1 < 3 << 30``; ``getrandbits(k)`` for k <= 32 is one word shifted
-    right by ``32 - k``; and ``choice`` is ``_randbelow_with_getrandbits``,
-    which redraws ``getrandbits(k)`` until it is below n, so even a pool of
-    one spends a word.  The pinned searches and the ``randrange`` oracle of
-    the tests hold that layout on every supported Python.
-    """
-    yield [(b or a)[0] for a, _, _, b, _, _ in pools], [a[0] for a, *_ in pools]
-    word = _rng_words(rng).__next__
-    while True:
-        firsts, extras = [], []
-        for allowed, n_allowed, allowed_shift, breakers, n_breakers, breakers_shift in pools:
-            pool, n, shift = allowed, n_allowed, allowed_shift
-            if n_breakers:
-                if word() < 3 << 30:
-                    pool, n, shift = breakers, n_breakers, breakers_shift
-                word()  # the second word of random(), too low to decide the test
-            r = word() >> shift
-            while r >= n:
-                r = word() >> shift
-            firsts.append(pool[r])
-            if lottery:
-                r = word() >> allowed_shift
-                while r >= n_allowed:
-                    r = word() >> allowed_shift
-                extras.append(allowed[r])
-        yield firsts, extras
+    def keys(self) -> frozenset:
+        return self._drawer.domain
 
 
 def _prescreen(
@@ -639,15 +743,17 @@ def search_counterexample(
     ex-post requirements, biased toward matchings that break the violated
     axiom; one greedy candidate is tried first, then seeded random ones.  A
     lottery candidate is the uniform lottery over two matchings drawn per
-    profile.  Every draw is made when the candidate is made, in profile
-    order, so a seed always yields the same candidates; each profile's
-    ``Lottery`` is built only when a check first reads it, since the checks
-    of an early-failing candidate read few profiles.  The draws are those of
-    ``rng.random()`` and ``rng.choice`` on ``random.Random(seed)``, taken
-    from its raw words on per-profile pools built once per search
-    (``_draws``), so the stream relies on CPython's word layout.  The allowed
-    and breaking matchings are screened on the sorted profiles only and
-    relabelled onto the others (``_prescreen``).
+    profile.  Every draw is placed in the generator's words when the
+    candidate is made, in profile order, so a seed always yields the same
+    candidates; each profile's entry is decoded and built only when a check
+    first reads it, since the checks of an early-failing candidate read few
+    profiles.  The draws are those of ``rng.random()`` and ``rng.choice`` on
+    ``random.Random(seed)``, placed by one regular-expression match per run
+    of profiles (``_Drawer``), so the stream relies on CPython's word layout.
+    The allowed and breaking matchings are screened on the sorted profiles
+    only and relabelled onto the others (``_prescreen``).  The result's
+    ``timings`` and ``stats`` say how long the pre-screen and the candidates
+    took, and how many words, patterns and entries the candidates needed.
 
     Each candidate is checked against the required axioms the draws do not
     enforce (those outside ``EX_POST_KINDS``), in the order given, then the
@@ -677,6 +783,7 @@ def search_counterexample(
     # Sorting the domain gives enumeration order, since the enumeration is
     # lexicographic, and keeps the domain's own tuples: every candidate's keys
     # are then the very set ``Outcomes`` tests its totality against.
+    started = time.perf_counter()
     domain = profile_set(inst)
     profiles = sorted(domain)
     allowed, breakers = _prescreen(
@@ -685,19 +792,16 @@ def search_counterexample(
         [EX_POST_KINDS[a] for a in required if a in EX_POST_KINDS],
         EX_POST_KINDS.get(violated),
     )
-    pools = [(*_pool(allowed[p]), *_pool(breakers.get(p, []))) for p in profiles]
-    index = {p: i for i, p in enumerate(profiles)}
-    draws = _draws(random.Random(seed), pools, rule_space == "lottery")
+    prescreened = time.perf_counter()
+    lottery = rule_space == "lottery"
+    pools = {p: (allowed[p], breakers.get(p, [])) for p in profiles}
+    drawer = _Drawer(random.Random(seed), domain, pools, len(all_preferences(inst)), lottery)
+    tabulate = TabulatedLotteryRule if lottery else TabulatedDeterministicRule
     unenforced = [a for a in required if a not in EX_POST_KINDS]
     enforced = [a for a in required if a in EX_POST_KINDS]
-    tried = 0
-    while tried < budget:
-        firsts, extras = next(draws)
-        if rule_space == "deterministic":
-            candidate = TabulatedDeterministicRule(dict(zip(profiles, firsts)))
-        else:
-            candidate = TabulatedLotteryRule(_DrawnLotteries(index, domain, firsts, extras))
-        tried += 1
+    status, rule, witness = "budget_exhausted", None, None
+    for tried, table in zip(range(1, budget + 1), drawer.tables()):
+        candidate = tabulate(table)
         check = _checker(inst, candidate)
         if not all(check(a).passed for a in unenforced):
             continue
@@ -705,19 +809,23 @@ def search_counterexample(
         if violated_report.passed:
             continue
         if all(check(a).passed for a in enforced):
-            return SearchResult(
-                status="found",
-                rule=candidate,
-                witness=violated_report.witness,
-                candidates_tried=tried,
-                required=[a.value for a in required],
-                violated=violated.value,
-            )
+            status, rule, witness = "found", candidate, violated_report.witness
+            break
     return SearchResult(
-        status="budget_exhausted",
-        rule=None,
-        witness=None,
+        status=status,
+        rule=rule,
+        witness=witness,
         candidates_tried=tried,
         required=[a.value for a in required],
         violated=violated.value,
+        timings={
+            "prescreen_s": round(prescreened - started, 6),
+            "candidates_s": round(time.perf_counter() - prescreened, 6),
+        },
+        stats={
+            "candidates_tried": tried,
+            "words_drawn": drawer.words_drawn,
+            "block_patterns": drawer.patterns_compiled,
+            "entries_built": drawer.entries_built,
+        },
     )

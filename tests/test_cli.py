@@ -312,6 +312,43 @@ def test_search_cex_writes_reloadable_rule(capsys, files, tmp_path):
     assert code == 1 and payload["result"]["witness"]["kind"] == "cycle"
 
 
+#: The Thm1b query on the 3-cycle instance: probabilistic monotonicity rejects
+#: the greedy candidate and four drawn ones.
+THM1B_SEARCH = [
+    "--rule-space", "lottery", "--require", "prob-monotonic", "--require",
+    "ex-post-non-wasteful", "--require", "ex-post-pairwise", "--violate", "ex-post-pareto",
+]
+
+
+def test_search_cex_reports_its_work_outside_the_result(capsys, files):
+    """The search's counts go under "stats" and its two phases under "timing":
+    the 36 runs of six profiles need 21 patterns, and the checks read 30 of
+    the 1,080 entries."""
+    inst = files("i.json", INSTANCE_3CYCLE)
+    code, payload = invoke(capsys, "search-cex", "--instance", inst, *THM1B_SEARCH, "--budget", "5")
+    assert code == 0 and list(payload) == ["command", "result", "stats", "timing"]
+    assert payload["result"]["candidates_tried"] == 5
+    assert payload["stats"] == {
+        "candidates_tried": 5, "words_drawn": 3095, "block_patterns": 21, "entries_built": 30,
+    }
+    assert list(payload["timing"]) == ["wall_time_s", "prescreen_s", "candidates_s"]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--rule-out"])
+def test_an_unwritable_output_path_is_a_format_error(capsys, files, tmp_path, flag):
+    """The report and a found rule alike: exit 2 with an error report, no traceback."""
+    inst = files("i.json", INSTANCE_3CYCLE)
+    target = str(tmp_path / "missing" / "out.json")
+    code = run([
+        "search-cex", "--instance", inst, "--require", "ex-post-pairwise",
+        "--violate", "ex-post-pareto", "--budget", "5", flag, target,
+    ])
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert code == 2 and captured.err == ""
+    assert error["type"] == "FormatError" and error["message"].startswith(f"cannot write {target}")
+
+
 def test_check_rule_individual_rationality(capsys, files):
     inst = files("i.json", INSTANCE_3CYCLE)
     code, payload = invoke(

@@ -31,7 +31,7 @@ from test_axioms import totality_matches_the_walk, with_a_foreign_key_for_a_gap
 from test_incentives import FAMILY, oracle_report
 from test_orbit_scan import ANONYMOUS_FAILING, FIVE
 from test_rules import rsd_oracle
-from test_theorems import _direct_prescreen, _search_matches_the_oracle
+from test_theorems import FIX_UP_INSTANCE, _direct_prescreen, _search_matches_the_oracle
 
 
 def _mutate(monkeypatch, function, old, new):
@@ -83,11 +83,26 @@ def test_the_boundary_generator_opens_with_the_boundary_word():
 # Probabilistic monotonicity rejects the greedy and both random candidates.
 DRAW_QUERY = (Instance(3, (2, 1, 1)), [Axiom.PROB_MONOTONIC], Axiom.EX_POST_NON_WASTEFUL, 3, 5)
 
+# Pools of 501, 509 and 510 matchings: two thresholds with nonzero low bits.
+FIX_UP_QUERY = (FIX_UP_INSTANCE, [Axiom.PROB_MONOTONIC], Axiom.EX_POST_PARETO, 4, 1)
+
 DRAW_MUTANTS = {
-    "shift from n - 1": (theorems._pool, "n.bit_length()", "(n - 1).bit_length()"),
-    "three quarters at <=": (theorems._draws, "word() < 3 << 30", "word() <= 3 << 30"),
+    "shift from n - 1": (theorems._shift, "n.bit_length()", "(n - 1).bit_length()", DRAW_QUERY),
+    "three quarters at <=": (
+        theorems._Drawer.picks, "< _THREE_QUARTERS", "<= _THREE_QUARTERS", DRAW_QUERY
+    ),
     "random() on one word": (
-        theorems._draws, "word()  # the second word", "None  # the second word"
+        theorems._Drawer._fragment,
+        "{below}.{self._draw_pattern(len(breakers))}|{rest}.{first}",
+        "{below}{self._draw_pattern(len(breakers))}|{rest}{first}",
+        DRAW_QUERY,
+    ),
+    "fix-up skipped": (theorems._Drawer.read, "if self._loose:", "if False:", FIX_UP_QUERY),
+    "block split off by one": (
+        theorems._Drawer.__init__,
+        "self._pools[start:start + block]",
+        "self._pools[start:start + block + 1]",
+        DRAW_QUERY,
     ),
 }
 
@@ -95,10 +110,11 @@ DRAW_MUTANTS = {
 @pytest.mark.parametrize("rule_space", ["lottery", "deterministic"])
 @pytest.mark.parametrize("mutant", DRAW_MUTANTS)
 def test_the_randrange_oracle_catches_a_mutated_drawer(monkeypatch, mutant, rule_space):
+    *edit, query = DRAW_MUTANTS[mutant]
     monkeypatch.setattr(random, "Random", _BoundaryRandom)
-    assert _search_matches_the_oracle(monkeypatch, *DRAW_QUERY, rule_space)
-    _mutate(monkeypatch, *DRAW_MUTANTS[mutant])
-    assert not _search_matches_the_oracle(monkeypatch, *DRAW_QUERY, rule_space)
+    assert _search_matches_the_oracle(monkeypatch, *query, rule_space)
+    _mutate(monkeypatch, *edit)
+    assert not _search_matches_the_oracle(monkeypatch, *query, rule_space)
 
 
 def _rsd_outcomes_match_the_oracle(inst):

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+from bisect import bisect_right
 from dataclasses import replace
 from functools import cache
 
@@ -45,7 +46,7 @@ from axiomlab.matchings import matching_verdict
 from axiomlab.model import NULL_BOTTOM, enumerate_matchings
 from axiomlab.preferences import common_rank_rearrange, profile_set, push_to_top
 from axiomlab.rules import is_lottery_rule, rule_label
-from axiomlab.theorems import _CHUNK, RULE_SPACES, _checker, _draws, _pool, _rng_words
+from axiomlab.theorems import RULE_SPACES, _checker, _Drawer
 from helpers import (
     bossy_flip_rule,
     random_tabulated_rule,
@@ -541,7 +542,7 @@ def test_search_round_trips_through_serialization(unit3):
 # counts.  The first query finds the greedy candidate (support choice only);
 # the second finds a seeded random one, so it also pins the rng draw order.
 # The search reads its draws from the generator's raw 32-bit words
-# (``theorems._draws``), so these digests rely on CPython's word layout for
+# (``theorems._Drawer``), so these digests rely on CPython's word layout for
 # ``random()``, ``getrandbits`` and ``_randbelow_with_getrandbits``.  They
 # and the ``randrange`` oracle ``_eager_candidates``, run on every supported
 # Python, hold that assumption.
@@ -583,6 +584,12 @@ def _direct_prescreen(inst, keep_kinds, break_kind, verdict=matching_verdict):
     return allowed, breakers
 
 
+@cache
+def _cached_direct_prescreen(inst, keep_kinds, break_kind):
+    """``_direct_prescreen`` taken once per query; its readers do not change it."""
+    return _direct_prescreen(inst, keep_kinds, break_kind)
+
+
 def _eager_candidates(inst, required, violated, seed, rule_space="lottery"):
     """The search's candidates, in order, as full tables.
 
@@ -592,8 +599,8 @@ def _eager_candidates(inst, required, violated, seed, rule_space="lottery"):
     do not depend on the search's table.
     """
     rng = random.Random(seed)
-    keep = [EX_POST_KINDS[a] for a in required if a in EX_POST_KINDS]
-    allowed, breakers = _direct_prescreen(inst, keep, EX_POST_KINDS.get(violated))
+    keep = tuple(EX_POST_KINDS[a] for a in required if a in EX_POST_KINDS)
+    allowed, breakers = _cached_direct_prescreen(inst, keep, EX_POST_KINDS.get(violated))
     for attempt in itertools.count():
         table = {}
         for p in allowed:
@@ -770,9 +777,9 @@ def test_prescreen_on_sorted_profiles_is_the_direct_filter(monkeypatch, name):
 def test_search_candidates_are_the_randrange_oracles(monkeypatch, name, rule_space):
     """Thirty candidates per query hold every entry the ``randrange`` oracle draws.
 
-    The search reads the generator's words ``_CHUNK`` at a time; at 1,296
-    profiles a candidate here reads 2,400 to 6,300 of them, so tight4-211
-    crosses chunk boundaries within and between candidates.
+    The search reads four words per profile at a time; at 1,296 profiles a
+    candidate here places 2,400 to 6,300 of them, so tight4-211 reads again
+    within and between candidates.
     """
     inst = PRESCREEN_INSTANCES[name]
     monotonic = Axiom.PROB_MONOTONIC if rule_space == "lottery" else Axiom.MASKIN_MONOTONIC
@@ -784,6 +791,23 @@ def test_search_candidates_are_the_randrange_oracles(monkeypatch, name, rule_spa
         assert _search_matches_the_oracle(
             monkeypatch, inst, required, violated, 30, seed, rule_space
         ), (required, violated)
+
+
+#: 510 matchings at n=9, caps (8,8), every one allowed when only monotonicity
+#: is required, and 501 or 509 of them break ex-post Pareto efficiency at
+#: each profile.  Those two lengths' thresholds have nonzero low bits, so the
+#: drawer fixes up every word that shares their top byte.
+FIX_UP_INSTANCE = Instance(9, (8, 8))
+
+
+@pytest.mark.parametrize("rule_space", RULE_SPACES)
+def test_search_candidates_with_fixed_up_symbols_are_the_randrange_oracles(
+    monkeypatch, rule_space
+):
+    monotonic = Axiom.PROB_MONOTONIC if rule_space == "lottery" else Axiom.MASKIN_MONOTONIC
+    assert _search_matches_the_oracle(
+        monkeypatch, FIX_UP_INSTANCE, [monotonic], Axiom.EX_POST_PARETO, 10, 1, rule_space
+    )
 
 
 @pytest.mark.parametrize("rule_space", RULE_SPACES)
@@ -809,40 +833,75 @@ def test_search_candidates_key_the_domain_in_enumeration_order(monkeypatch, name
             assert rule.table.keys() is domain
 
 
+#: Pool lengths for the drawer: every length from 1 to 600, so more than 255
+#: distinct thresholds, many with nonzero low bits, and two long pools.
+DRAWN_LENGTHS = [*range(1, 601), 65_537, 3_000_000]
+
+
+def _drawn_pools(lengths):
+    """Each length once without breakers and once with breakers, whose lengths
+    run through ``lengths`` backwards; breakers are negative, so never allowed."""
+    pools = []
+    for n, b in zip(lengths, reversed(lengths)):
+        pools += [(range(n), range(0)), (range(n), range(-1, -1 - b, -1))]
+    return dict(enumerate(pools))
+
+
+@pytest.mark.parametrize("lengths", [DRAWN_LENGTHS, range(1, 71)], ids=["600", "70"])
 @pytest.mark.parametrize("seed", range(12))
-def test_draws_are_random_and_choice_on_the_same_generator(seed):
-    """``_draws`` makes the draws ``rng.random() < 0.75`` and ``rng.choice`` make.
+def test_draws_are_random_and_choice_on_the_same_generator(seed, lengths):
+    """The drawer makes the draws ``rng.random() < 0.75`` and ``rng.choice`` make.
 
-    Every allowed pool length from 1 to 70 (so 1, the powers of two and the
-    2^k - 1 among them), each once without breakers and once with a breaker
-    pool, itself of every length from 70 down to 1; five candidates in each
-    space, about 340 words each (560 with the extras), so the 1,024-word
-    chunks turn over.
+    Five candidates in each space, in blocks of seven profiles, so the last
+    block is short; the words they place are the words the oracle read.  The
+    600 lengths need two-byte symbols and fix-ups; the 70 lengths fit one
+    byte and need none.
     """
-    pools = [
-        (*_pool(list(range(n))), *_pool([-1 - i for i in range(b)]))
-        for n in range(1, 71)
-        for b in (0, 71 - n)
-    ]
+    pools = _drawn_pools(lengths)
     for lottery in (False, True):
-        drawn = _draws(random.Random(seed), pools, lottery)
-        assert next(drawn) == ([(b or a)[0] for a, *_, b, _, _ in pools], [a[0] for a, *_ in pools])
+        drawer = _Drawer(random.Random(seed), frozenset(pools), pools, 7, lottery)
+        tables = drawer.tables()
+        greedy = next(tables)
+        assert all(
+            greedy.picks(i) == ((b or a)[0], a[0] if lottery else None)
+            for i, (a, b) in pools.items()
+        )
         rng = random.Random(seed)
-        for _ in range(5):
-            firsts, extras = [], []
-            for allowed, _, _, breakers, _, _ in pools:
+        for table in itertools.islice(tables, 5):
+            for i, (allowed, breakers) in pools.items():
                 pool = breakers if breakers and rng.random() < 0.75 else allowed
-                firsts.append(rng.choice(pool))
-                if lottery:
-                    extras.append(rng.choice(allowed))
-            assert next(drawn) == (firsts, extras)
+                first = rng.choice(pool)
+                assert table.picks(i) == (first, rng.choice(allowed) if lottery else None), i
+        skipped = random.Random(seed)
+        skipped.getrandbits(32 * drawer.words_drawn)
+        assert skipped.getstate() == rng.getstate()
 
 
-def test_rng_words_are_the_generators_32_bit_outputs():
+@pytest.mark.parametrize("lengths", [DRAWN_LENGTHS, range(1, 71)], ids=["600", "70"])
+def test_symbols_rank_the_generators_32_bit_outputs(lengths):
+    """Symbol i is the number of thresholds at or below the i-th ``getrandbits(32)``,
+    and the thresholds are three quarters' and one per pool length."""
+    pools = _drawn_pools(lengths)
     for seed in range(3):
-        words = list(itertools.islice(_rng_words(random.Random(seed)), 3 * _CHUNK + 5))
+        drawer = _Drawer(random.Random(seed), frozenset(pools), pools, 7, True)
+        for _ in range(3):
+            symbols = drawer.read()
         rng = random.Random(seed)
-        assert words == [rng.getrandbits(32) for _ in words]
+        words = [rng.getrandbits(32) for _ in symbols]
+        assert drawer.raw == b"".join(w.to_bytes(4, "little") for w in words)
+        assert [ord(s) for s in symbols] == [bisect_right(drawer.thresholds, w) for w in words]
+    limits = {3 << 30} | {n << (32 - n.bit_length()) for n in lengths}
+    assert drawer.thresholds == sorted(limits)
+    assert (len(limits) > 255) == (lengths is DRAWN_LENGTHS)
+    assert any(t & 0xFFFFFF for t in limits) == (lengths is DRAWN_LENGTHS)
+
+
+def test_the_drawer_bounds_its_symbols():
+    """Every symbol must be one UTF-16 character: the 65,536 pool lengths of 17
+    bits have as many thresholds, one more than the symbols can count."""
+    pools = {n: (range(n), range(0)) for n in range(1 << 16, 1 << 17)}
+    with pytest.raises(BoundsError, match="65536 distinct draw thresholds exceed the bound of 65535"):
+        _Drawer(random.Random(0), frozenset(pools), pools, 6, False)
 
 
 def _oracle_search(inst, required, violated, budget, seed, rule_space):
