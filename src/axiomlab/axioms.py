@@ -105,10 +105,12 @@ one relabelling per profile, so the relabellings that fix a profile are
 covered.  So the argument above carries over to these groups: the first
 violating profile of the full scan comes first in its orbit, since every
 profile of the orbit violates, and scanning the profiles that come first in
-their orbits (``preferences.object_orbit_profiles``, and
-``preferences.sorted_orbit_profiles`` for both groups together) in enumeration
-order, each under its index in the full enumeration, returns the same witness
-and ``profiles_checked``.
+their orbits in enumeration order, each under its index in the full
+enumeration, returns the same witness and ``profiles_checked``.  Every scan
+and pass walks one stream, ``preferences.orbit_profiles(inst, agents,
+objects)``, which keeps the first profile of each orbit under the agent
+relabellings, the object relabellings or both, and with neither every
+profile.
 
 The scan and the replay read outcomes through ``Outcomes``, one table per
 rule and kind, which a harness shares across its checks.  It checks a
@@ -131,7 +133,6 @@ relabels, so direct checks of RSD share its evaluations only through one
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -151,14 +152,12 @@ from .preferences import (
     is_monotonic_transformation,
     monotonic_steps,
     object_generators,
-    object_group_order,
-    object_orbit_profiles,
+    orbit_count,
+    orbit_profiles,
     preference_ranks,
     prefers,
     profile_set,
     sort_agents,
-    sorted_orbit_profiles,
-    sorted_profiles,
     weakly_prefers,
 )
 from .rules import (
@@ -618,7 +617,7 @@ class Outcomes(dict):
         n = self.inst.n
         # swaps[p] exchanges what agents p and p + 1 get
         swaps = [itemgetter(*range(p), p + 1, p, *range(p + 2, n)) for p in range(n - 1)]
-        for _, profile in _STREAMS["agent_orbits" if self._relabels else "profiles"](self.inst):
+        for _, profile in orbit_profiles(self.inst, agents=self._relabels):
             sorted_profile, relabel = sort_agents(profile)
             if relabel is None:
                 lottery = self[profile]
@@ -660,15 +659,15 @@ class Outcomes(dict):
             for tau in generators
         ]
         if self.lottery:
-            stream, same, read = "agent_orbits", Lottery.equals_relabelled, self._unkept
+            same, read = Lottery.equals_relabelled, self._unkept
             moves_at = dict.fromkeys(prefs, moves)
         else:
             # A generator swaps two objects, so its equations at P and at tau P
             # are one equation, checked at the earlier of the two: the profile
             # whose agent 0's report tau moves later.
-            stream, same, read = "profiles", _equals_renamed, self.__getitem__
+            same, read = _equals_renamed, self.__getitem__
             moves_at = {pref: [m for m in moves if m[0](pref) > pref] for pref in prefs}
-        for _, profile in _STREAMS[stream](self.inst):
+        for _, profile in orbit_profiles(self.inst, agents=self.lottery):
             outcome = self[profile]
             for rename, relabel in moves_at[profile[0]]:
                 if not same(read(tuple(map(rename, profile))), outcome, relabel):
@@ -693,27 +692,8 @@ def _equals_renamed(moved: Matching, matching: Matching, relabel: Callable) -> b
     return moved == relabel(matching)
 
 
-#: Each scan's stream of ``(index in enumerate_profiles, profile)`` pairs, in
-#: enumeration order.  A scan is named by the relabellings whose orbits it
-#: keeps the first profile of.
-_STREAMS = {
-    "profiles": lambda inst: enumerate(enumerate_profiles(inst)),
-    "agent_orbits": sorted_profiles,
-    "object_orbits": object_orbit_profiles,
-    "agent_object_orbits": sorted_orbit_profiles,
-}
-
-#: Each scan's stream length.
-_SIZES = {
-    "profiles": count_profiles,
-    # one sorted profile per multiset of n preferences
-    "agent_orbits": lambda inst: math.comb(len(all_preferences(inst)) + inst.n - 1, inst.n),
-    # each object orbit holds one profile per relabelling
-    "object_orbits": lambda inst: count_profiles(inst) // object_group_order(inst),
-    "agent_object_orbits": lambda inst: sum(1 for _ in sorted_orbit_profiles(inst)),
-}
-
-#: The scan for (agent orbits, object orbits).
+#: The name of the scan of ``orbit_profiles(inst, agents, objects)``, by
+#: (agents, objects): the relabellings whose orbits it keeps the first profile of.
 _SCANS = {
     (False, False): "profiles",
     (True, False): "agent_orbits",
@@ -722,13 +702,14 @@ _SCANS = {
 }
 
 
-def _scan(outcomes, axiom, endowment, scan):
-    """First violation in the ``scan`` stream as ``(index, witness)``, or None."""
+def _scan(outcomes, axiom, endowment, agents=False, objects=False):
+    """First violation in ``orbit_profiles(inst, agents, objects)`` as
+    ``(index, witness)``, or None."""
     definition = _DEFINITIONS[axiom]
     deviations, violation = definition.deviations, definition.violation
     if axiom is Axiom.INDIVIDUAL_RATIONALITY:
         deviations = partial(deviations, endowment)
-    for idx, profile in _STREAMS[scan](outcomes.inst):
+    for idx, profile in orbit_profiles(outcomes.inst, agents, objects):
         witness = violation(profile, outcomes, deviations(profile, outcomes))
         if witness is not None:
             return idx, witness
@@ -789,8 +770,8 @@ def check_axiom(
     agents = axiom in RELABEL_INVARIANT and outcomes.anonymous
     objects = axiom is not Axiom.INDIVIDUAL_RATIONALITY and outcomes.neutral
     scan = _SCANS[agents, objects]
-    size = _SIZES[scan](inst)
-    hit = _scan(outcomes, axiom, endowment, scan)
+    size = orbit_count(inst, agents, objects)
+    hit = _scan(outcomes, axiom, endowment, agents, objects)
     elapsed = time.perf_counter() - started
     label = rule_label(rule)
     if hit is None:

@@ -303,6 +303,9 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     started = time.perf_counter()
     try:
+        for target in (args.out, getattr(args, "rule_out", None)):
+            if target:  # an unwritable path fails before the work, not after it
+                jsonio.require_writable(target)
         code, result, *extras = _HANDLERS[args.command](args)
         report = {"command": args.command, "result": result}
         if len(extras) > 1:

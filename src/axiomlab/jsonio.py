@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from fractions import Fraction
 from typing import Any
 
@@ -81,6 +82,19 @@ def write_text_file(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}")
+
+
+def require_writable(path: str) -> None:
+    """FormatError unless ``path`` can be written later: an existing file
+    must open for appending, a new one's directory must exist and be
+    writable.  No file is created or changed."""
+    try:
+        if os.path.exists(path):
+            open(path, "a", encoding="utf-8").close()
+        elif not os.access(os.path.dirname(path) or ".", os.W_OK | os.X_OK):
+            raise PermissionError("its directory is missing or not writable")
     except OSError as exc:
         raise FormatError(f"cannot write {path}: {exc}")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, count, permutations, product
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
@@ -109,23 +109,6 @@ def profile_set(inst: Instance) -> frozenset[Profile]:
     return frozenset(enumerate_profiles(inst))
 
 
-def sorted_profiles(inst: Instance) -> Iterator[tuple[int, Profile]]:
-    """Every profile whose preferences ascend, with its index in ``enumerate_profiles``.
-
-    Such a profile is the lexicographically first of its anonymity orbit (the
-    profiles that differ from it by a relabelling of the agents); they stream
-    in enumeration order.  The index is the profile's mixed-radix number
-    over ``all_preferences``.
-
-    >>> inst = Instance(2, (1, 1))
-    >>> list(sorted_profiles(inst))
-    [(0, ((0, 1), (0, 1))), (1, ((0, 1), (1, 0))), (3, ((1, 0), (1, 0)))]
-    """
-    prefs = all_preferences(inst)
-    for index, digits in _sorted_digits(len(prefs), inst.n):
-        yield index, tuple(prefs[d] for d in digits)
-
-
 def _sorted_digits(radix: int, n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Every ascending digit vector of length ``n``, with its mixed-radix number."""
     for digits in combinations_with_replacement(range(radix), n):
@@ -170,93 +153,85 @@ def object_generators(inst: Instance) -> tuple[tuple[int, ...], ...]:
     return tuple(generators)
 
 
-def object_group_order(inst: Instance) -> int:
-    """How many object relabellings there are, the identity included."""
-    return math.prod(math.factorial(len(objects)) for objects in object_classes(inst))
-
-
-def _first_of_object_orbit(inst: Instance, pref: Preference) -> tuple[int, ...] | None:
-    """None if ``pref`` comes first in its object orbit, else the relabelling
-    that takes it to the first.
-
-    The first preference of an orbit ranks the objects of each class in
-    ascending order: the relabelling renames each class's objects, in the
-    order ``pref`` ranks them, to that class's objects ascending.
-    """
-    ranks = preference_ranks(pref)
-    tau = list(range(inst.k))
-    for objects in object_classes(inst):
-        for obj, ranked in zip(objects, sorted(objects, key=ranks.__getitem__)):
-            tau[ranked] = obj
-    return None if all(tau[o] == o for o in pref) else tuple(tau)
-
-
-def object_orbit_profiles(inst: Instance) -> Iterator[tuple[int, Profile]]:
-    """Every profile that comes first in its object orbit, with its index in
-    ``enumerate_profiles``, in enumeration order.
-
-    Profiles compare lexicographically, agent 0 first.  A relabelling other
-    than the identity moves every preference, so only the identity fixes
-    agent 0's report: the profile comes first iff that report comes first in
-    its own orbit, and the other agents report freely.  At unit capacities and
-    n=4 agent 0 must report the identity, which leaves 13,824 of the 331,776
-    profiles.
-
-    >>> [index for index, _ in object_orbit_profiles(Instance(2, (1, 1)))]
-    [0, 1]
-    """
-    prefs = all_preferences(inst)
-    stride = len(prefs) ** (inst.n - 1)
-    for digit, first in enumerate(prefs):
-        if _first_of_object_orbit(inst, first) is None:
-            for offset, rest in enumerate(product(prefs, repeat=inst.n - 1)):
-                yield digit * stride + offset, (first, *rest)
-
-
-def sorted_orbit_profiles(inst: Instance) -> Iterator[tuple[int, Profile]]:
-    """Every profile that comes first in its orbit under agent and object
-    relabellings together, with its index in ``enumerate_profiles``.
-
-    Such a profile P is sorted, and no object relabelling tau makes the
-    sorted tau P come earlier.  So agent 0 reports the first preference of
-    its object orbit, and no agent's report has an orbit starting before it:
-    else the relabelling that takes that report to its orbit's first gives
-    an earlier profile.  Given both, the sorted tau P can come earlier only
-    if it starts with agent 0's report, that is, only if tau takes some
-    agent's report to it.  One relabelling does that per report, so only
-    those are tried, not every relabelling.
-
-    >>> [index for index, _ in sorted_orbit_profiles(Instance(2, (1, 1)))]
-    [0, 1]
-    """
+@lru_cache(maxsize=None)
+def _relabelled_digits(inst: Instance) -> tuple[tuple[int, ...], ...]:
+    """Every object relabelling but the identity, as a map over the indices of
+    ``all_preferences``: entry d is the index of preference d renamed."""
     prefs = all_preferences(inst)
     digit_of = {pref: d for d, pref in enumerate(prefs)}
-    firsts, taus = [], []
-    for pref in prefs:
-        tau = _first_of_object_orbit(inst, pref)
-        taus.append(tau)
-        firsts.append(digit_of[pref if tau is None else tuple(tau[o] for o in pref)])
-    for index, digits in _sorted_digits(len(prefs), inst.n):
-        head = digits[0]
-        if firsts[head] != head or any(firsts[d] < head for d in digits):
-            continue
-        for d in set(digits):
-            tau = taus[d]
-            if tau is not None and firsts[d] == head:
-                moved = sorted(digit_of[tuple(tau[o] for o in prefs[e])] for e in digits)
-                if tuple(moved) < digits:
+    classes = object_classes(inst)
+    maps = []
+    for images in product(*(permutations(objects) for objects in classes)):
+        tau = list(range(inst.k))
+        for objects, image in zip(classes, images):
+            for obj, target in zip(objects, image):
+                tau[obj] = target
+        maps.append(tuple(digit_of[tuple(tau[o] for o in pref)] for pref in prefs))
+    return tuple(maps[1:])  # each class's first permutation is the identity
+
+
+def orbit_profiles(
+    inst: Instance, agents: bool = False, objects: bool = False
+) -> Iterator[tuple[int, Profile]]:
+    """Every profile that comes first in its orbit under the agent
+    relabellings if ``agents`` and the object relabellings if ``objects``,
+    with its index in ``enumerate_profiles``, in enumeration order.
+
+    Profiles compare lexicographically, agent 0 first, and the index is a
+    profile's mixed-radix number over ``all_preferences``.  With ``agents``
+    the candidates are the sorted profiles, whose preferences ascend.
+    Without it, an object relabelling other than the identity moves every
+    preference, so a profile comes first iff agent 0's report comes first in
+    its object orbit, and the other agents report freely.  With both, a sorted
+    profile P is kept iff no object relabelling tau other than the identity
+    gives a sorted tau P that comes before P.  Only the stream of every
+    profile is capped by ``model.require_enumerable``.
+
+    >>> inst = Instance(2, (1, 1))
+    >>> list(orbit_profiles(inst, agents=True))
+    [(0, ((0, 1), (0, 1))), (1, ((0, 1), (1, 0))), (3, ((1, 0), (1, 0)))]
+    >>> [index for index, _ in orbit_profiles(inst, objects=True)]
+    [0, 1]
+    >>> [index for index, _ in orbit_profiles(inst, agents=True, objects=True)]
+    [0, 1]
+    """
+    prefs = all_preferences(inst)
+    radix, n = len(prefs), inst.n
+    maps = _relabelled_digits(inst) if objects else ()
+    if agents:
+        for index, digits in _sorted_digits(radix, n):
+            for image in maps:
+                if sorted(map(image.__getitem__, digits)) < list(digits):
                     break
-        else:
-            yield index, tuple(prefs[d] for d in digits)
+            else:
+                yield index, tuple(prefs[d] for d in digits)
+        return
+    if not objects:
+        require_enumerable(count_profiles(inst), "profiles")
+    stride = radix ** (n - 1)
+    for digit, first in enumerate(prefs):
+        if all(image[digit] > digit for image in maps):
+            yield from zip(count(digit * stride), product((first,), *[prefs] * (n - 1)))
+
+
+def orbit_count(inst: Instance, agents: bool = False, objects: bool = False) -> int:
+    """How many profiles ``orbit_profiles`` yields for these arguments."""
+    radix, n = len(all_preferences(inst)), inst.n
+    if agents and objects:
+        return sum(1 for _ in orbit_profiles(inst, agents, objects))
+    if agents:
+        return math.comb(radix + n - 1, n)  # one sorted profile per multiset of n preferences
+    # each object orbit holds one profile per relabelling, the identity included
+    return radix**n // (len(_relabelled_digits(inst)) + 1 if objects else 1)
 
 
 def sort_agents(profile: Profile) -> tuple[Profile, Callable[[Matching], Matching] | None]:
     """The profile with its agents stably sorted by preference, and the way back.
 
-    The sorted profile is the first of the profile's anonymity orbit in
-    ``sorted_profiles``.  The relabelling maps a matching of the sorted
-    profile to the original agents (each agent gets what her position got),
-    and is None when the profile is already sorted.
+    The sorted profile is the first of the profile's anonymity orbit, in
+    ``orbit_profiles(inst, agents=True)``.  The relabelling maps a matching of
+    the sorted profile to the original agents (each agent gets what her
+    position got), and is None when the profile is already sorted.
 
     >>> sorted_profile, relabel = sort_agents(((1, 0), (0, 1)))
     >>> sorted_profile, relabel((0, 1))

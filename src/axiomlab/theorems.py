@@ -47,12 +47,12 @@ from .preferences import (
     common_rank_rearrange,
     in_domain,
     is_monotonic_transformation,
+    orbit_profiles,
     prefers,
     profile_set,
     push_to_top,
     single_trade_cycle,
     sort_agents,
-    sorted_profiles,
 )
 from .rules import (
     Lottery,
@@ -704,7 +704,7 @@ def _prescreen(
     universe = enumerate_matchings(inst)
     canon = {m: m for m in universe}
     screened = {}
-    for _, profile in sorted_profiles(inst):
+    for _, profile in orbit_profiles(inst, agents=True):
         pool = [
             m
             for m in universe

@@ -93,7 +93,7 @@ def plain_report(inst: Instance, rule, axiom, endowment=None) -> dict:
     """The report dict of the plain scan of every profile, which reads each
     profile's own outcome and uses no relabelling."""
     axiom = Axiom(axiom)
-    hit = _scan(Outcomes(inst, rule, axiom not in DETERMINISTIC_ONLY), axiom, endowment, "profiles")
+    hit = _scan(Outcomes(inst, rule, axiom not in DETERMINISTIC_ONLY), axiom, endowment)
     verdict, witness, checked = (
         ("pass", None, count_profiles(inst)) if hit is None else ("fail", hit[1], hit[0] + 1)
     )

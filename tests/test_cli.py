@@ -335,18 +335,44 @@ def test_search_cex_reports_its_work_outside_the_result(capsys, files):
 
 
 @pytest.mark.parametrize("flag", ["--out", "--rule-out"])
-def test_an_unwritable_output_path_is_a_format_error(capsys, files, tmp_path, flag):
-    """The report and a found rule alike: exit 2 with an error report, no traceback."""
+def test_an_unwritable_output_path_is_a_format_error(capsys, files, tmp_path, monkeypatch, flag):
+    """The report and the rule file alike, in a missing directory or a
+    directory itself: exit 2 with an error report and no traceback, before
+    the search starts.  The search would try five candidates and find no
+    rule, so it would never write the rule file."""
+    import axiomlab.cli as cli
+
+    calls, search = [], cli.search_counterexample
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "search_counterexample", recorded)
     inst = files("i.json", INSTANCE_3CYCLE)
-    target = str(tmp_path / "missing" / "out.json")
-    code = run([
-        "search-cex", "--instance", inst, "--require", "ex-post-pairwise",
-        "--violate", "ex-post-pareto", "--budget", "5", flag, target,
-    ])
-    captured = capsys.readouterr()
-    error = json.loads(captured.out)["error"]
-    assert code == 2 and captured.err == ""
-    assert error["type"] == "FormatError" and error["message"].startswith(f"cannot write {target}")
+    for target in (str(tmp_path / "missing" / "out.json"), str(tmp_path)):
+        code = run(["search-cex", "--instance", inst, *THM1B_SEARCH, "--budget", "5", flag, target])
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)["error"]
+        assert code == 2 and captured.err == ""
+        assert error["type"] == "FormatError"
+        assert error["message"].startswith(f"cannot write {target}")
+    assert calls == []
+
+
+def test_an_output_path_is_tried_without_writing_it(capsys, files, tmp_path):
+    """An exhausted search writes no rule: a new --rule-out path stays
+    absent, and an existing file keeps its bytes."""
+    inst = files("i.json", INSTANCE_3CYCLE)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept")
+    for target in (new, old):
+        code, payload = invoke(
+            capsys, "search-cex", "--instance", inst, *THM1B_SEARCH, "--budget", "5",
+            "--rule-out", str(target),
+        )
+        assert (code, payload["result"]["status"]) == (0, "budget_exhausted")
+    assert not new.exists() and old.read_text() == "kept"
 
 
 def test_check_rule_individual_rationality(capsys, files):
@@ -614,6 +640,156 @@ def test_verify_thm1_passes_a_constant_rule(capsys, files):
     assert payload["result"]["conclusion_verified"] is True
     assert payload["result"]["witness"] is None
 
+
+
+PAIR_INSTANCE = {"n": 2, "objects": [{"name": "x", "capacity": 1}, {"name": "y", "capacity": 1}]}
+
+
+def _pair_table(outcome, drop=0):
+    """A rule table on ``PAIR_INSTANCE`` with ``outcome`` at every profile,
+    less its last ``drop`` entries."""
+    profiles = list(itertools.product(itertools.permutations("xy"), repeat=2))
+    entries = [{"profile": [list(p) for p in profile], **outcome} for profile in profiles]
+    kind = "lottery" if "lottery" in outcome else "deterministic"
+    return {"kind": kind, "instance": PAIR_INSTANCE, "entries": entries[: len(entries) - drop]}
+
+
+def _check_sd(instance):
+    return lambda f: ["check-rule", "--instance", f("i.json", instance), "--rule", "sd",
+                      "--axiom", "strategy-proof"]
+
+
+def _sd_on(profile, *extra):
+    return lambda f: ["sd", "--instance", f("i.json", INSTANCE_3CYCLE),
+                      "--profile", f("p.json", profile), *extra]
+
+
+def _check_table(table, axiom="strategy-proof"):
+    return lambda f: ["check-rule", "--rule", f("rule.json", table), "--axiom", axiom]
+
+
+def _weights(*weights):
+    return {"lottery": [{"matching": ["x", "y"], "weight": w} for w in weights]}
+
+
+#: Input checks, each with the command line (its files written by the
+#: ``files`` fixture), the error type it must report and a fragment of the
+#: message.
+INPUT_CHECKS = {
+    "duplicate object names": (
+        _check_sd({"n": 2, "objects": [{"name": "a", "capacity": 1}] * 2}),
+        "FormatError", "duplicate object names",
+    ),
+    "unlisted null object": (
+        _check_sd(dict(INSTANCE_3CYCLE, null_object="z")), "FormatError", "not a listed object",
+    ),
+    "null object listed second": (
+        _check_sd(dict(INSTANCE_3CYCLE, null_object="b")), "FormatError", "listed first",
+    ),
+    "unknown domain": (
+        _check_sd(dict(INSTANCE_3CYCLE, domain="weird")), "FormatError", "unknown domain",
+    ),
+    "missing n": (
+        _check_sd({"objects": INSTANCE_3CYCLE["objects"]}),
+        "FormatError", "needs 'n' and 'objects'",
+    ),
+    "missing objects": (_check_sd({"n": 3}), "FormatError", "needs 'n' and 'objects'"),
+    "negative capacity": (
+        _check_sd({"n": 2, "objects": [{"name": "a", "capacity": -1}, {"name": "b", "capacity": 3}]}),
+        "InvalidInstance", "non-negative",
+    ),
+    "non-integer enumeration cap": (
+        _check_sd(INSTANCE_3CYCLE), "BoundsError", "AXIOMLAB_MAX_PROFILES must be an integer",
+    ),
+    "short profile": (_sd_on(PROFILE_3CYCLE[:1]), "FormatError", "rankings for all 3 agents"),
+    "short matching": (
+        lambda f: ["check-matching", "--instance", f("i.json", INSTANCE_3CYCLE),
+                   "--profile", f("p.json", PROFILE_3CYCLE), "--matching", f("m.json", ["a"]),
+                   "--axiom", "pareto"],
+        "FormatError", "assign all 3 agents",
+    ),
+    "unknown object name": (
+        _sd_on([["a", "b", "z"]] * 3), "FormatError", "unknown object name 'z'",
+    ),
+    "non-permutation ranking": (
+        _sd_on([["a", "a", "c"]] * 3), "DomainViolation", "not a permutation",
+    ),
+    "sd without an instance": (
+        lambda f: ["check-rule", "--rule", "sd", "--axiom", "strategy-proof"],
+        "PreconditionViolated", "--rule sd needs --instance",
+    ),
+    "an order repeating an agent": (
+        _sd_on(PROFILE_3CYCLE, "--order", "0,0"), "PreconditionViolated", "not an order",
+    ),
+    "gen-instance n above 8": (
+        lambda f: ["gen-instance", "--n", "9", "--k", "3"], "BoundsError", "supported ranges",
+    ),
+    "gen-instance unit k below n": (
+        lambda f: ["gen-instance", "--n", "4", "--k", "3"], "BoundsError", "k >= n",
+    ),
+    "unknown rule kind": (
+        _check_table(dict(_pair_table({"matching": ["x", "y"]}), kind="weird")),
+        "FormatError", "unknown rule kind",
+    ),
+    "partial table": (
+        _check_table(_pair_table({"matching": ["x", "y"]}, drop=1)),
+        "FormatError", "table covers 3 profiles but the domain has 4",
+    ),
+    "weight 1/0": (
+        _check_table(_pair_table(_weights("1/0")), "equal-treatment"),
+        "FormatError", "bad rational",
+    ),
+    "weights short of 1": (
+        _check_table(_pair_table(_weights("1/3", "1/3")), "equal-treatment"),
+        "FormatError", "sum to the denominator",
+    ),
+    "instance disagreeing with the rule file": (
+        lambda f: [*_check_table(_pair_table({"matching": ["x", "y"]}))(f),
+                   "--instance", f("i.json", INSTANCE_3CYCLE)],
+        "PreconditionViolated", "disagrees with the rule file",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CHECKS))
+def test_an_input_check_exits_2_with_its_error_type(capsys, files, monkeypatch, case):
+    argv, error_type, fragment = INPUT_CHECKS[case]
+    if case == "non-integer enumeration cap":
+        monkeypatch.setenv("AXIOMLAB_MAX_PROFILES", "ten")
+    code = run(argv(files))
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert (code, error["type"], captured.err) == (2, error_type, "")
+    assert fragment in error["message"]
+
+
+def test_a_lottery_rule_table_round_trips_through_its_file(capsys, tmp_path):
+    from axiomlab import Instance, TabulatedLotteryRule, random_serial_dictatorship
+    from axiomlab.jsonio import dump_json_file, load_rule_file, rule_to_dict
+
+    inst = Instance(3, (2, 1, 1))
+    table = {p: random_serial_dictatorship(inst, p) for p in axiomlab.enumerate_profiles(inst)}
+    path = str(tmp_path / "rsd.json")
+    dump_json_file(path, rule_to_dict(inst, TabulatedLotteryRule(table)))
+    loaded_inst, _, rule = load_rule_file(path)
+    assert loaded_inst == inst and isinstance(rule, TabulatedLotteryRule)
+    assert rule.table == table
+    code, payload = invoke(capsys, "check-rule", "--rule", path, "--axiom", "ex-post-pareto")
+    assert (code, payload["stats"]["scan"]) == (0, "agent_object_orbits")
+
+
+def test_ttc_trades_from_the_endowment_file(capsys, files):
+    """Everyone ranks a over b over c, so each agent keeps her endowment."""
+    inst = files("i.json", INSTANCE_3CYCLE)
+    prof = files("p.json", [["a", "b", "c"]] * 3)
+    code, payload = invoke(capsys, "ttc", "--instance", inst, "--profile", prof)
+    assert code == 0 and payload["result"]["matching"] == ["a", "b", "c"]
+    endowment = files("e.json", ["c", "a", "b"])
+    code, payload = invoke(
+        capsys, "ttc", "--instance", inst, "--profile", prof, "--endowment", endowment
+    )
+    assert code == 0
+    assert payload["result"] == {"endowment": ["c", "a", "b"], "matching": ["c", "a", "b"]}
 
 def test_unexpected_error_exits_2_not_1(capsys, monkeypatch):
     """Exit code 1 means a fail with a witness, so even an internal error exits 2."""

@@ -1,6 +1,8 @@
 """Efficiency predicates, cycle detection, and the trade-cycle decomposition."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axiomlab import (
     NULL_BOTTOM,
@@ -211,5 +213,35 @@ def test_trade_cycles_with_shared_objects():
         assert len(set(objects)) == len(objects)
     rebuilt = matching
     for cycle in cycles:
+        rebuilt = apply_cycle(rebuilt, cycle)
+    assert rebuilt == improved
+
+
+def test_trade_cycles_peel_an_inner_loop():
+    """Agent 0's walk reaches agent 2, who needs object 1 again: the loop
+    through agents 1 and 3 is peeled off before agent 0's cycle closes."""
+    assert trade_cycles((0, 1, 1, 2), (1, 2, 0, 1)) == [(1, 3), (0, 2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=9).flatmap(
+        lambda held: st.tuples(st.just(tuple(held)), st.permutations(held).map(tuple))
+    )
+)
+def test_trade_cycles_partition_the_movers_into_valid_cycles(pair):
+    """A random reallocation of the same copies: every cycle is a trading
+    cycle with distinct old allotments, the cycles partition the agents whose
+    allotment changes, and clearing them all gives the improved matching."""
+    matching, improved = pair
+    cycles = trade_cycles(matching, improved)
+    movers = [i for i in range(len(matching)) if matching[i] != improved[i]]
+    assert sorted(agent for cycle in cycles for agent in cycle) == movers
+    rebuilt = matching
+    for cycle in cycles:
+        objects = [matching[agent] for agent in cycle]
+        assert len(set(objects)) == len(objects) >= 2
+        for t, agent in enumerate(cycle):
+            assert improved[agent] == matching[cycle[(t + 1) % len(cycle)]]
         rebuilt = apply_cycle(rebuilt, cycle)
     assert rebuilt == improved

@@ -243,15 +243,16 @@ def test_the_plain_scan_catches_a_stream_of_the_last_profile_of_each_orbit(
     monkeypatch, unit3
 ):
     """SD with one whole object orbit changed is neutral and fails all three
-    checks; the profiles that come last in their orbits violate later."""
+    checks; the profiles whose agent 0 reports the last preference of its
+    object orbit violate later."""
     rule = _sd_with_one_orbit_changed(unit3, object_relabellings(unit3))
     assert Outcomes(unit3, rule, False).neutral
     assert all(plain_report(unit3, rule, a)["verdict"] == "fail" for a in INCENTIVES)
     assert _orbit_scans_match_the_plain_scans(unit3, rule, INCENTIVES)
     _mutate(
         monkeypatch,
-        preferences._first_of_object_orbit,
-        "zip(objects, sorted(",
-        "zip(objects[::-1], sorted(",
+        preferences.orbit_profiles,
+        "image[digit] > digit",
+        "image[digit] < digit",
     )
     assert not _orbit_scans_match_the_plain_scans(unit3, rule, INCENTIVES)

@@ -30,13 +30,8 @@ from axiomlab import (
     matching_verdict,
     random_serial_dictatorship,
 )
-from axiomlab.axioms import _SIZES, _STREAMS, DETERMINISTIC_ONLY, RELABEL_INVARIANT, Axiom, Outcomes
-from axiomlab.preferences import (
-    object_generators,
-    object_orbit_profiles,
-    sorted_orbit_profiles,
-    sorted_profiles,
-)
+from axiomlab.axioms import DETERMINISTIC_ONLY, RELABEL_INVARIANT, Axiom, Outcomes
+from axiomlab.preferences import object_generators, orbit_count, orbit_profiles
 from axiomlab.rules import is_lottery_rule
 from helpers import (
     object_relabellings,
@@ -88,7 +83,7 @@ def _relabelled(lottery, position):
 
 def _orbit_table(inst, lottery_at_sorted):
     """Each profile's lottery: its sorted profile's, relabelled back to its agents."""
-    sorted_lotteries = {p: lottery_at_sorted(p) for _, p in sorted_profiles(inst)}
+    sorted_lotteries = {p: lottery_at_sorted(p) for _, p in orbit_profiles(inst, agents=True)}
     table = {}
     for profile in enumerate_profiles(inst):
         position, ordered = _position(profile)
@@ -106,16 +101,6 @@ class _CountedTable(dict):
     def __getitem__(self, profile):
         self.reads.append(profile)
         return super().__getitem__(profile)
-
-
-@pytest.mark.parametrize(
-    "inst",
-    [Instance(2, (1, 1)), Instance(3, (1, 1, 1)), INSTANCES["null4"], Instance(4, (2, 1, 1))],
-    ids=["unit2", "unit3", "null4", "caps211-n4"],
-)
-def test_sorted_profiles_are_the_ascending_ones_with_their_full_index(inst):
-    expected = [(i, p) for i, p in enumerate(enumerate_profiles(inst)) if list(p) == sorted(p)]
-    assert list(sorted_profiles(inst)) == expected
 
 
 @pytest.mark.parametrize("name", list(INSTANCES))
@@ -204,7 +189,7 @@ def test_the_pass_keeps_only_the_sorted_profiles_lotteries():
     for rule in (RSD, TabulatedLotteryRule(table)):
         outcomes = Outcomes(inst, rule, True)
         assert outcomes.anonymous
-        assert set(outcomes) == {p for _, p in sorted_profiles(inst)}
+        assert set(outcomes) == {p for _, p in orbit_profiles(inst, agents=True)}
 
 
 @pytest.mark.parametrize("name", ["unit3", "caps211", "null3"])
@@ -304,39 +289,49 @@ def _first_in_orbit(profile, relabellings, agents):
                for tau in relabellings)
 
 
-@pytest.mark.parametrize("agents", [False, True], ids=["objects", "agents-and-objects"])
+@pytest.mark.parametrize(
+    "agents, objects",
+    [(False, True), (True, True), (True, False), (False, False)],
+    ids=["objects", "agents-and-objects", "agents", "profiles"],
+)
 @pytest.mark.parametrize("name", list(ORBIT_INSTANCES))
 def test_orbit_streams_are_the_first_profiles_of_their_orbits_with_their_full_index(
-    name, agents
+    name, agents, objects
 ):
-    """Against every object relabelling, enumerated directly."""
+    """Against every object relabelling, enumerated directly, or the identity
+    alone without ``objects``."""
     inst = ORBIT_INSTANCES[name]
-    relabellings = object_relabellings(inst)
+    relabellings = object_relabellings(inst) if objects else [tuple(range(inst.k))]
     expected = [
         (i, p)
         for i, p in enumerate(enumerate_profiles(inst))
         if (not agents or list(p) == sorted(p)) and _first_in_orbit(p, relabellings, agents)
     ]
-    scan = "agent_object_orbits" if agents else "object_orbits"
-    assert list(_STREAMS[scan](inst)) == expected
-    assert _SIZES[scan](inst) == len(expected)
+    assert list(orbit_profiles(inst, agents, objects)) == expected
+    assert orbit_count(inst, agents, objects) == len(expected)
 
 
 @pytest.mark.parametrize(
-    "inst, objects, both",
+    "inst, agents, objects, both",
     [
-        (Instance(4, (1, 1, 1, 1)), 13_824, 762),
-        (Instance(6, (2, 2, 2)), 46_656 // 6, 83),
-        (Instance(7, (3, 2, 2)), 279_936 // 2, 396),
+        (Instance(4, (1, 1, 1, 1)), 17_550, 13_824, 762),
+        (Instance(5, (2, 2, 2)), 252, 1_296, 42),
+        (Instance(4, (2, 1, 1, 1), null_object=0, domain=NULL_BOTTOM), 126, 216, 24),
+        (Instance(6, (2, 2, 2)), 462, 46_656 // 6, 83),
+        (Instance(7, (3, 2, 2)), 792, 279_936 // 2, 396),
+        (Instance(8, (3, 3, 2)), 1_287, 1_679_616 // 2, 651),
     ],
-    ids=["unit4", "caps222-n6", "caps322-n7"],
+    ids=["unit4", "caps222-n5", "null2111-n4", "caps222-n6", "caps322-n7", "caps332-n8"],
 )
-def test_orbit_stream_sizes(inst, objects, both):
-    assert _SIZES["object_orbits"](inst) == objects
-    assert _SIZES["agent_object_orbits"](inst) == both
-    assert sum(1 for _ in sorted_orbit_profiles(inst)) == both
-    if inst.n == 4:
-        assert sum(1 for _ in object_orbit_profiles(inst)) == objects
+def test_orbit_stream_sizes(inst, agents, objects, both):
+    """The counts, and the streams' lengths where they are short to walk."""
+    assert orbit_count(inst, agents=True) == agents
+    assert orbit_count(inst, objects=True) == objects
+    assert orbit_count(inst, agents=True, objects=True) == both
+    assert sum(1 for _ in orbit_profiles(inst, agents=True)) == agents
+    assert sum(1 for _ in orbit_profiles(inst, agents=True, objects=True)) == both
+    if inst.n <= 5:
+        assert sum(1 for _ in orbit_profiles(inst, objects=True)) == objects
 
 
 def _anonymised(inst, table):
@@ -452,6 +447,25 @@ def test_no_two_objects_of_equal_capacity_means_no_object_orbits():
     assert not Outcomes(inst, SerialDictatorshipRule((0, 1, 2)), False).neutral
     report = check_axiom(inst, SerialDictatorshipRule((0, 1, 2)), Axiom.STRATEGY_PROOF)
     assert (report.scan, report.scan_size) == ("profiles", 216)
+
+
+def test_a_changed_entry_read_by_a_monotonic_step_gets_the_plain_scans_witness():
+    """SD with one entry changed, at profile 144, whose object orbit starts at
+    profile 79.  Maskin monotonicity fails first at profile 36, whose orbit
+    starts at profile 0: its body steps to the changed profile.  A walk that
+    checked equivariance orbit by orbit and fell back to the plain scan at the
+    first failing orbit would skip profile 36 and report profile 144."""
+    inst = INSTANCES["caps211"]
+    sd = SerialDictatorshipRule((1, 2, 0))
+    table = {p: evaluate(inst, sd, p) for p in enumerate_profiles(inst)}
+    changed = ((2, 0, 1), (0, 1, 2), (0, 1, 2))
+    assert table[changed] == (2, 0, 0)
+    table[changed] = (0, 0, 1)
+    rule = TabulatedDeterministicRule(table)
+    assert not Outcomes(inst, rule, False).neutral
+    _assert_every_axiom_matches_plain(inst, rule, False)
+    report = check_axiom(inst, rule, Axiom.MASKIN_MONOTONIC)
+    assert (report.profiles_checked, report.witness["transformed"]) == (37, changed)
 
 
 def test_sd_is_scanned_on_its_object_orbits():
