@@ -90,27 +90,27 @@ preferences and feasible matchings to admissible preferences and feasible
 matchings, rankings to rankings, lower contour sets to lower contour sets and
 capacities to themselves.  If f(tau P) = tau f(P) for every tau, a violation
 at P maps to one at tau P.  Individual rationality is not: the endowment stays
-put.  One pass, ``Outcomes.neutral``, checks f(tau P) = tau f(P) for the
-generators tau of ``preferences.object_generators`` only, which suffices:
-every relabelling is a product of generators, and the equation for tau and for
-sigma at every profile gives it for tau sigma, since f(tau sigma P) = tau
-f(sigma P) = tau sigma f(P).  On a matchings table the pass walks every
-profile.  On a lottery table it runs only once the anonymity pass holds, and
-walks the sorted profiles: agent and object relabellings commute, so if P =
-sigma S for a sorted S, then f(tau P) = sigma f(tau S) = sigma tau f(S) = tau
-f(P).  The group of agent and object relabellings together then maps
-violations to violations too.  Unlike the anonymity pass, this one needs no
-tie condition: it checks each generator at every profile of its stream, not
-one relabelling per profile, so the relabellings that fix a profile are
-covered.  So the argument above carries over to these groups: the first
-violating profile of the full scan comes first in its orbit, since every
-profile of the orbit violates, and scanning the profiles that come first in
-their orbits in enumeration order, each under its index in the full
-enumeration, returns the same witness and ``profiles_checked``.  Every scan
-and pass walks one stream, ``preferences.orbit_profiles(inst, agents,
-objects)``, which keeps the first profile of each orbit under the agent
-relabellings, the object relabellings or both, and with neither every
-profile.
+put.  A relabelling other than the identity moves every preference, since a
+preference ranks every object, so each object orbit is the profiles tau H for
+its first profile H and every tau, each once.  One pass, ``Outcomes.neutral``,
+checks f(tau H) = tau f(H) for every such head H and every tau other than the
+identity (``preferences.nontrivial_relabellings``), which suffices: if P = tau
+H, then f(sigma P) = f(sigma tau H) = sigma tau f(H) = sigma f(P) for every
+sigma.  On a matchings table the heads are those of the object orbits.  On a
+lottery table the pass runs only once the anonymity pass holds, and the heads
+are those of the orbits under the agent and object relabellings together:
+every profile is P = pi tau H for an agent relabelling pi, and agent and
+object relabellings commute, so f(sigma P) = pi sigma tau f(H) = sigma pi
+f(tau H) = sigma f(P).  The group of agent and object relabellings together
+then maps violations to violations too.  So the argument above carries over
+to these groups: the first violating profile of the full scan comes first in
+its orbit, since every profile of the orbit violates, and scanning the
+profiles that come first in their orbits in enumeration order, each under its
+index in the full enumeration, returns the same witness and
+``profiles_checked``.  Every scan and pass walks one stream,
+``preferences.orbit_profiles(inst, agents, objects)``, which keeps the first
+profile of each orbit under the agent relabellings, the object relabellings or
+both, and with neither every profile.
 
 The scan and the replay read outcomes through ``Outcomes``, one table per
 rule and kind, which a harness shares across its checks.  It checks a
@@ -151,7 +151,7 @@ from .preferences import (
     enumerate_profiles,
     is_monotonic_transformation,
     monotonic_steps,
-    object_generators,
+    nontrivial_relabellings,
     orbit_count,
     orbit_profiles,
     preference_ranks,
@@ -636,41 +636,35 @@ class Outcomes(dict):
 
         The relabellings permute objects of equal capacity and fix the null
         object (``preferences.object_classes``).  One pass, stopping at the
-        first mismatch, checks f(tau P) = tau f(P) for each generator tau
-        (``preferences.object_generators``) and each profile P of the
-        table's stream: every profile of a matchings table, where it checks
-        each pair P, tau P once, and the sorted profiles of a lottery table.
-        It reads through this table; a matchings table keeps every read, a
-        lottery table only the sorted profiles' lotteries.  A lottery table is
-        tested only once ``anonymous`` holds, so that a table failing that
-        pass, such as a deterministic rule's point lotteries or a search
-        candidate, is not evaluated at every profile before a scan that may
-        stop at its first.  False when no two real objects share a capacity,
-        since then there is no relabelling to use.
+        first mismatch, checks f(tau H) = tau f(H) for every relabelling tau
+        other than the identity and every head H of the table's stream,
+        ``orbit_profiles(inst, agents=self.lottery, objects=True)``.  It reads
+        through this table; a matchings table keeps every read, a lottery
+        table only the sorted profiles' lotteries.  A lottery table is tested
+        only once ``anonymous`` holds, so that a table failing that pass, such
+        as a deterministic rule's point lotteries or a search candidate, is not
+        evaluated at every profile before a scan that may stop at its first.
+        False when no two real objects share a capacity, since then there is
+        no relabelling to use.
         """
-        generators = object_generators(self.inst)
-        if not generators or (self.lottery and not self.anonymous):
+        relabellings = nontrivial_relabellings(self.inst)
+        if not relabellings or (self.lottery and not self.anonymous):
             return False
         prefs = all_preferences(self.inst)
-        # (each preference renamed, each matching renamed) per generator
+        # (each preference renamed, each matching renamed) per relabelling
         moves = [
             ({pref: tuple(map(tau.__getitem__, pref)) for pref in prefs}.__getitem__,
              partial(_renamed, tau))
-            for tau in generators
+            for tau in relabellings
         ]
         if self.lottery:
             same, read = Lottery.equals_relabelled, self._unkept
-            moves_at = dict.fromkeys(prefs, moves)
         else:
-            # A generator swaps two objects, so its equations at P and at tau P
-            # are one equation, checked at the earlier of the two: the profile
-            # whose agent 0's report tau moves later.
             same, read = _equals_renamed, self.__getitem__
-            moves_at = {pref: [m for m in moves if m[0](pref) > pref] for pref in prefs}
-        for _, profile in orbit_profiles(self.inst, agents=self.lottery):
-            outcome = self[profile]
-            for rename, relabel in moves_at[profile[0]]:
-                if not same(read(tuple(map(rename, profile))), outcome, relabel):
+        for _, head in orbit_profiles(self.inst, agents=self.lottery, objects=True):
+            outcome = self[head]
+            for rename, relabel in moves:
+                if not same(read(tuple(map(rename, head))), outcome, relabel):
                     return False
         return True
 

@@ -119,6 +119,8 @@ def _load_rule(args):
     selector = args.rule
     if selector in ("rsd", "sd", "ttc") and inst is None:
         raise PreconditionViolated(f"--rule {selector} needs --instance")
+    if selector != "sd" and getattr(args, "order", None) is not None:
+        raise PreconditionViolated(f"--order applies to --rule sd only, not {selector}")
     if selector == "rsd":
         return inst, names, RandomSerialDictatorshipRule()
     if selector == "sd":

@@ -18,7 +18,7 @@ from typing import Any
 
 from .errors import FormatError
 from .model import GENERAL, NULL_BOTTOM, Instance, Matching, is_feasible
-from .preferences import Preference, Profile, profile_set
+from .preferences import Preference, Profile, profile_set, validate_profile
 from .rules import (
     Lottery,
     RuleDescriptor,
@@ -175,8 +175,6 @@ def profile_from_dict(data: Any, inst: Instance, names: ObjectNames) -> Profile:
     if not isinstance(data, list) or len(data) != inst.n:
         raise FormatError(f"profile JSON must list rankings for all {inst.n} agents")
     profile = tuple(preference_from_names(entry, names) for entry in data)
-    from .preferences import validate_profile
-
     validate_profile(inst, profile)
     return profile
 

@@ -14,9 +14,11 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .errors import PreconditionViolated
 from .model import Instance, Matching, enumerate_matchings, feasible_usage
-from .preferences import Profile, preference_ranks, prefers
+from .preferences import Profile, preference_ranks, prefers, push_object_to_top
 
 
 def pareto_dominates(candidate: Matching, matching: Matching, profile: Profile) -> bool:
@@ -168,8 +170,6 @@ def trade_cycles(matching: Matching, improved: Matching) -> list[tuple[int, ...]
     always preferring the lowest continuation agent.
     """
     movers = [i for i in range(len(matching)) if matching[i] != improved[i]]
-    from collections import Counter
-
     if Counter(matching[i] for i in movers) != Counter(improved[i] for i in movers):
         raise PreconditionViolated(
             "reallocation changes per-object copy counts; no cycle decomposition"
@@ -216,8 +216,6 @@ def reduce_to_single_cycle(
     improved matching is replaced by the one that clears only the kept cycle.
     Returns ``(new_profile, new_improved, kept_cycle)``.
     """
-    from .preferences import push_object_to_top  # matchings is imported there
-
     cycles = trade_cycles(matching, improved)
     if not cycles:
         raise PreconditionViolated("the two matchings are identical")

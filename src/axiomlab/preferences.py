@@ -137,37 +137,35 @@ def object_classes(inst: Instance) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c) for c in classes.values() if len(c) > 1)
 
 
-def object_generators(inst: Instance) -> tuple[tuple[int, ...], ...]:
-    """Object relabellings that generate them all: each swaps two objects
-    adjacent in one class of ``object_classes``.
-
-    >>> object_generators(Instance(3, (1, 1, 1)))
-    ((1, 0, 2), (0, 2, 1))
-    """
-    generators = []
-    for objects in object_classes(inst):
-        for a, b in zip(objects, objects[1:]):
-            tau = list(range(inst.k))
-            tau[a], tau[b] = b, a
-            generators.append(tuple(tau))
-    return tuple(generators)
-
-
 @lru_cache(maxsize=None)
-def _relabelled_digits(inst: Instance) -> tuple[tuple[int, ...], ...]:
-    """Every object relabelling but the identity, as a map over the indices of
-    ``all_preferences``: entry d is the index of preference d renamed."""
-    prefs = all_preferences(inst)
-    digit_of = {pref: d for d, pref in enumerate(prefs)}
+def nontrivial_relabellings(inst: Instance) -> tuple[tuple[int, ...], ...]:
+    """Every object relabelling but the identity: each class of
+    ``object_classes`` permuted among itself, in lexicographic order.
+
+    >>> nontrivial_relabellings(Instance(3, (1, 1, 1)))
+    ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+    """
     classes = object_classes(inst)
-    maps = []
+    relabellings = []
     for images in product(*(permutations(objects) for objects in classes)):
         tau = list(range(inst.k))
         for objects, image in zip(classes, images):
             for obj, target in zip(objects, image):
                 tau[obj] = target
-        maps.append(tuple(digit_of[tuple(tau[o] for o in pref)] for pref in prefs))
-    return tuple(maps[1:])  # each class's first permutation is the identity
+        relabellings.append(tuple(tau))
+    return tuple(relabellings[1:])  # each class's first permutation is the identity
+
+
+@lru_cache(maxsize=None)
+def _relabelled_digits(inst: Instance) -> tuple[tuple[int, ...], ...]:
+    """Each relabelling of ``nontrivial_relabellings`` as a map over the indices
+    of ``all_preferences``: entry d is the index of preference d renamed."""
+    prefs = all_preferences(inst)
+    digit_of = {pref: d for d, pref in enumerate(prefs)}
+    return tuple(
+        tuple(digit_of[tuple(tau[o] for o in pref)] for pref in prefs)
+        for tau in nontrivial_relabellings(inst)
+    )
 
 
 def orbit_profiles(
@@ -184,8 +182,9 @@ def orbit_profiles(
     preference, so a profile comes first iff agent 0's report comes first in
     its object orbit, and the other agents report freely.  With both, a sorted
     profile P is kept iff no object relabelling tau other than the identity
-    gives a sorted tau P that comes before P.  Only the stream of every
-    profile is capped by ``model.require_enumerable``.
+    gives a sorted tau P that comes before P.  Every stream stands for the
+    whole domain, so ``model.require_enumerable`` caps each on the number of
+    all profiles, before it yields one.
 
     >>> inst = Instance(2, (1, 1))
     >>> list(orbit_profiles(inst, agents=True))
@@ -197,6 +196,7 @@ def orbit_profiles(
     """
     prefs = all_preferences(inst)
     radix, n = len(prefs), inst.n
+    require_enumerable(count_profiles(inst), "profiles")
     maps = _relabelled_digits(inst) if objects else ()
     if agents:
         for index, digits in _sorted_digits(radix, n):
@@ -206,23 +206,26 @@ def orbit_profiles(
             else:
                 yield index, tuple(prefs[d] for d in digits)
         return
-    if not objects:
-        require_enumerable(count_profiles(inst), "profiles")
     stride = radix ** (n - 1)
     for digit, first in enumerate(prefs):
         if all(image[digit] > digit for image in maps):
             yield from zip(count(digit * stride), product((first,), *[prefs] * (n - 1)))
 
 
+@lru_cache(maxsize=None)
 def orbit_count(inst: Instance, agents: bool = False, objects: bool = False) -> int:
-    """How many profiles ``orbit_profiles`` yields for these arguments."""
+    """How many profiles ``orbit_profiles`` yields for these arguments.
+
+    Kept per instance and arguments, so the stream counted by walking it, the
+    orbits under both relabellings, is walked for its count once.
+    """
     radix, n = len(all_preferences(inst)), inst.n
     if agents and objects:
         return sum(1 for _ in orbit_profiles(inst, agents, objects))
     if agents:
         return math.comb(radix + n - 1, n)  # one sorted profile per multiset of n preferences
     # each object orbit holds one profile per relabelling, the identity included
-    return radix**n // (len(_relabelled_digits(inst)) + 1 if objects else 1)
+    return radix**n // (len(nontrivial_relabellings(inst)) + 1 if objects else 1)
 
 
 def sort_agents(profile: Profile) -> tuple[Profile, Callable[[Matching], Matching] | None]:

@@ -434,6 +434,20 @@ def test_enumeration_cap_env_var(capsys, files, monkeypatch):
     assert payload["error"]["type"] == "SizeOverflow"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["check-rule", "--axiom", "ex-post-pareto"], ["verify-thm1"]],
+    ids=["check-rule", "verify-thm1"],
+)
+def test_enumeration_cap_holds_on_the_orbit_scans_of_rsd(capsys, files, monkeypatch, argv):
+    """RSD is scanned on the sorted profiles that come first in their object
+    orbits, 10 of the 216 on this instance, and the cap still counts all 216."""
+    monkeypatch.setenv("AXIOMLAB_MAX_PROFILES", "10")
+    inst = files("i.json", INSTANCE_3CYCLE)
+    error = _error(capsys, *argv, "--instance", inst, "--rule", "rsd")
+    assert error == {"type": "SizeOverflow", "message": "216 profiles exceed the bound of 10"}
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["no-such-command"]) == 2
 
@@ -717,6 +731,11 @@ INPUT_CHECKS = {
     "sd without an instance": (
         lambda f: ["check-rule", "--rule", "sd", "--axiom", "strategy-proof"],
         "PreconditionViolated", "--rule sd needs --instance",
+    ),
+    "an order for a rule other than sd": (
+        lambda f: ["check-rule", "--instance", f("i.json", INSTANCE_3CYCLE), "--rule", "rsd",
+                   "--axiom", "ex-post-pareto", "--order", "9,9,9"],
+        "PreconditionViolated", "--order applies to --rule sd only",
     ),
     "an order repeating an agent": (
         _sd_on(PROFILE_3CYCLE, "--order", "0,0"), "PreconditionViolated", "not an order",

@@ -29,7 +29,7 @@ from axiomlab.preferences import sort_agents
 from helpers import object_relabellings, plain_report, random_tabulated_rule, renamed, uniform_over
 from test_axioms import totality_matches_the_walk, with_a_foreign_key_for_a_gap
 from test_incentives import FAMILY, oracle_report
-from test_orbit_scan import ANONYMOUS_FAILING, FIVE
+from test_orbit_scan import ANONYMOUS_FAILING, FIVE, neutral_by_definition
 from test_rules import rsd_oracle
 from test_theorems import FIX_UP_INSTANCE, _direct_prescreen, _search_matches_the_oracle
 
@@ -218,23 +218,57 @@ def _sd_with_one_orbit_changed(inst, relabellings):
     return TabulatedDeterministicRule(table)
 
 
-def test_the_plain_scan_catches_a_neutrality_pass_of_the_first_generator_only(
+def test_the_plain_scan_catches_a_neutrality_pass_of_the_first_relabelling_only(
     monkeypatch, unit3
 ):
-    """A table neutral under the swap of objects 0 and 1 but not under that of
-    1 and 2.  The first generator alone passes it, and its object-orbit scan
-    sees only the profiles whose agent 0 reports (0, 1, 2), none of which
-    violates: it reports a pass where the plain scan fails."""
-    rule = _sd_with_one_orbit_changed(unit3, [(0, 1, 2), (1, 0, 2)])
-    assert preferences.object_generators(unit3)[0] == (1, 0, 2)
+    """A table neutral under the swap of objects 1 and 2 but not under the
+    other relabellings.  The first relabelling alone passes it, and its
+    object-orbit scan sees only the profiles whose agent 0 reports (0, 1, 2),
+    none of which violates: it reports a pass where the plain scan fails."""
+    rule = _sd_with_one_orbit_changed(unit3, [(0, 1, 2), (0, 2, 1)])
+    assert preferences.nontrivial_relabellings(unit3)[0] == (0, 2, 1)
     assert not Outcomes(unit3, rule, False).neutral
     assert _orbit_scans_match_the_plain_scans(unit3, rule, INCENTIVES)
     _mutate(
         monkeypatch,
         Outcomes.neutral.func,
-        "generators = object_generators(self.inst)",
-        "generators = object_generators(self.inst)[:1]",
+        "relabellings = nontrivial_relabellings(self.inst)",
+        "relabellings = nontrivial_relabellings(self.inst)[:1]",
     )
+    assert Outcomes(unit3, rule, False).neutral
+    assert not _orbit_scans_match_the_plain_scans(unit3, rule, INCENTIVES)
+
+
+# SD(0,1,2) gives (2, 0, 1) here.  Agent 0's report is the last relabelling,
+# (2, 1, 0), of the first preference, and the profile is not sorted.
+UNSORTED_LAST = ((2, 1, 0), (0, 1, 2), (0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("relabellings = nontrivial_relabellings(self.inst)",
+         "relabellings = nontrivial_relabellings(self.inst)[:-1]"),
+        ("(self.inst, agents=self.lottery, objects=True)",
+         "(self.inst, agents=True, objects=True)"),
+    ],
+    ids=["last relabelling dropped", "joint heads on matchings"],
+)
+def test_the_definition_catches_a_neutrality_pass_that_skips_a_profile(
+    monkeypatch, unit3, old, new
+):
+    """SD with agents 1 and 2 swapped at ``UNSORTED_LAST`` only.  That profile
+    is tau H for the last relabelling tau and a head H of the object orbits,
+    and it is tau H for no head of the orbits under agents and objects
+    together, so either mutant never reads it and passes the table."""
+    table = {p: evaluate(unit3, SerialDictatorshipRule((0, 1, 2)), p)
+             for p in enumerate_profiles(unit3)}
+    table[UNSORTED_LAST] = (2, 1, 0)
+    rule = TabulatedDeterministicRule(table)
+    assert not neutral_by_definition(unit3, table)
+    assert not Outcomes(unit3, rule, False).neutral
+    assert _orbit_scans_match_the_plain_scans(unit3, rule, INCENTIVES)
+    _mutate(monkeypatch, Outcomes.neutral.func, old, new)
     assert Outcomes(unit3, rule, False).neutral
     assert not _orbit_scans_match_the_plain_scans(unit3, rule, INCENTIVES)
 

@@ -31,7 +31,7 @@ from axiomlab import (
     random_serial_dictatorship,
 )
 from axiomlab.axioms import DETERMINISTIC_ONLY, RELABEL_INVARIANT, Axiom, Outcomes
-from axiomlab.preferences import object_generators, orbit_count, orbit_profiles
+from axiomlab.preferences import nontrivial_relabellings, orbit_count, orbit_profiles
 from axiomlab.rules import is_lottery_rule
 from helpers import (
     object_relabellings,
@@ -249,11 +249,9 @@ def _stabiliser(profile):
         yield position
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.sampled_from(["unit3", "caps211", "null3"]), st.integers(0, 2**32 - 1))
-def test_random_anonymous_tables_match_the_plain_scan(name, seed):
-    inst = INSTANCES[name]
-    rng = random.Random(seed)
+def _random_anonymous_table(inst, rng):
+    """A random lottery at each sorted profile, averaged over the relabellings
+    that fix it, and relabelled onto the rest of its orbit."""
     universe = enumerate_matchings(inst)
 
     def lottery_at(profile):
@@ -266,7 +264,14 @@ def test_random_anonymous_tables_match_the_plain_scan(name, seed):
                 weights[m] = weights.get(m, 0) + w / len(relabellings)
         return Lottery.from_weights(weights)
 
-    table = _orbit_table(inst, lottery_at)
+    return _orbit_table(inst, lottery_at)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["unit3", "caps211", "null3"]), st.integers(0, 2**32 - 1))
+def test_random_anonymous_tables_match_the_plain_scan(name, seed):
+    inst = INSTANCES[name]
+    table = _random_anonymous_table(inst, random.Random(seed))
     assert Outcomes(inst, TabulatedLotteryRule(table), True).anonymous
     rule = TabulatedLotteryRule(table)
     for axiom in FIVE:
@@ -425,6 +430,74 @@ def test_random_neutral_tables_match_the_plain_scan(name, kind, seed):
     _assert_every_axiom_matches_plain(inst, changed, False)
 
 
+def neutral_by_definition(inst, table):
+    """f(tau P) = tau f(P) for every object relabelling tau, enumerated
+    directly, and every profile P, read from ``table``."""
+    for tau in object_relabellings(inst):
+        for profile, outcome in table.items():
+            if isinstance(outcome, Lottery):
+                outcome = Lottery.from_weights({renamed(tau, m): w for m, w in outcome.items()})
+            else:
+                outcome = renamed(tau, outcome)
+            if table[renamed(tau, profile)] != outcome:
+                return False
+    return True
+
+
+def _cyclic_subgroups(inst):
+    """The group of every object relabelling, then the group each relabelling
+    generates, each group once and listed from the identity."""
+    identity = tuple(range(inst.k))
+    groups = [object_relabellings(inst)]
+    for tau in object_relabellings(inst):
+        group, power = [identity], tau
+        while power != identity:
+            group.append(power)
+            power = tuple(tau[o] for o in power)
+        if sorted(group) not in map(sorted, groups):
+            groups.append(group)
+    return groups
+
+
+def _with_one_agent_orbit_changed(inst, table, rng):
+    """The anonymous lottery table with each relabelling of one random
+    profile's agents drawing the uniform lottery over every matching, which
+    each relabelling of the agents keeps: anonymous still."""
+    profile = rng.choice(list(table))
+    universe = enumerate_matchings(inst)
+    uniform = Lottery(dict.fromkeys(universe, 1), len(universe))
+    orbit = set(permutations(profile))
+    return {p: uniform if p in orbit else lottery for p, lottery in table.items()}
+
+
+@pytest.mark.parametrize("kind", ["matchings", "lottery"])
+@pytest.mark.parametrize("name", ["unit3", "caps211", "caps211-n4", "null3"])
+def test_the_neutrality_pass_is_the_definition(name, kind):
+    """On a random table symmetrised under each cyclic group of object
+    relabellings, and under all of them, and on the same table with one entry
+    changed.  A lottery table is anonymous, and its change is one whole orbit
+    of the agent relabellings, so that the pass runs past its guard."""
+    inst, rng = ORBIT_INSTANCES[name], random.Random(f"{name} {kind}")
+    lottery = kind == "lottery"
+    make = TabulatedLotteryRule if lottery else TabulatedDeterministicRule
+    verdicts = set()
+    for group in _cyclic_subgroups(inst):
+        if lottery:
+            table = symmetrised(inst, _random_anonymous_table(inst, rng), group)
+            changed = _with_one_agent_orbit_changed(inst, table, rng)
+        else:
+            table = random_tabulated_rule(inst, rng.randrange(2**32)).table
+            table = symmetrised(inst, table, group)
+            changed = _with_one_entry_changed(inst, table, rng)
+        for candidate in (table, changed):
+            outcomes = Outcomes(inst, make(candidate), lottery)
+            assert not lottery or outcomes.anonymous
+            verdict = neutral_by_definition(inst, candidate)
+            assert outcomes.neutral == verdict, group
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_ttc_with_an_endowment_is_not_neutral_and_gets_the_plain_scan():
     inst = INSTANCES["unit3"]
     rule = TopTradingCyclesRule((0, 1, 2))
@@ -443,7 +516,7 @@ def test_individual_rationality_gets_the_plain_scan(rule):
 
 def test_no_two_objects_of_equal_capacity_means_no_object_orbits():
     inst = Instance(3, (3, 2, 1))
-    assert object_generators(inst) == ()
+    assert nontrivial_relabellings(inst) == ()
     assert not Outcomes(inst, SerialDictatorshipRule((0, 1, 2)), False).neutral
     report = check_axiom(inst, SerialDictatorshipRule((0, 1, 2)), Axiom.STRATEGY_PROOF)
     assert (report.scan, report.scan_size) == ("profiles", 216)

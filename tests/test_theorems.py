@@ -314,6 +314,25 @@ def test_a_harness_builds_each_menu_once(monkeypatch):
     assert len(built) == group == 1188
 
 
+def test_a_harness_walks_the_joint_orbit_stream_once_for_its_counts(monkeypatch):
+    """Thm1's four checks on RSD scan the orbits under the agent and object
+    relabellings together, and each reports that stream's length, which
+    ``orbit_count`` learns by walking it: once per instance, not per check."""
+    import axiomlab.preferences as preferences
+
+    inst = Instance(4, (2, 2, 1))
+    preferences.orbit_count.cache_clear()
+    walks = []
+    stream = preferences.orbit_profiles
+    monkeypatch.setattr(
+        preferences, "orbit_profiles", lambda *args: walks.append(args[1:]) or stream(*args)
+    )
+    verdict = verify_theorem1(inst, RandomSerialDictatorshipRule())
+    assert walks == [(True, True)]
+    assert [s["scan"] for s in verdict.stats.values()] == ["agent_object_orbits"] * 4
+    assert {s["scan_size"] for s in verdict.stats.values()} == {66}
+
+
 def test_replay_theorem1_on_cycle_toy(unit3, cycle_profile):
     report = replay_theorem1_proof(unit3, cycle_profile, (0, 1, 2), (1, 2, 0))
     assert report["passed"]
