@@ -72,16 +72,17 @@ violating profile and returns the same witness and ``profiles_checked``.  A
 pass reports the whole domain, as the full scan does.  A rule that fails the
 pass gets the plain scan of every profile.
 
-RSD, the one built-in rule that is anonymous by definition, meets the first
-condition by construction of its reads (below), so for RSD the pass walks the
-sorted profiles only and checks the tie condition there: still a check, not
-an assumption.  RSD is anonymous: if the sorted profile puts agent
-``order[p]`` at position ``p``, the agent order ``(order[o_1], ...,
-order[o_n])`` gives agent ``order[p]`` what the position order ``(o_1, ...,
-o_n)`` gives position ``p`` there, and this maps the n! orders one to one.
+RSD is anonymous: if the sorted profile puts agent ``order[p]`` at position
+``p``, the agent order ``(order[o_1], ..., order[o_n])`` gives agent
+``order[p]`` what the position order ``(o_1, ..., o_n)`` gives position ``p``
+there, and this maps the n! orders one to one.
 ``rules.random_serial_dictatorship`` counts the orders layer by layer over
 partial matchings instead of running each, but its counts are exactly the
-number of orders reaching each matching, so the argument holds as stated.
+number of orders reaching each matching, so the argument holds as stated, and
+so does the one for neutrality below.  RSD's table reads every unsorted
+profile through its sorted profile from the start, so it meets the first
+condition by construction of its reads; how its pass checks the second is
+below.
 
 Every axiom but individual rationality is also unchanged when the objects are
 relabelled: a relabelling tau permutes objects of equal capacity and fixes the
@@ -112,6 +113,32 @@ index in the full enumeration, returns the same witness and
 profile of each orbit under the agent relabellings, the object relabellings or
 both, and with neither every profile.
 
+RSD is neutral too: each serial dictatorship commutes with a relabelling tau.
+By induction along the agent order, the k-th agent to pick at tau P ranks
+tau of what she ranks at P, and finds the capacity left at each object tau o
+equal to that left at o after the first k - 1 picks at P, since tau keeps
+capacities and fixes the null object; so she picks tau of what she picks at
+P.  Hence RSD(tau P) = tau RSD(P).  So RSD is evaluated at the heads of
+the orbits under both groups together only, and both of its passes are one
+pass over those heads, ``Outcomes._stabilised``.  At each head H it checks
+that f(H) is fixed by H's stabiliser: the relabellings g, of the agents and
+objects together, with g H = H.  An element sigma tau with sigma tau H = H
+has sorted(tau H) = H, and for each such tau other than the identity the
+stable sort gives tau H = pi H for one agent relabelling pi; the element
+then differs from pi^-1 tau by an agent relabelling that fixes H.  So the
+adjacent tied swaps and one pi^-1 tau per such tau generate the stabiliser,
+and the pass checks those: the tie condition, and that f(H) relabelled back,
+pi f(H), equals tau f(H).  Then the table that reads every other profile P
+as its head's lottery carried to it, g f(H) for a g with P = g H
+(``preferences.orbit_head``: the agent sort of tau P relabelled back, then
+tau^-1), is well defined, since two such g differ by an element of the
+stabiliser, and equivariant: for every relabelling h, h P = (h g) H reads
+h g f(H) = h f(P).  The scans of the joint orbits are therefore exact for
+the table read, as above, and that table is RSD's own, since RSD is
+anonymous and neutral.  A read goes through an object relabelling only once
+this pass has passed.  Before that, and if it ever fails, RSD is evaluated at
+every sorted profile it reads, and its two passes run as for any other rule.
+
 The scan and the replay read outcomes through ``Outcomes``, one table per
 rule and kind, which a harness shares across its checks.  It checks a
 tabulated rule's totality once: a gap raises TableMiss, even when the scan
@@ -123,12 +150,16 @@ lotteries can read the kept matchings, ``Outcomes.as_lotteries``), and every
 read is kept.  The anonymity pass runs once per table and keeps the sorted
 profiles' lotteries.  The neutrality pass runs once per table too, and keeps
 the same on a lottery table and every profile's matching on a matchings
-table; no read goes through an object relabelling.  An unsorted profile
-reads its sorted profile's lottery relabelled back: for RSD from construction
-on, so RSD is evaluated, its n! orders counted, at sorted profiles only, and
-for any other rule once the pass has proved that equal.  Only ``Outcomes``
-relabels, so direct checks of RSD share its evaluations only through one
-``Outcomes``.
+table.  An unsorted profile reads its sorted profile's lottery relabelled
+back: for RSD from construction on, and for any other rule once the pass has
+proved that equal.  Once RSD's pass over the heads has passed, which keeps the
+heads' lotteries only, every profile of RSD's table reads its head's lottery
+instead, so RSD is evaluated, its n! orders counted, at the heads only; no
+other read goes through an object relabelling.  A check that runs no pass,
+such as individual rationality, or ``replay_witness``, never triggers it.
+``Outcomes.evaluations`` counts the rule's evaluations, and each report says
+how many its check made.  Only ``Outcomes`` relabels, so direct checks of RSD
+share its evaluations only through one ``Outcomes``.
 """
 
 from __future__ import annotations
@@ -153,6 +184,7 @@ from .preferences import (
     monotonic_steps,
     nontrivial_relabellings,
     orbit_count,
+    orbit_head,
     orbit_profiles,
     preference_ranks,
     prefers,
@@ -222,8 +254,10 @@ class CheckReport:
     the sorted profiles of an anonymous rule), the object relabellings
     (``"object_orbits"``, of a neutral rule) or both together
     (``"agent_object_orbits"``).
-    ``scan_size`` is the stream's length.  Those two and ``wall_time`` are
-    informational only and excluded from report comparisons.
+    ``scan_size`` is the stream's length, and ``evaluations`` counts the
+    rule evaluations this check made (``Outcomes.evaluations``).  Those three
+    and ``wall_time`` are informational only and excluded from report
+    comparisons.
     """
 
     axiom: str
@@ -234,6 +268,7 @@ class CheckReport:
     rule: str = ""
     scan: str = field(default="profiles", compare=False)
     scan_size: int = field(default=0, compare=False)
+    evaluations: int = field(default=0, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -241,8 +276,9 @@ class CheckReport:
 
     def stats(self) -> dict:
         """Which scan ran, named by the relabellings whose orbits it kept one
-        profile of, and how many profiles it streams; not part of ``to_dict``."""
-        return {"scan": self.scan, "scan_size": self.scan_size}
+        profile of, how many profiles it streams, and how many rule
+        evaluations the check made; not part of ``to_dict``."""
+        return {"scan": self.scan, "scan_size": self.scan_size, "evaluations": self.evaluations}
 
     def to_dict(self) -> dict:
         return {
@@ -552,6 +588,12 @@ def _require_total(inst: Instance, table) -> None:
                 raise TableMiss(f"no table entry for profile {profile}")
 
 
+def _counted(counter: list[int], evaluated: Callable, inst: Instance, rule, profile: Profile):
+    """``evaluated(inst, rule, profile)``, counted in ``counter[0]``."""
+    counter[0] += 1
+    return evaluated(inst, rule, profile)
+
+
 def _point(matchings: "Outcomes", profile: Profile) -> Lottery:
     return Lottery.point(matchings[profile])
 
@@ -566,19 +608,42 @@ class Outcomes(dict):
         super().__init__()
         self.inst, self.rule, self.lottery = inst, rule, lottery
         self._menus = {}
+        self._evaluations = [0]  # one counter, shared with the table of ``as_lotteries``
         # _read(profile) is the rule's outcome there, not kept.
-        self._read = partial(evaluate_lottery if lottery else evaluate, inst, rule)
+        evaluated = evaluate_lottery if lottery else evaluate
+        self._read = partial(_counted, self._evaluations, evaluated, inst, rule)
         # Whether an unsorted profile reads its sorted profile's outcome relabelled
         # back: for RSD from the start, for any other rule once the pass has passed.
         self._relabels = isinstance(rule, RandomSerialDictatorshipRule)
+        # Whether every profile reads its orbit head's outcome, carried through
+        # an object relabelling too: for RSD once ``_stabilised`` has passed.
+        self._heads = False
         if isinstance(rule, (TabulatedDeterministicRule, TabulatedLotteryRule)):
             _require_total(inst, rule.table)
             if is_lottery_rule(rule) == lottery:
                 self._read = rule.table.__getitem__
 
+    @property
+    def evaluations(self) -> int:
+        """How often the rule was evaluated for this table (``rules.evaluate`` or
+        ``evaluate_lottery``); table entries and relabelled reads are not
+        evaluations.  The table of ``as_lotteries`` counts the evaluations of
+        the matchings it reads.
+
+        >>> table = Outcomes(Instance(3, (1, 1, 1)), RandomSerialDictatorshipRule(), True)
+        >>> table.neutral, table.evaluations  # RSD at the 10 heads of 216 profiles
+        (True, 10)
+        """
+        return self._evaluations[0]
+
     def __missing__(self, profile: Profile):
-        sorted_profile, relabel = sort_agents(profile) if self._relabels else (profile, None)
-        read = self._read(profile) if relabel is None else self[sorted_profile].relabelled(relabel)
+        if self._heads:
+            head, carry = orbit_head(self.inst, profile)
+        elif self._relabels:
+            head, carry = sort_agents(profile)
+        else:
+            head, carry = profile, None
+        read = self._read(profile) if carry is None else self[head].relabelled(carry)
         self[profile] = read
         return read
 
@@ -586,6 +651,7 @@ class Outcomes(dict):
         """The lottery table of this deterministic rule, reading the matchings kept here."""
         lotteries = Outcomes(self.inst, self.rule, True)
         lotteries._read = partial(_point, self)
+        lotteries._evaluations = self._evaluations
         return lotteries
 
     def menu(self, profile: Profile, coalition: tuple) -> tuple:
@@ -606,25 +672,23 @@ class Outcomes(dict):
     def anonymous(self) -> bool:
         """True iff relabelling the agents of a profile relabels its lottery alike.
 
-        One pass in enumeration order, stopping at the first mismatch, checks
-        that every profile's lottery is the lottery of its sorted profile
-        relabelled back to the original agents (``preferences.sort_agents``),
-        and that every sorted profile's lottery is unchanged when two adjacent
-        agents with equal preferences swap.  For RSD, whose reads meet the
-        first condition by construction, it walks the sorted profiles only.
-        It keeps the sorted profiles' lotteries only.
+        For RSD this holds once ``_stabilised`` does.  Otherwise one pass in
+        enumeration order, stopping at the first mismatch, checks that every
+        profile's lottery is the lottery of its sorted profile relabelled back
+        to the original agents (``preferences.sort_agents``), and that every
+        sorted profile's lottery is unchanged when two adjacent agents with
+        equal preferences swap.  For RSD, whose reads meet the first condition
+        by construction, it walks the sorted profiles only.  It keeps the
+        sorted profiles' lotteries only.
         """
-        n = self.inst.n
-        # swaps[p] exchanges what agents p and p + 1 get
-        swaps = [itemgetter(*range(p), p + 1, p, *range(p + 2, n)) for p in range(n - 1)]
+        if self._stabilised:
+            return True
+        swaps = _adjacent_swaps(self.inst.n)
         for _, profile in orbit_profiles(self.inst, agents=self._relabels):
             sorted_profile, relabel = sort_agents(profile)
             if relabel is None:
-                lottery = self[profile]
-                for p, swap in enumerate(swaps):
-                    tied = profile[p] == profile[p + 1]
-                    if tied and not lottery.equals_relabelled(lottery, swap):
-                        return False
+                if not _ties_kept(profile, self[profile], swaps):
+                    return False
             elif not self._read(profile).equals_relabelled(self[sorted_profile], relabel):
                 return False
         self._relabels = True
@@ -635,9 +699,10 @@ class Outcomes(dict):
         """True iff relabelling the objects of a profile relabels its outcome alike.
 
         The relabellings permute objects of equal capacity and fix the null
-        object (``preferences.object_classes``).  One pass, stopping at the
-        first mismatch, checks f(tau H) = tau f(H) for every relabelling tau
-        other than the identity and every head H of the table's stream,
+        object (``preferences.object_classes``).  For RSD this holds once
+        ``_stabilised`` does.  Otherwise one pass, stopping at the first
+        mismatch, checks f(tau H) = tau f(H) for every relabelling tau other
+        than the identity and every head H of the table's stream,
         ``orbit_profiles(inst, agents=self.lottery, objects=True)``.  It reads
         through this table; a matchings table keeps every read, a lottery
         table only the sorted profiles' lotteries.  A lottery table is tested
@@ -650,22 +715,51 @@ class Outcomes(dict):
         relabellings = nontrivial_relabellings(self.inst)
         if not relabellings or (self.lottery and not self.anonymous):
             return False
-        prefs = all_preferences(self.inst)
-        # (each preference renamed, each matching renamed) per relabelling
-        moves = [
-            ({pref: tuple(map(tau.__getitem__, pref)) for pref in prefs}.__getitem__,
-             partial(_renamed, tau))
-            for tau in relabellings
-        ]
+        if self._stabilised:
+            return True
         if self.lottery:
             same, read = Lottery.equals_relabelled, self._unkept
         else:
             same, read = _equals_renamed, self.__getitem__
+        moves = _moves(self.inst, relabellings)
         for _, head in orbit_profiles(self.inst, agents=self.lottery, objects=True):
             outcome = self[head]
             for rename, relabel in moves:
                 if not same(read(tuple(map(rename, head))), outcome, relabel):
                     return False
+        return True
+
+    @cached_property
+    def _stabilised(self) -> bool:
+        """RSD's anonymity and neutrality passes in one, over the heads of
+        ``orbit_profiles(inst, agents=True, objects=True)``: True iff each
+        head's lottery is fixed by every relabelling that fixes the head.
+
+        At each head H, stopping at the first mismatch, it checks that the
+        lottery is unchanged when two adjacent agents with equal preferences
+        swap, and, for every object relabelling tau other than the identity
+        whose tau H sorts to H, that the lottery relabelled back from the sort
+        of tau H equals tau f(H).  Once it holds every profile reads its orbit
+        head's lottery (``preferences.orbit_head``), so RSD is evaluated at the
+        heads only; until then, and if it fails, at the sorted profiles, and
+        the two passes run as for any other rule.  It keeps the heads'
+        lotteries only.  False for any rule but RSD.
+        """
+        if not isinstance(self.rule, RandomSerialDictatorshipRule):
+            return False
+        swaps = _adjacent_swaps(self.inst.n)
+        moves = _moves(self.inst, nontrivial_relabellings(self.inst))
+        for _, head in orbit_profiles(self.inst, agents=True, objects=True):
+            lottery = self[head]
+            if not _ties_kept(head, lottery, swaps):
+                return False
+            for rename, relabel in moves:
+                sorted_profile, back = sort_agents(tuple(map(rename, head)))
+                if sorted_profile == head and not lottery.relabelled(back).equals_relabelled(
+                    lottery, relabel
+                ):
+                    return False
+        self._heads = True
         return True
 
     def _unkept(self, profile: Profile) -> Lottery:
@@ -674,6 +768,29 @@ class Outcomes(dict):
         sorted_profile, relabel = sort_agents(profile)
         lottery = self[sorted_profile]
         return lottery if relabel is None else lottery.relabelled(relabel)
+
+
+def _adjacent_swaps(n: int) -> list[Callable[[Matching], Matching]]:
+    """``swaps[p]`` exchanges what agents p and p + 1 get."""
+    return [itemgetter(*range(p), p + 1, p, *range(p + 2, n)) for p in range(n - 1)]
+
+
+def _ties_kept(profile: Profile, lottery: Lottery, swaps) -> bool:
+    """No two adjacent agents who report alike at ``profile`` are told apart by its lottery."""
+    return all(
+        profile[p] != profile[p + 1] or lottery.equals_relabelled(lottery, swap)
+        for p, swap in enumerate(swaps)
+    )
+
+
+def _moves(inst: Instance, relabellings) -> list[tuple[Callable, Callable]]:
+    """Per relabelling: each preference renamed, and each matching renamed."""
+    prefs = all_preferences(inst)
+    return [
+        ({pref: tuple(map(tau.__getitem__, pref)) for pref in prefs}.__getitem__,
+         partial(_renamed, tau))
+        for tau in relabellings
+    ]
 
 
 def _renamed(tau: tuple[int, ...], matching: Matching) -> Matching:
@@ -761,16 +878,17 @@ def check_axiom(
     started = time.perf_counter()
     total = count_profiles(inst)
     outcomes = Outcomes(inst, rule, lottery) if given is None else given
+    evaluated = outcomes.evaluations
     agents = axiom in RELABEL_INVARIANT and outcomes.anonymous
     objects = axiom is not Axiom.INDIVIDUAL_RATIONALITY and outcomes.neutral
     scan = _SCANS[agents, objects]
     size = orbit_count(inst, agents, objects)
     hit = _scan(outcomes, axiom, endowment, agents, objects)
     elapsed = time.perf_counter() - started
-    label = rule_label(rule)
+    work = (rule_label(rule), scan, size, outcomes.evaluations - evaluated)
     if hit is None:
-        return CheckReport(axiom.value, "pass", None, total, elapsed, label, scan, size)
-    return CheckReport(axiom.value, "fail", hit[1], hit[0] + 1, elapsed, label, scan, size)
+        return CheckReport(axiom.value, "pass", None, total, elapsed, *work)
+    return CheckReport(axiom.value, "fail", hit[1], hit[0] + 1, elapsed, *work)
 
 
 def _frozen(value):

@@ -3,10 +3,10 @@
 Every command prints one JSON document to stdout: the deterministic payload
 under ``"result"`` and wall-clock timing under ``"timing"``.  ``check-rule``,
 ``verify-thm1`` and ``verify-prop1`` also print, under ``"stats"``, which scan
-each check ran (``CheckReport.stats``).  Only ``"result"`` is reproducible,
-so golden-file comparisons should read it alone.  Exit codes: 0 pass, 1 fail
-with witness (or a found counterexample), 2 usage, format, overflow, or any
-other error.
+each check ran and how many rule evaluations it made (``CheckReport.stats``).
+Only ``"result"`` is reproducible, so golden-file comparisons should read it
+alone.  Exit codes: 0 pass, 1 fail with witness (or a found counterexample),
+2 usage, format, overflow, or any other error.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ proof-replay harnesses:
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement, count, permutations, product
 from operator import itemgetter
 from types import MappingProxyType
@@ -157,11 +157,17 @@ def nontrivial_relabellings(inst: Instance) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _digits(inst: Instance) -> tuple[tuple[Preference, ...], Mapping[Preference, int]]:
+    """``all_preferences`` as one shared tuple, and each preference's index in it."""
+    prefs = tuple(all_preferences(inst))
+    return prefs, MappingProxyType({pref: d for d, pref in enumerate(prefs)})
+
+
+@lru_cache(maxsize=None)
 def _relabelled_digits(inst: Instance) -> tuple[tuple[int, ...], ...]:
     """Each relabelling of ``nontrivial_relabellings`` as a map over the indices
     of ``all_preferences``: entry d is the index of preference d renamed."""
-    prefs = all_preferences(inst)
-    digit_of = {pref: d for d, pref in enumerate(prefs)}
+    prefs, digit_of = _digits(inst)
     return tuple(
         tuple(digit_of[tuple(tau[o] for o in pref)] for pref in prefs)
         for tau in nontrivial_relabellings(inst)
@@ -246,6 +252,57 @@ def sort_agents(profile: Profile) -> tuple[Profile, Callable[[Matching], Matchin
         return profile, None
     position = sorted(agents, key=order.__getitem__)  # the inverse: position[order[p]] == p
     return tuple(profile[agent] for agent in order), itemgetter(*position)
+
+
+@lru_cache(maxsize=None)
+def _inverse_relabellings(inst: Instance) -> tuple[tuple[int, ...], ...]:
+    """The inverse of each relabelling of ``nontrivial_relabellings``."""
+    objects = range(inst.k)
+    return tuple(
+        tuple(sorted(objects, key=tau.__getitem__)) for tau in nontrivial_relabellings(inst)
+    )
+
+
+def _carried(back: tuple[int, ...], relabel: Callable | None, matching: Matching) -> Matching:
+    """``matching`` relabelled by ``relabel``, if any, then each object ``o``
+    renamed ``back[o]``."""
+    if relabel is not None:
+        matching = relabel(matching)
+    return tuple(map(back.__getitem__, matching))
+
+
+def orbit_head(
+    inst: Instance, profile: Profile
+) -> tuple[Profile, Callable[[Matching], Matching] | None]:
+    """The head of the profile's orbit under the agent and object relabellings
+    together, and the way from the head back to the profile.
+
+    The head H is the profile of the orbit that ``orbit_profiles(inst,
+    agents=True, objects=True)`` yields: the least sorted tau P over every
+    object relabelling tau, the identity first on a tie.  The map carries a
+    matching at H to the matching at P: the relabelling back of the agent
+    sort of tau P (``sort_agents``), then the inverse of tau.  So if a rule
+    f has f(sigma tau P) = sigma tau f(P) for every agent relabelling sigma
+    and object relabelling tau, f(P) is f(H) carried by the map.  The map is
+    None when P is its own head; with no object relabelling this is
+    ``sort_agents``.
+
+    >>> head, carry = orbit_head(Instance(2, (1, 1)), ((1, 0), (1, 0)))
+    >>> head, carry((0, 1))
+    (((0, 1), (0, 1)), (1, 0))
+    """
+    prefs, digit_of = _digits(inst)
+    digits = list(map(digit_of.__getitem__, profile))
+    least, first = sorted(digits), None
+    images = _relabelled_digits(inst)
+    for at, image in enumerate(images):
+        moved = sorted(map(image.__getitem__, digits))
+        if moved < least:
+            least, first = moved, at
+    if first is None:
+        return sort_agents(profile)
+    head, relabel = sort_agents(tuple(prefs[images[first][d]] for d in digits))  # tau P
+    return head, partial(_carried, _inverse_relabellings(inst)[first], relabel)
 
 
 @lru_cache(maxsize=None)

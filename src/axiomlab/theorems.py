@@ -47,12 +47,12 @@ from .preferences import (
     common_rank_rearrange,
     in_domain,
     is_monotonic_transformation,
+    orbit_head,
     orbit_profiles,
     prefers,
     profile_set,
     push_to_top,
     single_trade_cycle,
-    sort_agents,
 )
 from .rules import (
     Lottery,
@@ -692,19 +692,20 @@ def _prescreen(
 
     Both lists are in ``enumerate_matchings`` order, the breakers are a
     subset of the allowed matchings, and without ``break_kind`` there are no
-    breakers.  The efficiency notions are
-    equivariant under agent relabelling: m meets one at P iff sigma m meets it
-    at sigma P.  So the verdicts are taken on the sorted profiles only, and
-    every other profile gets its sorted profile's lists relabelled back to its
-    agents (``preferences.sort_agents``) and sorted again.  Swapping two
-    agents with equal preferences fixes the sorted profile and so its lists;
-    the tie-break of the sort cannot matter.  Each relabelled matching is the
-    ``enumerate_matchings`` tuple itself.
+    breakers.  The efficiency notions are equivariant under the agent and the
+    object relabellings: m meets one at P iff sigma tau m meets it at sigma
+    tau P, since a relabelling of objects of equal capacity that fixes the
+    null object keeps rankings and capacities.  So the verdicts are taken on
+    the heads of ``orbit_profiles(inst, agents=True, objects=True)`` only,
+    and every other profile gets its head's lists carried to it
+    (``preferences.orbit_head``) and sorted again.  A relabelling that fixes
+    the head fixes its lists, so which one carries them cannot matter.  Each
+    carried matching is the ``enumerate_matchings`` tuple itself.
     """
     universe = enumerate_matchings(inst)
     canon = {m: m for m in universe}
     screened = {}
-    for _, profile in orbit_profiles(inst, agents=True):
+    for _, profile in orbit_profiles(inst, agents=True, objects=True):
         pool = [
             m
             for m in universe
@@ -713,16 +714,16 @@ def _prescreen(
         broken = [m for m in pool if break_kind and matching_verdict(inst, m, profile, break_kind)]
         screened[profile] = pool, broken
 
-    def relabelled(matchings, relabel):
-        return sorted(canon[relabel(m)] for m in matchings)
+    def carried(matchings, carry):
+        return sorted(canon[carry(m)] for m in matchings)
 
     allowed: dict[Profile, list[Matching]] = {}
     breakers: dict[Profile, list[Matching]] = {}
     for profile in profiles:
-        sorted_profile, relabel = sort_agents(profile)
-        pool, broken = screened[sorted_profile]
-        if relabel is not None:
-            pool, broken = relabelled(pool, relabel), relabelled(broken, relabel)
+        head, carry = orbit_head(inst, profile)
+        pool, broken = screened[head]
+        if carry is not None:
+            pool, broken = carried(pool, carry), carried(broken, carry)
         allowed[profile] = pool
         if break_kind is not None:
             breakers[profile] = broken
@@ -750,8 +751,9 @@ def search_counterexample(
     profiles.  The draws are those of ``rng.random()`` and ``rng.choice`` on
     ``random.Random(seed)``, placed by one regular-expression match per run
     of profiles (``_Drawer``), so the stream relies on CPython's word layout.
-    The allowed and breaking matchings are screened on the sorted profiles
-    only and relabelled onto the others (``_prescreen``).  The result's
+    The allowed and breaking matchings are screened on the heads of the
+    orbits under agent and object relabellings only and carried onto the
+    others (``_prescreen``).  The result's
     ``timings`` and ``stats`` say how long the pre-screen and the candidates
     took, and how many words, patterns and entries the candidates needed.
 

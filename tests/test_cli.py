@@ -238,10 +238,13 @@ def test_verify_commands(capsys, files):
 def test_stats_name_each_checks_scan_outside_the_result(capsys, files):
     """RSD is scanned on the 10 profiles that come first in their orbits under agent
     and object relabellings, SD's lotteries on all 216 profiles and its matchings
-    on the 36 that come first in their object orbits; other commands print no stats."""
+    on the 36 that come first in their object orbits; other commands print no stats.
+    RSD is evaluated at those 10 heads only, by the first check that reads
+    them, and SD at every profile: by its lottery check, and by the neutrality
+    pass of the first Prop1 check."""
     inst = files("i.json", INSTANCE_3CYCLE)
-    orbits = {"scan": "agent_object_orbits", "scan_size": 10}
-    profiles = {"scan": "profiles", "scan_size": 216}
+    orbits = {"scan": "agent_object_orbits", "scan_size": 10, "evaluations": 10}
+    profiles = {"scan": "profiles", "scan_size": 216, "evaluations": 216}
     for rule, stats in (("rsd", orbits), ("sd", profiles)):
         code, payload = invoke(
             capsys, "check-rule", "--instance", inst, "--rule", rule,
@@ -252,14 +255,18 @@ def test_stats_name_each_checks_scan_outside_the_result(capsys, files):
     code, payload = invoke(
         capsys, "verify-thm1", "--instance", inst, "--rule", "rsd", "--workers", "2"
     )
-    axioms = ("prob_monotonic", "ex_post_pairwise", "ex_post_pareto")
-    assert code == 0 and payload["stats"] == dict.fromkeys(axioms, orbits)
+    read = {**orbits, "evaluations": 0}
+    assert code == 0 and payload["stats"] == {
+        "prob_monotonic": orbits, "ex_post_pairwise": read, "ex_post_pareto": read
+    }
     code, payload = invoke(
         capsys, "verify-prop1", "--instance", inst, "--rule", "sd", "--workers", "1"
     )
     axioms = [h["axiom"] for h in payload["result"]["hypotheses_verified"]]
-    objects = {"scan": "object_orbits", "scan_size": 36}
-    assert code == 0 and payload["stats"] == dict.fromkeys(axioms, objects)
+    objects = {"scan": "object_orbits", "scan_size": 36, "evaluations": 0}
+    assert code == 0 and payload["stats"] == {
+        **dict.fromkeys(axioms, objects), axioms[0]: {**objects, "evaluations": 216}
+    }
     code, payload = invoke(capsys, "gen-instance", "--n", "2", "--k", "2")
     assert code == 0 and list(payload) == ["command", "result", "timing"]
 

@@ -15,6 +15,7 @@ import pytest
 
 from axiomlab import (
     Instance,
+    Lottery,
     RandomSerialDictatorshipRule,
     SerialDictatorshipRule,
     TabulatedDeterministicRule,
@@ -30,7 +31,7 @@ from helpers import object_relabellings, plain_report, random_tabulated_rule, re
 from test_axioms import totality_matches_the_walk, with_a_foreign_key_for_a_gap
 from test_incentives import FAMILY, oracle_report
 from test_orbit_scan import ANONYMOUS_FAILING, FIVE, neutral_by_definition
-from test_rules import rsd_oracle
+from test_rules import HEAD_READ_INSTANCES, rsd_oracle, rsd_reads_match_the_oracle
 from test_theorems import FIX_UP_INSTANCE, _direct_prescreen, _search_matches_the_oracle
 
 
@@ -118,8 +119,7 @@ def test_the_randrange_oracle_catches_a_mutated_drawer(monkeypatch, mutant, rule
 
 
 def _rsd_outcomes_match_the_oracle(inst):
-    outcomes = Outcomes(inst, RandomSerialDictatorshipRule(), True)
-    return all(dict(outcomes[p].items()) == rsd_oracle(inst, p) for p in enumerate_profiles(inst))
+    return rsd_reads_match_the_oracle(inst, Outcomes(inst, RandomSerialDictatorshipRule(), True))
 
 
 def _orbit_scans_match_the_plain_scans(inst, rule, axioms=FIVE):
@@ -150,10 +150,66 @@ def test_the_oracles_catch_an_unrelabelled_orbit_read(monkeypatch, unit3):
     pairwise = uniform_over(unit3, ANONYMOUS_FAILING["pairwise"](unit3))
     assert _rsd_outcomes_match_the_oracle(unit3)
     assert _orbit_scans_match_the_plain_scans(unit3, pairwise)
-    relabelled = "self[sorted_profile].relabelled(relabel)"
-    _mutate(monkeypatch, Outcomes.__missing__, relabelled, "self[sorted_profile]")
+    relabelled = "self[head].relabelled(carry)"
+    _mutate(monkeypatch, Outcomes.__missing__, relabelled, "self[head]")
     assert not _rsd_outcomes_match_the_oracle(unit3)
     assert not _orbit_scans_match_the_plain_scans(unit3, pairwise)
+
+
+def _rsd_head_reads_match_the_oracle(inst):
+    outcomes = Outcomes(inst, RandomSerialDictatorshipRule(), True)
+    assert outcomes.neutral
+    return rsd_reads_match_the_oracle(inst, outcomes)
+
+
+@pytest.mark.parametrize("name, caught", [("unit3", True), ("caps2211-n2", False)])
+def test_the_order_oracle_catches_a_head_read_through_tau_not_its_inverse(
+    monkeypatch, name, caught
+):
+    """RSD's reads after its pass against ``rsd_oracle``, with each profile
+    that sorts to its head only under a relabelling tau carried by tau in place
+    of its inverse.  They differ only for a tau of order 3 or more: unit3's
+    3-cycles catch it, while every relabelling of caps (2,2,1,1) is its own
+    inverse."""
+    inst = HEAD_READ_INSTANCES[name]
+    assert _rsd_head_reads_match_the_oracle(inst)
+    _mutate(
+        monkeypatch,
+        preferences.orbit_head,
+        "_inverse_relabellings(inst)[first]",
+        "nontrivial_relabellings(inst)[first]",
+    )
+    assert _rsd_head_reads_match_the_oracle(inst) is not caught
+
+
+# On caps (2,2,1,1), n=2, swapping objects 0 and 1 and objects 2 and 3 at
+# once, then the two agents, fixes this head.  RSD gives each agent her top,
+# (0, 1); the point lottery on (0, 0) is not fixed by that relabelling, which
+# would turn it into (1, 1).
+UNSTABLE_HEAD = ((0, 1, 2, 3), (1, 0, 3, 2))
+
+
+def test_the_plain_scan_catches_a_pass_that_skips_the_relabellings_fixing_a_head(monkeypatch):
+    """RSD changed at ``UNSTABLE_HEAD`` only is not neutral.  A pass that checks
+    only the tied swaps at each head passes it, and the orbit scans then read
+    every profile of the head's object orbit through the changed lottery."""
+    inst, honest = Instance(2, (2, 2, 1, 1)), rules.random_serial_dictatorship
+    monkeypatch.setattr(
+        rules,
+        "random_serial_dictatorship",
+        lambda inst, p: Lottery.point((0, 0)) if p == UNSTABLE_HEAD else honest(inst, p),
+    )
+    rsd = RandomSerialDictatorshipRule()
+    assert not Outcomes(inst, rsd, True).neutral
+    assert _orbit_scans_match_the_plain_scans(inst, rsd)
+    _mutate(
+        monkeypatch,
+        Outcomes._stabilised.func,
+        "moves = _moves(self.inst, nontrivial_relabellings(self.inst))",
+        "moves = ()",
+    )
+    assert Outcomes(inst, rsd, True).neutral
+    assert not _orbit_scans_match_the_plain_scans(inst, rsd)
 
 
 def _prescreen_matches_the_direct_filter(inst):

@@ -184,12 +184,14 @@ def test_a_sorted_profile_breaking_a_tie_unevenly_gets_the_plain_scan(name, tied
 
 
 def test_the_pass_keeps_only_the_sorted_profiles_lotteries():
+    """A table's pass keeps its sorted profiles' lotteries, RSD's the lotteries
+    of the profiles that come first under agent and object relabellings."""
     inst = INSTANCES["caps211"]
     table = {p: random_serial_dictatorship(inst, p) for p in enumerate_profiles(inst)}
-    for rule in (RSD, TabulatedLotteryRule(table)):
+    for rule, objects in ((RSD, True), (TabulatedLotteryRule(table), False)):
         outcomes = Outcomes(inst, rule, True)
         assert outcomes.anonymous
-        assert set(outcomes) == {p for _, p in orbit_profiles(inst, agents=True)}
+        assert set(outcomes) == {p for _, p in orbit_profiles(inst, True, objects)}
 
 
 @pytest.mark.parametrize("name", ["unit3", "caps211", "null3"])

@@ -20,6 +20,7 @@ from axiomlab import (
     TabulatedDeterministicRule,
     TabulatedLotteryRule,
     TableMiss,
+    check_axiom,
     enumerate_matchings,
     enumerate_profiles,
     evaluate,
@@ -33,8 +34,8 @@ from axiomlab import (
 from axiomlab import rules
 from axiomlab.axioms import _DEFINITIONS, Axiom, Outcomes
 from axiomlab.model import object_usage
-from axiomlab.preferences import all_preferences, weakly_prefers
-from helpers import is_pareto_efficient
+from axiomlab.preferences import all_preferences, orbit_count, weakly_prefers
+from helpers import is_pareto_efficient, plain_report
 
 
 def rsd_oracle(inst, profile):
@@ -286,10 +287,12 @@ def _count_rsd_evaluations(monkeypatch):
 
 
 def test_rsd_harness_runs_the_orders_once_per_sorted_profile(monkeypatch, slack3):
-    """slack3 has 216 profiles, 56 of them sorted; Thm1 evaluates RSD once on each sorted one."""
+    """slack3 has 216 profiles, 56 of them sorted and 28 of those first in
+    their orbits under agent and object relabellings; Thm1 evaluates RSD once
+    on each of the 28."""
     evaluations = _count_rsd_evaluations(monkeypatch)
     assert verify_theorem1(slack3, RandomSerialDictatorshipRule()).conclusion_verified
-    assert len(evaluations) == 56
+    assert len(evaluations) == 28
 
 
 def test_rsd_outcomes_run_the_orders_once_per_sorted_profile(monkeypatch):
@@ -310,6 +313,54 @@ def test_rsd_outcomes_run_the_orders_once_per_sorted_profile(monkeypatch):
     swapped = _relabelled(profile, (1, 0, 2, 3, 4, 5))
     assert rules.random_serial_dictatorship(inst, swapped) == outcomes[swapped]
     assert len(evaluations) == 2  # a direct call shares nothing with the table
+
+
+# unit3 has relabellings that are 3-cycles; on caps (2,2,1,1) two classes move
+# at once; null3 keeps its null object fixed.
+HEAD_READ_INSTANCES = {
+    "unit3": Instance(3, (1, 1, 1)),
+    "caps2211-n2": Instance(2, (2, 2, 1, 1)),
+    "caps2211-n3": Instance(3, (2, 2, 1, 1)),
+    "null3": Instance(3, (1, 1, 1, 1), null_object=0, domain=NULL_BOTTOM),
+    "caps222-n4": Instance(4, (2, 2, 2)),
+}
+
+
+def rsd_reads_match_the_oracle(inst, outcomes):
+    """Every profile's read from ``outcomes``, RSD's table, is ``rsd_oracle``'s."""
+    return all(dict(outcomes[p].items()) == rsd_oracle(inst, p) for p in enumerate_profiles(inst))
+
+
+@pytest.mark.parametrize("name", HEAD_READ_INSTANCES)
+def test_rsd_reads_are_the_order_oracle_before_and_after_the_pass(name):
+    """Before the pass every profile reads its sorted profile's lottery; after
+    it, its orbit head's, carried through an object relabelling.  The pass
+    evaluates RSD at the heads only, and no read after it evaluates RSD."""
+    inst = HEAD_READ_INSTANCES[name]
+    before = Outcomes(inst, RandomSerialDictatorshipRule(), True)
+    assert rsd_reads_match_the_oracle(inst, before)
+    assert before.evaluations == orbit_count(inst, agents=True)
+    after = Outcomes(inst, RandomSerialDictatorshipRule(), True)
+    assert after.anonymous and after.neutral
+    assert after.evaluations == orbit_count(inst, agents=True, objects=True)
+    assert rsd_reads_match_the_oracle(inst, after)
+    assert after.evaluations == orbit_count(inst, agents=True, objects=True)
+
+
+@pytest.mark.parametrize("endowment", [(1, 2, 0), (0, 1, 2), (2, 1, 0)])
+def test_individual_rationality_of_rsd_is_the_plain_scan_before_and_after_the_pass(
+    unit3, endowment
+):
+    """Individual rationality runs no pass, alone or on a table whose pass an
+    earlier check of a harness ran, and reads through the heads only then."""
+    axiom = Axiom.INDIVIDUAL_RATIONALITY
+    plain = plain_report(unit3, RandomSerialDictatorshipRule(), axiom, endowment)
+    table = Outcomes(unit3, RandomSerialDictatorshipRule(), True)
+    assert check_axiom(unit3, table, axiom, endowment).to_dict() == plain
+    assert not table._heads
+    table = Outcomes(unit3, RandomSerialDictatorshipRule(), True)
+    assert check_axiom(unit3, table, Axiom.EX_POST_PARETO).passed and table._heads
+    assert check_axiom(unit3, table, axiom, endowment).to_dict() == plain
 
 
 class _Unreadable(tuple):
