@@ -46,7 +46,12 @@ pairwise and group strategy-proofness share one body, which reports the first
 deviation in which every member of the coalition weakly gains and one strictly
 gains; they differ only in the coalition sizes scanned (1, 2, and 1 to n).
 Menus are built on first use and kept on the rule's ``Outcomes``, so the
-checks of a harness, which share that table, build each menu once.
+checks of a harness, which share that table, build each menu once.  A menu is
+kept under its block: the coalition, and the outside agents' reports, read
+from the profile by one getter per coalition and number of agents
+(``_outside``), so finding a kept menu takes the same few steps for every
+coalition.  The deviation generator yields one ``(coalition, menu)`` pair per
+coalition, and the bodies walk each menu themselves.
 
 Five lottery axioms are scanned over anonymity orbits when the rule is
 anonymous: probabilistic monotonicity, equal treatment and the three ex-post
@@ -167,7 +172,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import combinations, product
 from operator import itemgetter
 from typing import Callable
@@ -255,9 +260,12 @@ class CheckReport:
     (``"object_orbits"``, of a neutral rule) or both together
     (``"agent_object_orbits"``).
     ``scan_size`` is the stream's length, and ``evaluations`` counts the
-    rule evaluations this check made (``Outcomes.evaluations``).  Those three
-    and ``wall_time`` are informational only and excluded from report
-    comparisons.
+    rule evaluations this check made (``Outcomes.evaluations``).
+    ``menus_built`` counts the incentive menus this check built, and
+    ``menu_reports`` the joint reports it read to build them
+    (``Outcomes.menu``); a check that reads only menus an earlier check built
+    reports 0 for both.  Those five and ``wall_time`` are informational only
+    and excluded from report comparisons.
     """
 
     axiom: str
@@ -269,6 +277,8 @@ class CheckReport:
     scan: str = field(default="profiles", compare=False)
     scan_size: int = field(default=0, compare=False)
     evaluations: int = field(default=0, compare=False)
+    menus_built: int = field(default=0, compare=False)
+    menu_reports: int = field(default=0, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -277,8 +287,15 @@ class CheckReport:
     def stats(self) -> dict:
         """Which scan ran, named by the relabellings whose orbits it kept one
         profile of, how many profiles it streams, and how many rule
-        evaluations the check made; not part of ``to_dict``."""
-        return {"scan": self.scan, "scan_size": self.scan_size, "evaluations": self.evaluations}
+        evaluations, menus and menu reports the check made; not part of
+        ``to_dict``."""
+        return {
+            "scan": self.scan,
+            "scan_size": self.scan_size,
+            "evaluations": self.evaluations,
+            "menus_built": self.menus_built,
+            "menu_reports": self.menu_reports,
+        }
 
     def to_dict(self) -> dict:
         return {
@@ -307,20 +324,21 @@ def _coalition_gain(witness: Callable) -> Callable:
     """The body of the three manipulation axioms: the first deviation in which every
     coalition member weakly gains and one strictly gains, as ``witness`` reports it."""
 
-    def violation(profile, outcomes, deviations):
+    def violation(profile, outcomes, menus):
         mine = outcomes[profile]
         ranks = [preference_ranks(pref) for pref in profile]
         held = [rank[obj] for rank, obj in zip(ranks, mine)]
-        for coalition, reports, got in deviations:
-            strict = False
-            for a in coalition:
-                rank = ranks[a][got[a]]
-                if rank > held[a]:
-                    break
-                strict = strict or rank < held[a]
-            else:
-                if strict:
-                    return witness(profile, mine, coalition, reports, got)
+        for coalition, menu in menus:
+            for reports, got in menu:
+                strict = False
+                for a in coalition:
+                    rank = ranks[a][got[a]]
+                    if rank > held[a]:
+                        break
+                    strict = strict or rank < held[a]
+                else:
+                    if strict:
+                        return witness(profile, mine, coalition, reports, got)
         return None
 
     return violation
@@ -358,18 +376,20 @@ def _group_witness(profile, mine, coalition, reports, got):
     }
 
 
-def _bossiness(profile, outcomes, deviations):
+def _bossiness(profile, outcomes, menus):
     mine = outcomes[profile]
-    for (agent,), (misreport,), got in deviations:
-        if got[agent] == mine[agent] and got != mine:
-            return {
-                "kind": "bossiness",
-                "profile": profile,
-                "agent": agent,
-                "misreport": misreport,
-                "outcome": mine,
-                "flipped_outcome": got,
-            }
+    for (agent,), menu in menus:
+        kept = mine[agent]
+        for (misreport,), got in menu:
+            if got[agent] == kept and got != mine:
+                return {
+                    "kind": "bossiness",
+                    "profile": profile,
+                    "agent": agent,
+                    "misreport": misreport,
+                    "outcome": mine,
+                    "flipped_outcome": got,
+                }
     return None
 
 
@@ -477,34 +497,44 @@ class _Definition:
 
 # Deviation generators take ``(profile, outcomes)`` (individual rationality's
 # takes the endowment first) and ``recorded`` readers ``(witness, outcomes)``;
-# both produce deviations of the shape the body unpacks.
+# both produce deviations of the shape the body unpacks.  The incentive
+# axioms' deviations are ``(coalition, menu)`` pairs, one per coalition, each
+# menu found by its block key, which a per-coalition getter reads
+# (``_outside``); their ``recorded`` readers give a one-entry menu.
+
+
+@lru_cache(maxsize=None)
+def _coalitions(n: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every coalition of ``n`` agents of these sizes (all sizes if none), by
+    size then membership."""
+    return tuple(c for size in sizes or range(1, n + 1) for c in combinations(range(n), size))
 
 
 def _coalition_menus(*sizes):
-    """The menus of every coalition of these sizes (all sizes if none), as
-    ``(coalition, reports, outcome)``: coalitions by size then membership,
-    then each menu in scan order."""
+    """The menu of every coalition of these sizes (all sizes if none), as one
+    ``(coalition, menu)`` pair per coalition, by size then membership; each
+    menu lists its ``(reports, outcome)`` entries in scan order."""
 
     def deviations(profile, outcomes):
-        n = outcomes.inst.n
-        return (
-            (coalition, reports, got)
-            for size in sizes or range(1, n + 1)
-            for coalition in combinations(range(n), size)
-            for reports, got in outcomes.menu(profile, coalition)
-        )
+        menu = outcomes.menu
+        return ((c, menu(profile, c)) for c in _coalitions(outcomes.inst.n, sizes))
 
     return deviations
 
 
+def _one_entry_menu(profile, coalition, reports, outcomes):
+    """The recorded deviation as its coalition and a menu of that one report."""
+    return coalition, ((reports, outcomes[_deviated(profile, coalition, reports)]),)
+
+
 def _agent_misreport(witness, outcomes):
-    coalition, reports = (witness["agent"],), (witness["misreport"],)
-    return coalition, reports, outcomes[_deviated(witness["profile"], coalition, reports)]
+    return _one_entry_menu(
+        witness["profile"], (witness["agent"],), (witness["misreport"],), outcomes
+    )
 
 
 def _coalition_misreports(witness, outcomes):
-    coalition, reports = witness["agents"], witness["misreports"]
-    return coalition, reports, outcomes[_deviated(witness["profile"], coalition, reports)]
+    return _one_entry_menu(witness["profile"], witness["agents"], witness["misreports"], outcomes)
 
 
 def _support(profile, lotteries):
@@ -594,6 +624,17 @@ def _counted(counter: list[int], evaluated: Callable, inst: Instance, rule, prof
     return evaluated(inst, rule, profile)
 
 
+@lru_cache(maxsize=None)
+def _outside(n: int, coalition: tuple[int, ...]) -> Callable[[Profile], tuple]:
+    """Reads the reports of the agents outside ``coalition`` from a profile of
+    ``n`` agents, as a tuple: the key of a menu's block besides the coalition."""
+    rest = [a for a in range(n) if a not in coalition]
+    if len(rest) > 1:
+        return itemgetter(*rest)
+    # itemgetter of one index returns the report itself, and of none is no getter
+    return itemgetter(slice(rest[0], rest[0] + 1) if rest else slice(0))
+
+
 def _point(matchings: "Outcomes", profile: Profile) -> Lottery:
     return Lottery.point(matchings[profile])
 
@@ -608,6 +649,7 @@ class Outcomes(dict):
         super().__init__()
         self.inst, self.rule, self.lottery = inst, rule, lottery
         self._menus = {}
+        self.menus_built = self.menu_reports = 0
         self._evaluations = [0]  # one counter, shared with the table of ``as_lotteries``
         # _read(profile) is the rule's outcome there, not kept.
         evaluated = evaluate_lottery if lottery else evaluate
@@ -658,15 +700,21 @@ class Outcomes(dict):
         """The first joint report of ``coalition`` reaching each outcome, with the outcome.
 
         Everyone outside the coalition reports as at ``profile``.  The menu is
-        built on first use and kept for every profile of the same block.
+        built on first use and kept for every profile of the same block, keyed
+        by the coalition and the outside reports, which one getter per
+        coalition reads (``_outside``).  Each build counts in ``menus_built``,
+        and its joint reports in ``menu_reports``.
         """
-        block = coalition, tuple(r for a, r in enumerate(profile) if a not in coalition)
-        if block not in self._menus:
-            firsts = {}
-            for reports in product(all_preferences(self.inst), repeat=len(coalition)):
+        block = coalition, _outside(len(profile), coalition)(profile)
+        menu = self._menus.get(block)
+        if menu is None:
+            prefs, firsts = all_preferences(self.inst), {}
+            for reports in product(prefs, repeat=len(coalition)):
                 firsts.setdefault(self[_deviated(profile, coalition, reports)], reports)
-            self._menus[block] = tuple((reports, got) for got, reports in firsts.items())
-        return self._menus[block]
+            self.menus_built += 1
+            self.menu_reports += len(prefs) ** len(coalition)
+            menu = self._menus[block] = tuple((reports, got) for got, reports in firsts.items())
+        return menu
 
     @cached_property
     def anonymous(self) -> bool:
@@ -878,14 +926,15 @@ def check_axiom(
     started = time.perf_counter()
     total = count_profiles(inst)
     outcomes = Outcomes(inst, rule, lottery) if given is None else given
-    evaluated = outcomes.evaluations
+    before = outcomes.evaluations, outcomes.menus_built, outcomes.menu_reports
     agents = axiom in RELABEL_INVARIANT and outcomes.anonymous
     objects = axiom is not Axiom.INDIVIDUAL_RATIONALITY and outcomes.neutral
     scan = _SCANS[agents, objects]
     size = orbit_count(inst, agents, objects)
     hit = _scan(outcomes, axiom, endowment, agents, objects)
     elapsed = time.perf_counter() - started
-    work = (rule_label(rule), scan, size, outcomes.evaluations - evaluated)
+    after = outcomes.evaluations, outcomes.menus_built, outcomes.menu_reports
+    work = (rule_label(rule), scan, size, *(a - b for a, b in zip(after, before)))
     if hit is None:
         return CheckReport(axiom.value, "pass", None, total, elapsed, *work)
     return CheckReport(axiom.value, "fail", hit[1], hit[0] + 1, elapsed, *work)

@@ -188,9 +188,10 @@ def orbit_profiles(
     preference, so a profile comes first iff agent 0's report comes first in
     its object orbit, and the other agents report freely.  With both, a sorted
     profile P is kept iff no object relabelling tau other than the identity
-    gives a sorted tau P that comes before P.  Every stream stands for the
-    whole domain, so ``model.require_enumerable`` caps each on the number of
-    all profiles, before it yields one.
+    gives a sorted tau P that comes before P; that filter runs once per
+    instance, and its heads are kept (``_joint_heads``).  Every stream stands
+    for the whole domain, so ``model.require_enumerable`` caps each on the
+    number of all profiles, before it yields one.
 
     >>> inst = Instance(2, (1, 1))
     >>> list(orbit_profiles(inst, agents=True))
@@ -200,18 +201,17 @@ def orbit_profiles(
     >>> [index for index, _ in orbit_profiles(inst, agents=True, objects=True)]
     [0, 1]
     """
+    require_enumerable(count_profiles(inst), "profiles")
+    if agents and objects and nontrivial_relabellings(inst):
+        yield from _joint_heads(inst)
+        return
     prefs = all_preferences(inst)
     radix, n = len(prefs), inst.n
-    require_enumerable(count_profiles(inst), "profiles")
-    maps = _relabelled_digits(inst) if objects else ()
     if agents:
         for index, digits in _sorted_digits(radix, n):
-            for image in maps:
-                if sorted(map(image.__getitem__, digits)) < list(digits):
-                    break
-            else:
-                yield index, tuple(prefs[d] for d in digits)
+            yield index, tuple(prefs[d] for d in digits)
         return
+    maps = _relabelled_digits(inst) if objects else ()
     stride = radix ** (n - 1)
     for digit, first in enumerate(prefs):
         if all(image[digit] > digit for image in maps):
@@ -219,15 +219,33 @@ def orbit_profiles(
 
 
 @lru_cache(maxsize=None)
+def _joint_heads(inst: Instance) -> tuple[tuple[int, Profile], ...]:
+    """``orbit_profiles(inst, agents=True, objects=True)`` on an instance with
+    an object relabelling: the sorted profiles P, with their indices, for
+    which no relabelling tau other than the identity gives a sorted tau P
+    that comes before P.  Kept per instance, so the filter runs once."""
+    require_enumerable(count_profiles(inst), "profiles")
+    prefs, _ = _digits(inst)
+    maps = _relabelled_digits(inst)
+    heads = []
+    for index, digits in _sorted_digits(len(prefs), inst.n):
+        for image in maps:
+            if sorted(map(image.__getitem__, digits)) < list(digits):
+                break
+        else:
+            heads.append((index, tuple(prefs[d] for d in digits)))
+    return tuple(heads)
+
+
 def orbit_count(inst: Instance, agents: bool = False, objects: bool = False) -> int:
     """How many profiles ``orbit_profiles`` yields for these arguments.
 
-    Kept per instance and arguments, so the stream counted by walking it, the
-    orbits under both relabellings, is walked for its count once.
+    The orbits under both relabellings are counted by the length of their
+    kept heads (``_joint_heads``); the others by formula.
     """
     radix, n = len(all_preferences(inst)), inst.n
-    if agents and objects:
-        return sum(1 for _ in orbit_profiles(inst, agents, objects))
+    if agents and objects and nontrivial_relabellings(inst):
+        return len(_joint_heads(inst))
     if agents:
         return math.comb(radix + n - 1, n)  # one sorted profile per multiset of n preferences
     # each object orbit holds one profile per relabelling, the identity included

@@ -241,10 +241,15 @@ def test_stats_name_each_checks_scan_outside_the_result(capsys, files):
     on the 36 that come first in their object orbits; other commands print no stats.
     RSD is evaluated at those 10 heads only, by the first check that reads
     them, and SD at every profile: by its lottery check, and by the neutrality
-    pass of the first Prop1 check."""
+    pass of the first Prop1 check.  Only incentive checks build menus, and
+    Prop1's group check, which runs first, builds all its checks read: 36
+    blocks for agent 0 alone, 6 each for agents 1 and 2, for {0, 1} and for
+    {0, 2}, and 1 each for {1, 2} and all three, over 6, 36 or 216 joint
+    reports each."""
     inst = files("i.json", INSTANCE_3CYCLE)
-    orbits = {"scan": "agent_object_orbits", "scan_size": 10, "evaluations": 10}
-    profiles = {"scan": "profiles", "scan_size": 216, "evaluations": 216}
+    none = {"menus_built": 0, "menu_reports": 0}
+    orbits = {"scan": "agent_object_orbits", "scan_size": 10, "evaluations": 10, **none}
+    profiles = {"scan": "profiles", "scan_size": 216, "evaluations": 216, **none}
     for rule, stats in (("rsd", orbits), ("sd", profiles)):
         code, payload = invoke(
             capsys, "check-rule", "--instance", inst, "--rule", rule,
@@ -263,10 +268,10 @@ def test_stats_name_each_checks_scan_outside_the_result(capsys, files):
         capsys, "verify-prop1", "--instance", inst, "--rule", "sd", "--workers", "1"
     )
     axioms = [h["axiom"] for h in payload["result"]["hypotheses_verified"]]
-    objects = {"scan": "object_orbits", "scan_size": 36, "evaluations": 0}
-    assert code == 0 and payload["stats"] == {
-        **dict.fromkeys(axioms, objects), axioms[0]: {**objects, "evaluations": 216}
-    }
+    objects = {"scan": "object_orbits", "scan_size": 36, "evaluations": 0, **none}
+    group = {**objects, "evaluations": 216, "menus_built": 62, "menu_reports": 972}
+    assert code == 0 and axioms[0] == "group_strategy_proof"
+    assert payload["stats"] == {**dict.fromkeys(axioms, objects), axioms[0]: group}
     code, payload = invoke(capsys, "gen-instance", "--n", "2", "--k", "2")
     assert code == 0 and list(payload) == ["command", "result", "timing"]
 

@@ -332,3 +332,46 @@ def test_every_profile_gets_the_earlier_bodys_witness(name, axiom):
         menus = definition.deviations(profile, outcomes)
         expected = EARLIER_BODIES[axiom](None, profile, outcomes, deviations)
         assert definition.violation(profile, outcomes, menus) == expected, profile
+
+
+def direct_menus(inst, rule, coalition):
+    """Every block's menu of ``coalition``, keyed by the outside agents'
+    reports: the first joint report reaching each outcome, in ``product``
+    order, each joint report placed into the block's profile one agent at a
+    time."""
+    table, preferences = table_of(inst, rule), all_preferences(inst)
+    outside = [a for a in range(inst.n) if a not in coalition]
+    menus = {}
+    for rest in product(preferences, repeat=len(outside)):
+        firsts = {}
+        for reports in product(preferences, repeat=len(coalition)):
+            profile = [None] * inst.n
+            for agents, prefs in ((coalition, reports), (outside, rest)):
+                for a, pref in zip(agents, prefs):
+                    profile[a] = pref
+            firsts.setdefault(table[tuple(profile)], reports)
+        menus[rest] = tuple((reports, got) for got, reports in firsts.items())
+    return menus
+
+
+def menus_match_the_direct_build(inst, rule) -> bool:
+    """True iff ``Outcomes.menu`` at every profile and coalition, asked in
+    enumeration order, is ``direct_menus``'s menu of the profile's block."""
+    n, outcomes = inst.n, Outcomes(inst, rule, False)
+    coalitions = [c for size in range(1, n + 1) for c in combinations(range(n), size)]
+    direct = {c: direct_menus(inst, rule, c) for c in coalitions}
+    return all(
+        outcomes.menu(profile, c) == direct[c][tuple(p for a, p in enumerate(profile) if a not in c)]
+        for profile in enumerate_profiles(inst)
+        for c in coalitions
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["slack4-sd0123", "slack4-random11", "null4-sd3120", "null4-random12"]
+)
+def test_every_menu_is_the_direct_build_from_every_joint_report(name):
+    """Every coalition at every profile, on SD and a table that is not neutral,
+    so the menus are read at profiles of every object orbit."""
+    inst, rule = FAMILY[name]
+    assert menus_match_the_direct_build(inst, rule)

@@ -29,7 +29,7 @@ from axiomlab import preferences
 from axiomlab.preferences import sort_agents
 from helpers import object_relabellings, plain_report, random_tabulated_rule, renamed, uniform_over
 from test_axioms import totality_matches_the_walk, with_a_foreign_key_for_a_gap
-from test_incentives import FAMILY, oracle_report
+from test_incentives import CASES, FAMILY, menus_match_the_direct_build, oracle_report
 from test_orbit_scan import ANONYMOUS_FAILING, FIVE, neutral_by_definition
 from test_rules import HEAD_READ_INSTANCES, rsd_oracle, rsd_reads_match_the_oracle
 from test_theorems import FIX_UP_INSTANCE, _direct_prescreen, _search_matches_the_oracle
@@ -240,6 +240,24 @@ def test_the_joint_report_oracle_catches_the_strict_agent_taken_from_j(monkeypat
         "j if prefers(profile[j], got[j], mine[j]) else i",
     )
     assert check_axiom(inst, rule, axiom).to_dict() != oracle_report(inst, rule, axiom)
+
+
+def test_the_direct_build_catches_menus_kept_by_the_outside_reports_alone(monkeypatch):
+    """Menus keyed by the outside agents' reports without their coalition, so
+    that coalitions of one size share each other's menus, against the menus
+    built from every joint report and the joint-report scans: SD then fails
+    every incentive axiom."""
+    inst, rule = FAMILY["slack3-sd012"]
+    assert menus_match_the_direct_build(inst, rule)
+    assert all(check_axiom(inst, rule, a).to_dict() == oracle_report(inst, rule, a) for a in CASES)
+    _mutate(
+        monkeypatch,
+        Outcomes.menu,
+        "block = coalition, _outside(len(profile), coalition)(profile)",
+        "block = _outside(len(profile), coalition)(profile)",
+    )
+    assert not menus_match_the_direct_build(inst, rule)
+    assert all(check_axiom(inst, rule, a).to_dict() != oracle_report(inst, rule, a) for a in CASES)
 
 
 def test_the_walk_catches_a_totality_test_by_entry_count(monkeypatch, unit3):

@@ -250,10 +250,15 @@ HARNESS_RULES = {
 }
 
 
+#: The work counts a check's stats hold besides its scan.
+WORK_COUNTS = ("evaluations", "menus_built", "menu_reports")
+
+
 def _harness_run(monkeypatch, checker, harness, inst, rule):
     """The harness's report, stats and every check's report and stats, run on
-    ``checker``, with the checks' evaluation counts taken out of the stats and
-    returned apart: the eager table is read in place, so it counts none."""
+    ``checker``, with the checks' work counts taken out of the stats and
+    returned apart, one tuple per stats: the eager table is read in place, so
+    it counts no evaluations, and each of its checks builds its own menus."""
     import axiomlab.theorems as theorems
 
     reports = []
@@ -271,7 +276,7 @@ def _harness_run(monkeypatch, checker, harness, inst, rule):
     verdict = harness(inst, rule)
     run = verdict.to_dict(), verdict.stats, [(r.to_dict(), r.stats()) for r in reports]
     stats = [*verdict.stats.values(), *(s for _, s in run[2])]
-    return run, [s.pop("evaluations") for s in stats]
+    return run, [tuple(s.pop(key) for key in WORK_COUNTS) for s in stats]
 
 
 @pytest.mark.parametrize(
@@ -285,20 +290,23 @@ def _harness_run(monkeypatch, checker, harness, inst, rule):
 )
 def test_harnesses_report_what_the_eager_table_reported(monkeypatch, name, rule_name):
     """Both harnesses give the bytes, stats and check reports they gave when
-    every check read one eagerly built table, but for the evaluation counts."""
+    every check read one eagerly built table, but for the work counts; the
+    shared table never builds more menus than the checks build apart."""
     inst = HARNESS_INSTANCES[name]
     rule = HARNESS_RULES[rule_name](inst)
     harnesses = [verify_theorem1] + ([] if is_lottery_rule(rule) else [verify_proposition1])
     for harness in harnesses:
-        (eager, eager_counts), (shared, _) = (
+        (eager, eager_counts), (shared, shared_counts) = (
             _harness_run(monkeypatch, checker, harness, inst, rule)
             for checker in (_parent_checker, _checker)
         )
         assert json.dumps(eager) == json.dumps(shared), harness.__name__
-        assert set(eager_counts) == {0}, harness.__name__
+        assert {evaluations for evaluations, _, _ in eager_counts} == {0}, harness.__name__
+        for at in (1, 2):  # menus_built, menu_reports
+            assert sum(c[at] for c in shared_counts) <= sum(c[at] for c in eager_counts)
 
 
-def test_a_harness_builds_each_menu_once(monkeypatch):
+def test_a_harness_builds_each_menu_once():
     """Prop1's checks share one table's menus: on SD, which passes every check,
     the harness builds as many deviated profiles as its group check alone.
 
@@ -306,34 +314,39 @@ def test_a_harness_builds_each_menu_once(monkeypatch):
     objects 1 and 2 in ascending order.  A coalition of c agents builds 6^c
     deviated profiles per block, and has 6^(3 - c) blocks if it holds agent
     0, half as many otherwise: 216 + 2 * 108 for single agents, 2 * 216 + 108
-    for pairs and 216 for all three, against 1,512 over every profile."""
-    import axiomlab.axioms as axioms
-
+    for pairs and 216 for all three, against 1,512 over every profile.  Each
+    check's stats count the menus it built and the joint reports it read for
+    them, so the group check reports them all and the other checks none."""
     inst, rule = Instance(3, (2, 1, 1)), SerialDictatorshipRule((0, 1, 2))
-    built = []
-    deviated = axioms._deviated
-    monkeypatch.setattr(axioms, "_deviated", lambda *args: built.append(1) or deviated(*args))
-    check_axiom(inst, rule, Axiom.GROUP_STRATEGY_PROOF)
-    group, built[:] = len(built), []
-    verify_proposition1(inst, rule)
-    assert len(built) == group == 1188
+    group = check_axiom(inst, rule, Axiom.GROUP_STRATEGY_PROOF).stats()
+    verdict = verify_proposition1(inst, rule)
+    built = {axiom: (s["menus_built"], s["menu_reports"]) for axiom, s in verdict.stats.items()}
+    assert (group["menus_built"], group["menu_reports"]) == (88, 1188)  # 72 + 15 + 1 blocks
+    assert built == {
+        "group_strategy_proof": (88, 1188),
+        **dict.fromkeys(
+            ("pairwise_strategy_proof", "strategy_proof", "non_bossy", "maskin_monotonic"), (0, 0)
+        ),
+    }
 
 
 def test_a_harness_walks_the_joint_orbit_stream_once_for_its_counts(monkeypatch):
-    """Thm1's four checks on RSD scan the orbits under the agent and object
-    relabellings together, and each reports that stream's length, which
-    ``orbit_count`` learns by walking it: once per instance, not per check."""
+    """Thm1's checks on RSD, its pass over the heads and ``orbit_count`` all
+    read the orbits under the agent and object relabellings together, whose
+    heads are filtered from the sorted profiles once per instance and kept:
+    the filter runs once across the harness, not once per reader."""
     import axiomlab.preferences as preferences
 
     inst = Instance(4, (2, 2, 1))
-    preferences.orbit_count.cache_clear()
+    preferences._joint_heads.cache_clear()
     walks = []
-    stream = preferences.orbit_profiles
+    digits = preferences._sorted_digits
     monkeypatch.setattr(
-        preferences, "orbit_profiles", lambda *args: walks.append(args[1:]) or stream(*args)
+        preferences, "_sorted_digits", lambda *args: walks.append(args) or digits(*args)
     )
     verdict = verify_theorem1(inst, RandomSerialDictatorshipRule())
-    assert walks == [(True, True)]
+    assert walks == [(6, 4)]  # 3! preferences, four agents
+    assert len(preferences._joint_heads(inst)) == 66
     assert [s["scan"] for s in verdict.stats.values()] == ["agent_object_orbits"] * 4
     assert {s["scan_size"] for s in verdict.stats.values()} == {66}
 
